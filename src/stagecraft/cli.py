@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cmpfn import fn_from_json, scale
-from .certificates import UBgECCert, cert_to_json, uvc_to_ubgec, verify
+from .cmpfn import fn_from_json, identity, scale, scale_kl
+from .certificates import UBgECCert, as_state_certificate, cert_to_json, uvc_to_ubgec, verify
 from .converse import converse_pipeline
 from .errors import (
     ChoiceRejectedError,
@@ -33,9 +33,16 @@ from .errors import (
     StagecraftError,
 )
 from .library import BuiltinSystem, build_builtin
-from .oracle import FiniteSystem, discretize_scalar, extract_ucc, value_iterate
+from .oracle import (
+    DEFAULT_MAX_ITER,
+    FiniteSystem,
+    ValueTable,
+    discretize_scalar,
+    extract_ucc,
+    value_iterate,
+)
 from .synthesis import InteractionSpec, admit_interaction, certify_ucc, synthesize, to_ucc_cert
-from .system import _fmt
+from .system import StageCost, _fmt
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -212,15 +219,11 @@ def cmd_verify(config: dict, out_dir: str, seed: int) -> int:
     elif kind == "ubgec":
         cert = builtin.ubgec
     elif kind == "uac":
-        from .certificates import as_state_certificate
-
         cert = as_state_certificate(builtin.uvc)
     else:
         raise ConfigError(f"unsupported certificate kind {kind!r}")
     scale_factor = float(config.get("certificate", {}).get("state_bound_scale", 1.0))
     if scale_factor != 1.0:
-        from .cmpfn import scale_kl
-
         cert = dataclasses.replace(cert, state_bound=scale_kl(cert.state_bound, scale_factor))
     samples = _draw_samples(builtin, sys_, finite, config, seed)
     report = verify(
@@ -234,32 +237,34 @@ def cmd_verify(config: dict, out_dir: str, seed: int) -> int:
     return _finish(report, out_dir)
 
 
+def _oracle_values(config: dict, finite: FiniteSystem) -> ValueTable:
+    """Value iteration on ``finite`` under the config's ``oracle`` section."""
+    params = config.get("oracle", {})
+    cost_spec = params.get("stage_cost", {})
+    cost = StageCost(
+        state_cost=identity()
+        if "state_cost" not in cost_spec
+        else fn_from_json(cost_spec["state_cost"]),
+        input_cost=identity()
+        if "input_cost" not in cost_spec
+        else fn_from_json(cost_spec["input_cost"]),
+    )
+    return value_iterate(
+        finite,
+        cost,
+        tol=float(params.get("tol", 1e-10)),
+        max_iter=int(params.get("max_iter", DEFAULT_MAX_ITER)),
+    )
+
+
 def _ucc_from_config(config: dict, builtin, sys_, finite):
     spec = config.get("certificate", {})
     kind = spec.get("kind", "synthesize")
     if kind == "oracle":
         if finite is None:
             raise ConfigError("oracle-built certificates need a finite system")
-        params = config.get("oracle", {})
-        cost_spec = params.get("stage_cost", {})
-        from .system import StageCost
-        from .cmpfn import identity
-
-        cost = StageCost(
-            state_cost=identity()
-            if "state_cost" not in cost_spec
-            else fn_from_json(cost_spec["state_cost"]),
-            input_cost=identity()
-            if "input_cost" not in cost_spec
-            else fn_from_json(cost_spec["input_cost"]),
-        )
-        table = value_iterate(
-            finite,
-            cost,
-            tol=float(params.get("tol", 1e-10)),
-            max_iter=int(params.get("max_iter", 10000)),
-        )
-        return extract_ucc(table, finite, margin=float(params.get("margin", 1.5)))
+        margin = float(config.get("oracle", {}).get("margin", 1.5))
+        return extract_ucc(_oracle_values(config, finite), finite, margin=margin)
     if kind == "synthesize":
         cert = _builtin_certificate(builtin, config, kind=spec.get("base", "ubgec"))
         params = config.get("synthesis", {})
@@ -308,25 +313,7 @@ def cmd_oracle(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
     if finite is None:
         raise ConfigError("oracle runs need a finite or discretized system")
-    params = config.get("oracle", {})
-    cost_spec = params.get("stage_cost", {})
-    from .system import StageCost
-    from .cmpfn import identity
-
-    cost = StageCost(
-        state_cost=identity()
-        if "state_cost" not in cost_spec
-        else fn_from_json(cost_spec["state_cost"]),
-        input_cost=identity()
-        if "input_cost" not in cost_spec
-        else fn_from_json(cost_spec["input_cost"]),
-    )
-    table = value_iterate(
-        finite,
-        cost,
-        tol=float(params.get("tol", 1e-10)),
-        max_iter=int(params.get("max_iter", 10000)),
-    )
+    table = _oracle_values(config, finite)
     with open(os.path.join(out_dir, "value_table.csv"), "w", encoding="utf-8", newline="") as fp:
         table.to_csv(finite, fp)
     _write_json(

@@ -11,6 +11,14 @@ States with no finite-cost future are detected structurally before
 iterating: a total cost can only stay finite by eventually riding
 zero-cost edges forever, so finite values exist exactly on states
 that can reach the zero-cost core.
+
+Cost of each step, for S states, U inputs and E = S * U edges: the
+cost table is one array ``eval`` per cost part (plus one call per
+entry for a cross term); the zero-cost core and the states reaching
+it each sort the edges once into predecessor lists (in numpy) and then
+visit every edge at most once, by a worklist and a reverse search;
+value iteration stays O(sweeps * S * U), and a chain needs one sweep
+per link.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from .cmpfn import identity, strict_table
 from .certificates import TAIL_REPEAT, PolicyOracle, UCCCert
-from .errors import EnvelopeError, ParameterError
+from .errors import EnvelopeError, ParameterError, SimulationError
 from .system import ControlSystem, StageCost, _fmt
 
 __all__ = [
@@ -39,6 +47,8 @@ __all__ = [
 ]
 
 MAX_STATES = 10 ** 4
+# a chain of n states settles in n sweeps plus one to confirm the fixed point
+DEFAULT_MAX_ITER = MAX_STATES + 1
 MAX_INPUTS = 10 ** 2
 DIVERGENCE_FACTOR = 10 ** 6
 
@@ -115,43 +125,95 @@ class FiniteSystem:
 
 
 def _cost_table(fsys: FiniteSystem, cost: StageCost) -> np.ndarray:
-    table = np.empty((fsys.num_states, fsys.num_inputs))
-    for x in range(fsys.num_states):
-        for u in range(fsys.num_inputs):
-            table[x, u] = cost.of_measures(
-                float(fsys.state_measure[x]), float(fsys.input_measure[u])
-            )
+    """Stage cost of every (state, input) pair, bitwise equal to ``of_measures``.
+
+    The state and input parts are one array ``eval`` each, added in the
+    order ``0.0 + state + input`` that ``of_measures`` uses; only the
+    opaque cross term is called per entry.  The same nonnegativity and
+    finiteness check then runs once over the whole table.
+    """
+    sig, rho = fsys.state_measure, fsys.input_measure
+    table = np.zeros((fsys.num_states, fsys.num_inputs))
+    if cost.state_cost is not None:
+        table = table + cost.state_cost.eval(sig)[:, None]
+    if cost.input_cost is not None:
+        table = table + cost.input_cost.eval(rho)[None, :]
+    if cost.cross_cost is not None:
+        rhos = rho.tolist()
+        for x, sigma in enumerate(sig.tolist()):
+            table[x] += [float(cost.cross_cost(sigma, r)) for r in rhos]
+    bad = np.argwhere(~((table >= 0.0) & np.isfinite(table)))
+    if bad.size:
+        x, u = bad[0]
+        raise SimulationError(
+            f"stage cost evaluated to {float(table[x, u])!r} "
+            f"at sigma={float(sig[x])}, rho={float(rho[u])}"
+        )
     return table
 
 
-def zero_cost_core(fsys: FiniteSystem, cost: StageCost) -> np.ndarray:
+def _predecessors(successor: np.ndarray, edges: Optional[np.ndarray] = None):
+    """CSR predecessor lists of the edges ``x -> successor[x, u]``.
+
+    Returns ``(start, preds)`` as Python lists: the sources of the edges
+    into ``y`` are ``preds[start[y]:start[y + 1]]``, one entry per edge.
+    ``edges`` optionally masks which (state, input) edges to keep.
+    """
+    states, inputs = successor.shape
+    src = np.repeat(np.arange(states), inputs)
+    dst = successor.ravel()
+    if edges is not None:
+        keep = edges.ravel()
+        src, dst = src[keep], dst[keep]
+    start = np.zeros(states + 1, dtype=int)
+    np.cumsum(np.bincount(dst, minlength=states), out=start[1:])
+    return start.tolist(), src[np.argsort(dst, kind="stable")].tolist()
+
+
+def zero_cost_core(
+    fsys: FiniteSystem, cost: StageCost, *, table: Optional[np.ndarray] = None
+) -> np.ndarray:
     """States that can ride zero-cost edges forever (boolean mask).
 
-    Greatest fixed point: repeatedly drop states without a zero-cost
-    edge back into the surviving set.
+    Greatest fixed point of "keep the states with a zero-cost edge into
+    the kept set", found by a worklist: each state counts its zero-cost
+    edges into the kept set, and a state whose count drops to zero is
+    dropped and decrements its zero-cost predecessors.  Every edge is
+    visited at most once, so the cost is linear in the edge count.
+    ``table`` reuses a cost table already built for ``cost``.
     """
-    table = _cost_table(fsys, cost)
-    core = np.ones(fsys.num_states, dtype=bool)
-    while True:
-        stays = np.zeros_like(core)
-        for x in np.flatnonzero(core):
-            row = fsys.successor[x]
-            stays[x] = bool(np.any((table[x] == 0.0) & core[row]))
-        if np.array_equal(stays, core):
-            return core
-        core = stays
+    if table is None:
+        table = _cost_table(fsys, cost)
+    free = table == 0.0
+    live = np.count_nonzero(free, axis=1)
+    start, preds = _predecessors(fsys.successor, free)
+    dropped = np.flatnonzero(live == 0).tolist()
+    live = live.tolist()
+    while dropped:
+        y = dropped.pop()
+        for x in preds[start[y]:start[y + 1]]:
+            live[x] -= 1
+            if live[x] == 0:
+                dropped.append(x)
+    return np.array(live) > 0
 
 
 def reaches_core(fsys: FiniteSystem, core: np.ndarray) -> np.ndarray:
-    """States with some path into the core (boolean mask)."""
-    reach = core.copy()
-    while True:
-        grown = reach.copy()
-        for x in np.flatnonzero(~reach):
-            grown[x] = bool(np.any(reach[fsys.successor[x]]))
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
+    """States with some path into the core (boolean mask).
+
+    Reverse search from the core over the predecessor lists, visiting
+    every edge at most once, so the cost is linear in the edge count.
+    """
+    start, preds = _predecessors(fsys.successor)
+    reach = np.array(core, dtype=bool).tolist()
+    frontier = np.flatnonzero(core).tolist()
+    while frontier:
+        y = frontier.pop()
+        for x in preds[start[y]:start[y + 1]]:
+            if not reach[x]:
+                reach[x] = True
+                frontier.append(x)
+    return np.array(reach, dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +243,7 @@ def value_iterate(
     fsys: FiniteSystem,
     cost: StageCost,
     tol: float = 1e-10,
-    max_iter: int = 10000,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ValueTable:
     """Synchronous value iteration from below.
 
@@ -194,28 +256,29 @@ def value_iterate(
     if tol < 0:
         raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
     table = _cost_table(fsys, cost)
-    finite_mask = reaches_core(fsys, zero_cost_core(fsys, cost))
+    finite_mask = reaches_core(fsys, zero_cost_core(fsys, cost, table=table))
 
     values = np.where(finite_mask, 0.0, np.inf)
-    succ = fsys.successor
+    live = np.flatnonzero(finite_mask)
+    # sweep only the finite states, one row per input, so the minimum over
+    # inputs runs elementwise across contiguous rows
+    live_costs = np.ascontiguousarray(table[live].T)
+    live_succ = np.ascontiguousarray(fsys.successor[live].T)
     iterations = 0
     residual = np.inf
     converged = False
     while iterations < max_iter:
-        candidates = table + values[succ]
-        new_values = np.where(finite_mask, np.min(candidates, axis=1), np.inf)
+        new_live = np.min(live_costs + values[live_succ], axis=0)
         iterations += 1
-        if finite_mask.any():
-            residual = float(np.max(np.abs(new_values[finite_mask] - values[finite_mask])))
-        else:
-            residual = 0.0
-        values = new_values
+        residual = float(np.max(np.abs(new_live - values[live]))) if live.size else 0.0
+        values[live] = new_live
         if residual <= tol:
             converged = True
             break
 
     cap = DIVERGENCE_FACTOR * max(float(np.max(table)), 1.0)
     values = np.where(values > cap, np.inf, values)
+    succ = fsys.successor
     greedy = np.argmin(table + np.where(np.isfinite(values[succ]), values[succ], np.inf), axis=1)
     return ValueTable(
         values=values,
@@ -307,7 +370,7 @@ def brute_force_values(fsys: FiniteSystem, cost: StageCost, depth: int = 8) -> n
     if fsys.num_inputs ** depth > 2 ** 20:
         raise ParameterError("enumeration would be too large; shrink depth or the system")
     table = _cost_table(fsys, cost)
-    core = zero_cost_core(fsys, cost)
+    core = zero_cost_core(fsys, cost, table=table)
     best = np.full(fsys.num_states, np.inf)
     for seq in product(range(fsys.num_inputs), repeat=depth):
         for x0 in range(fsys.num_states):
@@ -340,18 +403,12 @@ def discretize_scalar(
         raise ParameterError("grids must be one-dimensional and nonempty")
     if np.any(np.diff(xs) <= 0):
         raise ParameterError("state grid must be strictly increasing")
-    succ = np.empty((xs.size, us.size), dtype=int)
-    for i, x in enumerate(xs):
-        for j, u in enumerate(us):
-            target = float(step(x, u))
-            k = int(np.searchsorted(xs, target))
-            if k <= 0:
-                snapped = 0
-            elif k >= xs.size:
-                snapped = xs.size - 1
-            else:
-                snapped = k if (xs[k] - target) <= (target - xs[k - 1]) else k - 1
-            succ[i, j] = snapped
+    targets = np.array([[float(step(x, u)) for u in us] for x in xs])
+    k = np.searchsorted(xs, targets)
+    # clamping the bracket also clamps targets beyond either grid end
+    hi = np.minimum(k, xs.size - 1)
+    lo = np.maximum(k - 1, 0)
+    succ = np.where(xs[hi] - targets <= targets - xs[lo], hi, lo)
     return FiniteSystem(
         successor=succ,
         state_measure=np.array([float(state_measure(x)) for x in xs]),

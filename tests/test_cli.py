@@ -237,6 +237,16 @@ class TestOracleCommand:
         assert meta["converged"] is True
         assert meta["states"] == 10
 
+    def test_chain_at_the_state_limit_converges_by_default(self, tmp_path, capsys):
+        # a chain of n states needs n sweeps plus one that confirms the fixed point
+        payload = {"system": {"builtin": "finite_chain", "params": {"length": 10000}}}
+        rc, out = run(tmp_path, "oracle", payload)
+        assert rc == 0
+        assert capsys.readouterr().out == "PASS value iteration converged in 10001 sweeps\n"
+        meta = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
+        assert meta["converged"] is True
+        assert meta["iterations"] == 10001
+
     def test_iteration_budget_exhaustion_exits_three(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "oracle", self.chain_config(oracle={"max_iter": 2}))
         assert rc == 3

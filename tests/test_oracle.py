@@ -4,24 +4,32 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
     EnvelopeError,
     FiniteSystem,
     ParameterError,
+    SimulationError,
     StageCost,
     brute_force_values,
     build_builtin,
+    combine,
     discretize_scalar,
     extract_ucc,
     greedy_policy,
     identity,
+    inverse_of,
+    linear,
+    power,
     reaches_core,
     rollout,
+    table_fn,
     total_cost,
     value_iterate,
     zero_cost_core,
 )
+from stagecraft.oracle import _cost_table
 
 SIGMA_RHO = StageCost(state_cost=identity(), input_cost=identity())
 
@@ -43,6 +51,146 @@ def stranded_pair():
         state_measure=np.array([0.0, 1.0]),
         input_measure=np.array([0.0, 1.0]),
     )
+
+
+def random_system(rng):
+    """1-40 states, 1-4 inputs, random successors, some zero measures."""
+    states = int(rng.integers(1, 41))
+    inputs = int(rng.integers(1, 5))
+    sig = np.where(rng.random(states) < 0.3, 0.0, rng.uniform(0.0, 5.0, states))
+    sig[rng.integers(states)] = 0.0
+    rho = np.where(rng.random(inputs) < 0.4, 0.0, rng.uniform(0.0, 5.0, inputs))
+    return FiniteSystem(
+        successor=rng.integers(0, states, size=(states, inputs)),
+        state_measure=sig,
+        input_measure=rho,
+    )
+
+
+def scalar_cost_table(fsys, cost):
+    return np.array(
+        [
+            [cost.of_measures(float(s), float(r)) for r in fsys.input_measure]
+            for s in fsys.state_measure
+        ]
+    )
+
+
+def reference_core(fsys, table):
+    """Greatest fixed point by whole-set rounds, one state at a time."""
+    core = np.ones(fsys.num_states, dtype=bool)
+    while True:
+        stays = np.array(
+            [core[x] and np.any((table[x] == 0.0) & core[fsys.successor[x]])
+             for x in range(fsys.num_states)]
+        )
+        if np.array_equal(stays, core):
+            return core
+        core = stays
+
+
+def reference_reach(fsys, core):
+    """Least fixed point by whole-set rounds, one state at a time."""
+    reach = core.copy()
+    while True:
+        grown = np.array(
+            [reach[x] or np.any(reach[fsys.successor[x]]) for x in range(fsys.num_states)]
+        )
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+def reference_values(fsys, table, finite_mask, tol, max_iter):
+    """Value iteration sweeping the full table; returns (values, iterations, residual)."""
+    values = np.where(finite_mask, 0.0, np.inf)
+    iterations, residual = 0, np.inf
+    while iterations < max_iter:
+        new = np.where(finite_mask, np.min(table + values[fsys.successor], axis=1), np.inf)
+        iterations += 1
+        residual = (
+            float(np.max(np.abs(new[finite_mask] - values[finite_mask])))
+            if finite_mask.any()
+            else 0.0
+        )
+        values = new
+        if residual <= tol:
+            break
+    return values, iterations, residual
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+STAGE_COSTS = {
+    "identity": StageCost(state_cost=identity(), input_cost=identity()),
+    "linear": StageCost(state_cost=linear(2.5), input_cost=linear(0.3)),
+    "power": StageCost(state_cost=power(1.7), input_cost=power(0.45)),
+    "table": StageCost(
+        state_cost=table_fn([0.5, 1.0, 3.0], [0.2, 1.1, 4.0]),
+        input_cost=table_fn([2.0, 4.0], [0.3, 5.0]),
+    ),
+    "inverse_of": StageCost(
+        state_cost=inverse_of(power(3.0)),
+        input_cost=inverse_of(combine(identity(), power(2.0), "sum")),
+    ),
+    "cross": StageCost(
+        state_cost=power(2.0), input_cost=identity(), cross_cost=lambda s, r: s * r
+    ),
+}
+
+
+class TestArrayPathsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_core_and_reach_match_fixed_points(self, seed):
+        rng = np.random.default_rng(seed)
+        fsys = random_system(rng)
+        cost = STAGE_COSTS[rng.choice(sorted(STAGE_COSTS))]
+        table = _cost_table(fsys, cost)
+        core = zero_cost_core(fsys, cost)
+        assert core.tolist() == reference_core(fsys, table).tolist()
+        reach = reaches_core(fsys, core)
+        assert reach.tolist() == reference_reach(fsys, core).tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cost_table_is_bitwise_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        fsys = random_system(rng)
+        wide = FiniteSystem(
+            successor=fsys.successor,
+            state_measure=fsys.state_measure * 10.0 ** rng.uniform(-6, 6, fsys.num_states),
+            input_measure=fsys.input_measure * 10.0 ** rng.uniform(-6, 6, fsys.num_inputs),
+        )
+        for name, cost in STAGE_COSTS.items():
+            for sys_ in (fsys, wide):
+                table = _cost_table(sys_, cost)
+                assert np.array_equal(bits(table), bits(scalar_cost_table(sys_, cost))), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_value_iteration_is_bitwise_the_full_table_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        fsys = random_system(rng)
+        cost = STAGE_COSTS[rng.choice(sorted(STAGE_COSTS))]
+        max_iter = int(rng.integers(1, 60))
+        vt = value_iterate(fsys, cost, max_iter=max_iter)
+        table = scalar_cost_table(fsys, cost)
+        finite_mask = reference_reach(fsys, reference_core(fsys, table))
+        values, iterations, residual = reference_values(fsys, table, finite_mask, 1e-10, max_iter)
+        cap = 10 ** 6 * max(float(np.max(table)), 1.0)
+        assert np.array_equal(bits(vt.values), bits(np.where(values > cap, np.inf, values)))
+        assert (vt.iterations, vt.residual) == (iterations, residual)
+
+
+class TestCostGuards:
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_bad_cross_cost_raises(self, bad):
+        cost = StageCost(state_cost=identity(), cross_cost=lambda s, r: bad if r > 0 else 0.0)
+        with pytest.raises(SimulationError, match="stage cost evaluated to"):
+            value_iterate(countdown(4), cost)
 
 
 class TestFiniteSystem:
@@ -293,6 +441,32 @@ class TestDiscretizeScalar:
             discretize_scalar(lambda x, u: x, [0.0, 0.0, 1.0], [0.0])
         with pytest.raises(ParameterError, match="nonempty"):
             discretize_scalar(lambda x, u: x, [], [0.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_snapping_matches_pointwise_search(self, seed):
+        rng = np.random.default_rng(seed)
+        # half-integer grids and quarter-integer targets make exact ties
+        # and targets beyond either end common
+        grid = np.union1d(rng.integers(-6, 7, int(rng.integers(1, 12))) / 2.0, [0.0])
+        inputs = rng.integers(-4, 5, int(rng.integers(1, 5))) / 2.0
+        a, b = rng.choice([-1.5, -1.0, -0.5, 0.5, 1.0, 2.0], size=2)
+
+        def step(x, u):
+            return a * x + b * u
+
+        fsys = discretize_scalar(step, grid, inputs)
+        for i, x in enumerate(grid):
+            for j, u in enumerate(inputs):
+                target = float(step(x, u))
+                k = int(np.searchsorted(grid, target))
+                if k <= 0:
+                    snapped = 0
+                elif k >= grid.size:
+                    snapped = grid.size - 1
+                else:
+                    snapped = k if grid[k] - target <= target - grid[k - 1] else k - 1
+                assert fsys.successor[i, j] == snapped
 
     def test_needs_zero_measure_point(self):
         with pytest.raises(ParameterError, match="measure zero"):
