@@ -7,15 +7,13 @@ energy, or a bound on the total trajectory cost.  ``verify`` replays
 the certified policy from sampled initial states and reports the
 worst violation margin of every inequality the certificate declares.
 
-Certificates are immutable.  Verification is pure; set the
-``STAGECRAFT_THREADS`` environment variable above 1 to spread samples
-over a thread pool.
+Certificates are immutable and verification is pure.  Each decay
+bound is evaluated once per sample, over the whole horizon in one
+broadcast call.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
@@ -55,14 +53,6 @@ DEFAULT_SLACK = 1e-9
 
 TAIL_ZERO = "zero"
 TAIL_REPEAT = "repeat-last"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("STAGECRAFT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -286,12 +276,12 @@ def _sample_rows(cert: Certificate, sys: ControlSystem, sample: int, x, horizon:
     rows = []
 
     if isinstance(cert, (UACCert, UVCCert, UBgECCert)):
-        bound = np.array([cert.state_bound.eval(r0, float(n)) for n in range(horizon + 1)])
+        bound = cert.state_bound.eval(r0, np.arange(horizon + 1, dtype=float))
         rows.append(_worst_row(sample, "state_bound", sig, bound))
 
     if isinstance(cert, UVCCert) and horizon > 0:
         rho = np.array([sys.rho(u) for u in traj.inputs])
-        bound = np.array([cert.control_bound.eval(r0, float(n)) for n in range(horizon)])
+        bound = cert.control_bound.eval(r0, np.arange(horizon, dtype=float))
         rows.append(_worst_row(sample, "control_bound", rho, bound))
 
     if isinstance(cert, UBgECCert) and horizon > 0:
@@ -336,19 +326,9 @@ def verify(
     for x in samples:
         if not cert.domain(x):
             raise ParameterError(f"sample {x!r} is outside the certificate domain")
-
-    def run(item):
-        i, x = item
-        return _sample_rows(cert, sys, i, x, horizon)
-
-    threads = _thread_count()
-    if threads > 1 and len(samples) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, enumerate(samples)))
-    else:
-        chunks = [run(item) for item in enumerate(samples)]
-
-    rows = tuple(row for chunk in chunks for row in chunk)
+    rows = tuple(
+        row for i, x in enumerate(samples) for row in _sample_rows(cert, sys, i, x, horizon)
+    )
     return VerificationReport(
         kind=type(cert).__name__, horizon=horizon, slack=slack, rows=rows
     )
@@ -398,15 +378,8 @@ def joint_bound_merge(cert: UVCCert, w1: float, w2: float, r_grid=None, t_grid=N
     c1, c2 = max(float(w1), 1.0), max(float(w2), 1.0)
     r_grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    values = np.array(
-        [
-            [
-                c1 * cert.state_bound.eval(r, t) + c2 * cert.control_bound.eval(r, t)
-                for t in t_grid
-            ]
-            for r in r_grid
-        ]
-    )
+    r, t = r_grid[:, None], t_grid[None, :]
+    values = c1 * cert.state_bound.eval(r, t) + c2 * cert.control_bound.eval(r, t)
     return SampledKL(r_grid=r_grid, t_grid=t_grid, values=values)
 
 

@@ -17,10 +17,12 @@ in ``t``).  ``kl_decompose`` rewrites any of them as a separable bound
 with a prescribed decay rate, which is the workhorse behind stage-cost
 synthesis.
 
-Evaluation accepts scalars or numpy arrays.  Numeric inversion is a
-bracketed bisection vectorised over query points; structurally
-invertible trees (powers, linear maps, tables, compositions of those)
-take an exact shortcut.
+Evaluation accepts scalars or numpy arrays.  Decay bounds broadcast
+``r`` against ``t``, so every grid check and decomposition here
+evaluates its bound over the whole ``(r, t)`` grid in one call.
+Numeric inversion is a bracketed bisection vectorised over query
+points; structurally invertible trees (powers, linear maps, tables,
+compositions of those) take an exact shortcut.
 """
 
 from __future__ import annotations
@@ -524,6 +526,16 @@ def weak_triangle_split(alpha, a, b):
     return alpha.eval(2.0 * a), alpha.eval(2.0 * b)
 
 
+def _max_per_x(xs, ys):
+    """Distinct abscissae in increasing order, each with its largest ordinate."""
+    order = np.argsort(xs, kind="stable")
+    xs, ys = xs[order], ys[order]
+    if xs.size == 0:
+        return xs, ys
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    return xs[first], np.maximum.reduceat(ys, first)
+
+
 def strict_table(xs, ys):
     """Monotone table through the data, repaired to strict increase.
 
@@ -532,21 +544,11 @@ def strict_table(xs, ys):
     smallest representable step so the result is a valid table node
     while never dropping below the input points.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    order = np.argsort(xs, kind="stable")
-    xs, ys = xs[order], ys[order]
-    keep_x, keep_y = [], []
-    for x, y in zip(xs, ys):
-        if keep_x and x == keep_x[-1]:
-            keep_y[-1] = max(keep_y[-1], y)
-        else:
-            keep_x.append(x)
-            keep_y.append(y)
-    if not keep_x or keep_x[0] > 0.0:
-        keep_x.insert(0, 0.0)
-        keep_y.insert(0, 0.0)
-    ys_out = np.maximum.accumulate(np.asarray(keep_y))
+    keep_x, keep_y = _max_per_x(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    if keep_x.size == 0 or keep_x[0] > 0.0:
+        keep_x = np.concatenate(([0.0], keep_x))
+        keep_y = np.concatenate(([0.0], keep_y))
+    ys_out = np.maximum.accumulate(keep_y)
     for i in range(1, ys_out.size):
         if ys_out[i] <= ys_out[i - 1]:
             ys_out[i] = np.nextafter(ys_out[i - 1], np.inf)
@@ -635,8 +637,29 @@ def _expr_repr(expr):
 # ---------------------------------------------------------------------------
 
 
+def _kl_domain(r, t):
+    """r and t as float arrays, after the one domain check of decay bounds."""
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    # min and max propagate NaN, so these three comparisons also reject it
+    finite_r = r.min(initial=0.0) >= 0.0 and r.max(initial=0.0) < np.inf
+    if not (finite_r and t.min(initial=0.0) >= 0.0):
+        raise DomainError(
+            "decay bounds need finite r >= 0 and t >= 0 (t may be +inf), "
+            f"got r={r!r}, t={t!r}"
+        )
+    return r, t
+
+
 class KLFn:
-    """Base class for bounds beta(r, t): increasing in r, decaying in t."""
+    """Base class for bounds beta(r, t): increasing in r, decaying in t.
+
+    ``eval(r, t)`` takes scalars or arrays that broadcast against each
+    other and returns one value per broadcast point; two scalars give a
+    ``float``.  Every call checks the domain once: r must be finite and
+    nonnegative, t nonnegative and not NaN (t = +inf is allowed and
+    gives 0); anything else raises ``DomainError``.
+    """
 
     __slots__ = ()
 
@@ -664,9 +687,8 @@ class SeparableKL(KLFn):
             raise ParameterError(f"decay rate must lie in (0, 1), got {self.decay!r}")
 
     def eval(self, r, t):
-        if np.any(np.asarray(t) < 0):
-            raise DomainError("time argument must be nonnegative")
-        return self.outer.eval(self.decay ** np.asarray(t, dtype=float) * self.inner.eval(r))
+        r, t = _kl_domain(r, t)
+        return self.outer.eval(self.decay ** t * self.inner.eval(r))
 
     __call__ = eval
 
@@ -739,15 +761,28 @@ class SampledKL(KLFn):
         ratio = np.clip(ratio, 0.0, 1.0 - 1e-12)
         return last * ratio ** (t - tg[-1])
 
-    def eval(self, r, t):
-        if r < 0 or t < 0:
-            raise DomainError("decay bounds are defined on [0, inf) x [0, inf)")
-        col = self._column(float(t))
+    def _at_time(self, r, t):
+        """Interpolate in r the column at the single time t."""
+        col = self._column(t)
         rg = self.r_grid
         if rg[0] > 0.0:
             rg = np.concatenate(([0.0], rg))
             col = np.concatenate(([0.0], col))
-        return float(_interp_extend(np.asarray(r, dtype=float), rg, col))
+        return _interp_extend(r, rg, col)
+
+    def eval(self, r, t):
+        r, t = _kl_domain(r, t)
+        if t.ndim == 0:
+            out = self._at_time(r, float(t))
+            return float(out) if r.ndim == 0 else out
+        r, t = np.broadcast_arrays(r, t)
+        times, which = np.unique(t, return_inverse=True)
+        which = which.reshape(t.shape)
+        out = np.empty(t.shape)
+        for k, tk in enumerate(times):
+            at = which == k
+            out[at] = self._at_time(r[at], float(tk))
+        return out
 
     __call__ = eval
 
@@ -796,10 +831,13 @@ def scale_kl(beta, c):
 
 
 def kl_grid_violations(beta, r_grid=None, t_grid=None):
-    """Grid report of shape violations; empty means the bound looks valid."""
+    """Grid report of shape violations; empty means the bound looks valid.
+
+    ``beta.eval`` must broadcast: the whole grid is one call.
+    """
     r_grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    vals = np.array([[beta.eval(r, t) for t in t_grid] for r in r_grid])
+    vals = beta.eval(r_grid[:, None], t_grid[None, :])
     bad = []
     if np.any(np.diff(vals, axis=0) <= 0):
         bad.append("not strictly increasing in r")
@@ -840,32 +878,15 @@ def kl_decompose(beta, decay=0.5, r_grid=None, t_grid=None, slack=_ENVELOPE_EPS)
         r_grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
         t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
 
-    base = np.array([beta.eval(r, 0.0) for r in r_grid])
-    inner = combine(strict_table(r_grid, base), identity(), "sum")
+    inner = combine(strict_table(r_grid, beta.eval(r_grid, 0.0)), identity(), "sum")
+    cloud_s = inner.eval(r_grid)[:, None] * decay ** t_grid[None, :]
+    cloud_v = beta.eval(r_grid[:, None], t_grid[None, :])
 
-    inner_vals = inner.eval(r_grid)
-    weights = decay ** t_grid
-    cloud_s = (inner_vals[:, None] * weights[None, :]).ravel()
-    cloud_v = np.array([[beta.eval(r, t) for t in t_grid] for r in r_grid]).ravel()
-
-    order = np.argsort(cloud_s, kind="stable")
-    s_sorted, v_sorted = cloud_s[order], cloud_v[order]
-    xs, vs = [], []
-    for s, v in zip(s_sorted, v_sorted):
-        if xs and s == xs[-1]:
-            vs[-1] = max(vs[-1], v)
-        else:
-            xs.append(s)
-            vs.append(v)
-    env = np.maximum.accumulate(np.asarray(vs))
-    outer = strict_table(np.asarray(xs), env + _ENVELOPE_EPS * np.asarray(xs))
+    xs, vs = _max_per_x(cloud_s.ravel(), cloud_v.ravel())
+    outer = strict_table(xs, np.maximum.accumulate(vs) + _ENVELOPE_EPS * xs)
 
     result = SeparableKL(outer=outer, decay=decay, inner=inner)
-    worst = -np.inf
-    for i, r in enumerate(r_grid):
-        lhs = np.array([beta.eval(r, t) for t in t_grid])
-        rhs = outer.eval(weights * inner_vals[i])
-        worst = max(worst, float(np.max(lhs - rhs)))
+    worst = float(np.max(cloud_v - outer.eval(cloud_s)))
     if worst > slack:
         raise DecompositionError(
             f"envelope fails to dominate the input bound on the grid by {worst:.3e}"

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cmpfn import identity, strict_table
+from .cmpfn import _max_per_x, identity, strict_table
 from .certificates import TAIL_REPEAT, PolicyOracle, UCCCert
 from .errors import EnvelopeError, ParameterError, SimulationError
 from .system import ControlSystem, StageCost, _fmt
@@ -278,8 +278,7 @@ def value_iterate(
 
     cap = DIVERGENCE_FACTOR * max(float(np.max(table)), 1.0)
     values = np.where(values > cap, np.inf, values)
-    succ = fsys.successor
-    greedy = np.argmin(table + np.where(np.isfinite(values[succ]), values[succ], np.inf), axis=1)
+    greedy = np.argmin(table + values[fsys.successor], axis=1)
     return ValueTable(
         values=values,
         greedy=np.asarray(greedy, dtype=int),
@@ -345,8 +344,7 @@ def extract_ucc(
     if not np.any(positive):
         bound = identity()
     else:
-        knots = np.unique(sig[positive])
-        peaks = np.array([np.max(values[sig == k]) for k in knots])
+        knots, peaks = _max_per_x(sig[positive], values[positive])
         bound = strict_table(knots, margin * peaks + 1e-9 * knots)
 
     states = fsys.num_states

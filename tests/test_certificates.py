@@ -1,11 +1,14 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
     ControlSystem,
     KInfFn,
+    KLValidityError,
     ParameterError,
     PolicyError,
     PolicyOracle,
@@ -29,6 +32,8 @@ from stagecraft import (
     uvc_to_ubgec,
     verify,
 )
+from stagecraft.certificates import _worst_row
+from support import random_sampled
 
 
 def scalar_system(a=0.5):
@@ -300,14 +305,6 @@ class TestReports:
         assert texts[0] == texts[1]
         assert texts[0].startswith("sample,inequality,n,lhs,rhs,margin\r\n")
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
-        b = build_builtin("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7})
-        monkeypatch.delenv("STAGECRAFT_THREADS", raising=False)
-        serial = verify(b.uvc, b.system, b.samples(6), horizon=32)
-        monkeypatch.setenv("STAGECRAFT_THREADS", "4")
-        threaded = verify(b.uvc, b.system, b.samples(6), horizon=32)
-        assert serial.rows == threaded.rows
-
     def test_json_includes_verdict(self):
         cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
         report = verify(cert, scalar_system(), [1.0], horizon=4)
@@ -321,3 +318,67 @@ class TestReports:
         assert cert_to_json(b.ubgec)["kind"] == "ubgec"
         assert cert_to_json(as_state_certificate(b.uvc))["kind"] == "uac"
         assert isinstance(cert_to_json(b.ubgec)["energy_budget"], dict)
+
+
+# ---------------------------------------------------------------------------
+# one broadcast call per bound against the per-point loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestGridPathsMatchLoops:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    def test_merge_is_the_double_loop(self, seed, w1, w2):
+        rng = np.random.default_rng(seed)
+        uvc = UVCCert(
+            state_bound=random_sampled(rng, 12, 10)[0],
+            control_bound=random_sampled(rng, 12, 10)[0],
+            policy=zero_policy(),
+        )
+        r_grid = np.concatenate(([0.0], np.logspace(-2.0, 4.0, 9)))
+        t_grid = np.array([0.0, 0.5, 1.0, 4.0, 9.0, 9.5, 30.0])
+        c1, c2 = max(w1, 1.0), max(w2, 1.0)
+        state, control = uvc.state_bound, uvc.control_bound
+        expected = np.array(
+            [[c1 * state.eval(r, t) + c2 * control.eval(r, t) for t in t_grid] for r in r_grid]
+        )
+        # past the last column the tails of two rows may cross, so the
+        # tabulation can be invalid; then both must refuse it the same way
+        try:
+            SampledKL(r_grid=r_grid, t_grid=t_grid, values=expected)
+        except KLValidityError as exc:
+            with pytest.raises(KLValidityError, match=re.escape(str(exc))):
+                joint_bound_merge(uvc, w1, w2, r_grid=r_grid, t_grid=t_grid)
+            return
+        merged = joint_bound_merge(uvc, w1, w2, r_grid=r_grid, t_grid=t_grid)
+        np.testing.assert_array_equal(bits(merged.values), bits(expected))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_verify_rows_are_the_per_step_loop(self, seed, horizon):
+        rng = np.random.default_rng(seed)
+        state_bound = random_sampled(rng, 12, 10)[0]
+        control_bound = SeparableKL(outer=power(2.0), decay=0.6, inner=linear(3.0))
+        policy = PolicyOracle(prefix=lambda x: [-0.25 * x, 0.1 * x], length=2, tail="zero")
+        cert = UVCCert(state_bound=state_bound, control_bound=control_bound, policy=policy)
+        system = scalar_system(0.9)
+        samples = [0.0, 0.3, -2.0, 50.0]
+        report = verify(cert, system, samples, horizon=horizon)
+
+        expected = []
+        for i, x in enumerate(samples):
+            controls = policy.controls(x, horizon)
+            states = [x]
+            for u in controls:
+                states.append(system.transition(states[-1], u))
+            sig = np.abs(states)
+            bound = [state_bound.eval(sig[0], float(n)) for n in range(horizon + 1)]
+            expected.append(_worst_row(i, "state_bound", sig, bound))
+            if horizon > 0:
+                bound = [control_bound.eval(sig[0], float(n)) for n in range(horizon)]
+                expected.append(_worst_row(i, "control_bound", np.abs(controls), bound))
+        assert report.rows == tuple(expected)

@@ -290,12 +290,6 @@ class TestDeterminism:
         _, out2 = run(tmp_path, "verify", self.RANDOM, seed=2, outname="b")
         assert (out1 / "report.csv").read_bytes() != (out2 / "report.csv").read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        _, out1 = run(tmp_path, "verify", self.RANDOM, seed=3, outname="a")
-        monkeypatch.setenv("STAGECRAFT_THREADS", "4")
-        _, out2 = run(tmp_path, "verify", self.RANDOM, seed=3, outname="b")
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
-
     def test_random_mode_on_plane_system(self, tmp_path):
         rc, _ = run(
             tmp_path,

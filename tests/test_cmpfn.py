@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stagecraft import (
     DEFAULT_R_GRID,
     DEFAULT_T_GRID,
+    DecompositionError,
     DomainError,
     KInfFn,
     KLValidityError,
@@ -30,6 +31,7 @@ from stagecraft import (
     strict_table,
     table_fn,
 )
+from stagecraft.cmpfn import _max_per_x
 from support import LOG_GRID, random_kinf, random_separable, random_sampled
 
 
@@ -378,3 +380,203 @@ class TestDecomposition:
                 lhs = beta.eval(float(r), float(t))
                 rhs = dec.outer.eval(0.5**t * dec.inner.eval(float(r)))
                 assert lhs <= rhs + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# broadcast evaluation of decay bounds against per-point reference loops
+# ---------------------------------------------------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def point_value(beta, r, t):
+    """beta at one point, the way a per-point loop evaluates it.
+
+    Sampled bounds take float scalars.  Separable bounds take one-point
+    arrays: numpy computes ``**`` on numpy scalars and 0-d arrays with the
+    C library's ``pow`` but on arrays with its SIMD kernel where the CPU
+    has one, and the two can differ in the last bit (see
+    ``test_scalar_calls``).
+    """
+    if isinstance(beta, SeparableKL):
+        return beta.eval(np.array([r]), np.array([t]))[0]
+    return beta.eval(float(r), float(t))
+
+
+def scalar_grid(beta, rs, ts):
+    return np.array([[point_value(beta, r, t) for t in ts] for r in rs])
+
+
+def max_per_x_loop(xs, ys):
+    """Sort-and-dedupe reference: each distinct x keeps its largest y."""
+    order = np.argsort(xs, kind="stable")
+    keep_x, keep_y = [], []
+    for x, y in zip(xs[order], ys[order]):
+        if keep_x and x == keep_x[-1]:
+            keep_y[-1] = max(keep_y[-1], y)
+        else:
+            keep_x.append(x)
+            keep_y.append(y)
+    return np.asarray(keep_x), np.asarray(keep_y)
+
+
+def query_points(rng, r_grid, t_grid):
+    """Grid nodes, off-node points, r = 0, r above the grid, t past the last column."""
+    r_mid = np.sqrt(r_grid[1:] * r_grid[:-1])[rng.choice(r_grid.size - 1, 4)]
+    rs = np.concatenate(([0.0], r_grid[rng.choice(r_grid.size, 4)], r_mid, [3.0 * r_grid[-1]]))
+    t_mid = rng.uniform(t_grid[0], t_grid[-1], 3)
+    t_past = t_grid[-1] + np.array([0.5, 7.0])
+    ts = np.concatenate(([0.0], t_grid[rng.choice(t_grid.size, 3)], t_mid, t_past))
+    return rs, ts
+
+
+def sampled_from_zero(rng):
+    """A tabulated bound whose r grid starts at the origin."""
+    beta, base = random_sampled(rng, r_points=12, t_points=10)
+    r_grid = np.concatenate(([0.0], beta.r_grid))
+    return sample_kl(base.eval, r_grid=r_grid, t_grid=beta.t_grid)
+
+
+class TestBroadcastEval:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from(["separable", "sampled", "sampled_from_zero"])
+    )
+    def test_grid_call_is_bitwise_the_scalar_loop(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "separable":
+            beta = random_separable(rng, depth=3)
+            r_grid, t_grid = np.logspace(-3.0, 3.0, 12), np.arange(10, dtype=float)
+        elif kind == "sampled":
+            beta, _ = random_sampled(rng, r_points=12, t_points=10)
+            r_grid, t_grid = beta.r_grid, beta.t_grid
+        else:
+            beta = sampled_from_zero(rng)
+            r_grid, t_grid = beta.r_grid[1:], beta.t_grid
+        rs, ts = query_points(rng, r_grid, t_grid)
+        expected = scalar_grid(beta, rs, ts)
+        np.testing.assert_array_equal(bits(beta.eval(rs[:, None], ts[None, :])), bits(expected))
+        np.testing.assert_array_equal(bits(beta.eval(rs, ts[3:4])), bits(expected[:, 3]))
+        np.testing.assert_array_equal(bits(beta.eval(rs[2:3], ts)), bits(expected[2]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_scalar_calls(self, seed):
+        # float calls of a separable bound agree with its array path to
+        # rounding: ** on scalars rounds through libm, on arrays through SIMD
+        rng = np.random.default_rng(seed)
+        beta = random_separable(rng, depth=3)
+        rs, ts = query_points(rng, np.logspace(-3.0, 3.0, 12), np.arange(10, dtype=float))
+        floats = np.array([[beta.eval(float(r), float(t)) for t in ts] for r in rs])
+        grid = beta.eval(rs[:, None], ts[None, :])
+        np.testing.assert_allclose(grid, floats, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["separable", "sampled"])
+    def test_scalars_give_a_float_and_arrays_keep_their_shape(self, kind):
+        rng = np.random.default_rng(5)
+        beta = random_separable(rng) if kind == "separable" else random_sampled(rng)[0]
+        assert type(beta.eval(1.0, 2.0)) is float
+        assert type(beta.eval(np.float64(1.0), 2)) is float
+        assert beta.eval(np.ones((2, 1)), np.arange(3.0)).shape == (2, 3)
+        assert beta.eval(np.array([1.0]), 0.0).shape == (1,)
+
+
+class TestKLDomain:
+    def _bounds(self):
+        beta, _ = random_sampled(np.random.default_rng(9))
+        return [SeparableKL(outer=power(2.0), decay=0.5, inner=identity()), beta]
+
+    @pytest.mark.parametrize(
+        "r, t",
+        [
+            (np.nan, 1.0),
+            (np.inf, 1.0),
+            (-1.0, 1.0),
+            (1.0, np.nan),
+            (1.0, -1.0),
+            (1.0, -np.inf),
+            (np.array([1.0, np.nan]), 1.0),
+            (np.array([1.0, np.inf]), 1.0),
+            (1.0, np.array([0.0, np.nan])),
+            (np.array([[1.0], [2.0]]), np.array([0.0, -2.0])),
+        ],
+    )
+    def test_outside_the_domain_raises_on_both_kinds(self, r, t):
+        for beta in self._bounds():
+            with pytest.raises(DomainError):
+                beta.eval(r, t)
+
+    def test_infinite_time_gives_zero_on_both_kinds(self):
+        for beta in self._bounds():
+            assert beta.eval(3.0, np.inf) == 0.0
+            np.testing.assert_array_equal(beta.eval(np.array([0.0, 3.0]), np.inf), [0.0, 0.0])
+
+    def test_edges_of_the_domain_are_accepted(self):
+        for beta in self._bounds():
+            assert beta.eval(0.0, 0.0) == 0.0
+            assert beta.eval(np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+class TestGridPathsMatchLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_max_per_x_is_the_dedupe_loop(self, xs, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.asarray(xs, dtype=float)
+        ys = rng.choice([0.0, 1.0, 2.5, rng.uniform(0.0, 3.0)], size=xs.size)
+        got_x, got_y = _max_per_x(xs, ys)
+        ref_x, ref_y = max_per_x_loop(xs, ys)
+        np.testing.assert_array_equal(bits(got_x), bits(ref_x))
+        np.testing.assert_array_equal(bits(got_y), bits(ref_y))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_grid_violations_is_the_double_loop(self, seed, sampled):
+        rng = np.random.default_rng(seed)
+        beta = random_sampled(rng, 12, 10)[0] if sampled else random_separable(rng, depth=2)
+        r_grid = np.concatenate(([0.0], np.logspace(-2.0, 2.0, 9)))
+        t_grid = np.array([0.0, 0.5, 1.0, 3.0, 8.0, 12.0])
+        vals = scalar_grid(beta, r_grid, t_grid)
+        ref = []
+        if np.any(np.diff(vals, axis=0) <= 0):
+            ref.append("not strictly increasing in r")
+        rows = vals[r_grid > 0]
+        if np.any(np.diff(rows, axis=1) >= 0):
+            ref.append("not strictly decreasing in t for r > 0")
+        if np.any(rows[:, -1] >= rows[:, 0]):
+            ref.append("no decay over the horizon")
+        assert kl_grid_violations(beta, r_grid=r_grid, t_grid=t_grid) == ref
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.3, 0.5, 0.8]))
+    def test_decompose_is_the_double_loop(self, seed, sampled, decay):
+        rng = np.random.default_rng(seed)
+        if sampled:
+            beta = random_sampled(rng, 12, 10)[0]
+            r_grid, t_grid = beta.r_grid, beta.t_grid
+        else:
+            beta = random_separable(rng, depth=2)
+            r_grid, t_grid = np.logspace(-3.0, 3.0, 12), np.arange(10, dtype=float)
+        base = np.array([point_value(beta, r, 0.0) for r in r_grid])
+        inner = combine(strict_table(r_grid, base), identity(), "sum")
+        inner_vals = inner.eval(r_grid)
+        weights = decay ** t_grid
+        cloud_s = (inner_vals[:, None] * weights[None, :]).ravel()
+        cloud_v = scalar_grid(beta, r_grid, t_grid).ravel()
+        xs, vs = max_per_x_loop(cloud_s, cloud_v)
+        outer = strict_table(xs, np.maximum.accumulate(vs) + 1e-9 * xs)
+        worst = -np.inf
+        for i, r in enumerate(r_grid):
+            lhs = np.array([point_value(beta, r, t) for t in t_grid])
+            worst = max(worst, float(np.max(lhs - outer.eval(weights * inner_vals[i]))))
+
+        # the slack check pins the worst grid excess to the last bit
+        dec = kl_decompose(beta, decay, r_grid, t_grid, slack=worst)
+        assert dec.to_json() == SeparableKL(outer=outer, decay=decay, inner=inner).to_json()
+        with pytest.raises(DecompositionError):
+            kl_decompose(beta, decay, r_grid, t_grid, slack=np.nextafter(worst, -np.inf))

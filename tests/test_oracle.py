@@ -24,6 +24,7 @@ from stagecraft import (
     power,
     reaches_core,
     rollout,
+    strict_table,
     table_fn,
     total_cost,
     value_iterate,
@@ -388,6 +389,26 @@ class TestExtractUcc:
         table = value_iterate(fsys, StageCost(state_cost=identity()))
         with pytest.raises(EnvelopeError, match="measure 0 but total cost"):
             extract_ucc(table, fsys)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_peaks_are_the_per_level_maxima(self, seed):
+        # a symmetric saturating grid: +x and -x share a measure level; the
+        # deadbeat inputs let every state reach 0, the random ones make the
+        # values of +x and -x differ
+        rng = np.random.default_rng(seed)
+        positive = np.cumsum(rng.uniform(0.05, 0.5, size=int(rng.integers(2, 30))))
+        grid = np.concatenate((-positive[::-1], [0.0], positive))
+        drift = grid / (1.0 + grid * grid)
+        inputs = np.unique(np.concatenate((-drift, rng.uniform(-0.6, 0.6, 3))))
+        fsys = discretize_scalar(lambda x, u: x / (1.0 + x * x) + u, grid, inputs)
+        table = value_iterate(fsys, SIGMA_RHO)
+        sig, values = fsys.state_measure, table.values
+        knots = np.unique(sig[sig > 0.0])
+        peaks = np.array([np.max(values[sig == k]) for k in knots])
+        ucc = extract_ucc(table, fsys, margin=1.5)
+        reference = strict_table(knots, 1.5 * peaks + 1e-9 * knots)
+        assert ucc.cost_bound.to_json() == reference.to_json()
 
     def test_all_zero_measures_fall_back_to_identity(self):
         fsys = FiniteSystem(
