@@ -707,8 +707,9 @@ class SampledKL(KLFn):
 
     Values are linearly interpolated in ``r`` (anchored at the origin
     and continued with the last slope above the grid) and in ``t``
-    within the grid; past the last time column each row decays
-    geometrically with the ratio of its final two columns.
+    within the grid; past the last time column every row decays
+    geometrically with one common ratio, the largest ratio of a row's
+    final two columns, so rows stay strictly increasing in ``r``.
     """
 
     r_grid: np.ndarray
@@ -758,7 +759,8 @@ class SampledKL(KLFn):
         last, prev = v[:, -1], v[:, -2]
         with _errstate():
             ratio = np.where(prev > 0, last / prev, 0.0)
-        ratio = np.clip(ratio, 0.0, 1.0 - 1e-12)
+        # one common ratio, the slowest row's, keeps the rows from crossing
+        ratio = min(max(float(ratio.max()), 0.0), 1.0 - 1e-12)
         return last * ratio ** (t - tg[-1])
 
     def _at_time(self, r, t):

@@ -108,6 +108,15 @@ def total_bound(ucc: UCCCert) -> KInfFn:
     return combine(relay_bound(ucc), ucc.cost_bound, "sum")
 
 
+def _within(sys: ControlSystem, x, radius: Optional[float]):
+    """State measure of x and the radius a stitch starts from, checked."""
+    start = sys.sigma(x)
+    big_r = start if radius is None else float(radius)
+    if big_r < start:
+        raise ParameterError(f"radius {big_r:g} is below the sample's state measure {start:g}")
+    return start, big_r
+
+
 def settle_horizon(
     ucc: UCCCert,
     radius: float,
@@ -123,31 +132,7 @@ def settle_horizon(
     more than the returned number of steps: the smallest positive
     integer at least ``cost_bound(radius) / state_gauge(threshold) - 1``.
     """
-    state_gauge, _ = _gauges(ucc)
-    if not (np.isfinite(radius) and radius >= 0):
-        raise ParameterError(f"radius must be finite and nonnegative, got {radius!r}")
-    if not (np.isfinite(eps) and eps > 0):
-        raise ParameterError(f"target must be finite and positive, got {eps!r}")
-    if not 0.0 < eps_tilde_factor < 1.0:
-        raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
-    threshold = excursion_bound(ucc).invert(eps_tilde_factor * eps)
-    floor_cost = state_gauge.eval(threshold)
-    top = ucc.cost_bound.eval(radius)
-    if floor_cost <= 0.0:
-        if top <= 0.0:
-            return 1
-        raise BudgetError(f"threshold {threshold:g} carries no stage cost; cannot bound steps")
-    ratio = top / floor_cost
-    if ratio > step_cap:
-        raise BudgetError(
-            f"settling from radius {radius:g} to target {eps:g} needs about "
-            f"{ratio:.3g} steps, above the cap {step_cap:g}"
-        )
-    value = ratio - 1.0
-    nearest = round(value)
-    if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
-        value = nearest
-    return max(1, math.ceil(value))
+    return _Settler(ucc, eps_tilde_factor, step_cap).settle(radius, eps)[0]
 
 
 @dataclass(frozen=True)
@@ -180,38 +165,14 @@ def stitch_controls(
     explicit ``length`` the returned prefix is truncated, and a scan
     window cut short by the truncation is not an error.
     """
-    state_gauge, _ = _gauges(ucc)
-    start = sys.sigma(x)
-    big_r = start if radius is None else float(radius)
-    if big_r < start:
-        raise ParameterError(f"radius {big_r:g} is below the sample's state measure {start:g}")
-    threshold = excursion_bound(ucc).invert(eps_tilde_factor * eps)
-    horizon = settle_horizon(ucc, big_r, eps, eps_tilde_factor, step_cap) if big_r > 0 else 1
+    settler = _Settler(ucc, eps_tilde_factor, step_cap)
+    start, big_r = _within(sys, x, radius)
+    threshold = settler.threshold(eps)
+    horizon = settler.settle(big_r, eps, threshold)[0] if big_r > 0 else 1
     out_len = horizon + ucc.policy.length if length is None else int(length)
     if out_len < 0:
         raise ParameterError(f"length must be nonnegative, got {length!r}")
-
-    scan_cap = min(horizon, out_len)
-    lead = ucc.policy.controls(x, scan_cap)
-    state = x
-    switch = None
-    tolerance = threshold * (1.0 + 1e-12)
-    for n in range(scan_cap + 1):
-        if sys.sigma(state) <= tolerance:
-            switch = n
-            break
-        if n < scan_cap:
-            state = sys.transition(state, lead[n])
-    if switch is None:
-        if scan_cap >= horizon:
-            raise CertificateInvalidError(
-                f"no certified state dipped below {threshold:g} within {horizon} steps "
-                f"from state measure {start:g}; the cost bound cannot hold"
-            )
-        stitched = list(lead[:out_len])
-    else:
-        stitched = list(lead[:switch]) + ucc.policy.controls(state, out_len - switch)
-
+    stitched, switch = settler.scan(sys, x, threshold, horizon, out_len)
     traj = rollout(sys, x, stitched)
     return StitchResult(
         controls=tuple(stitched),
@@ -219,7 +180,7 @@ def stitch_controls(
         horizon=horizon,
         threshold=threshold,
         cost=total_cost(sys, ucc.stage_cost, traj),
-        bound=relay_bound(ucc).eval(start),
+        bound=settler.relay.eval(start),
     )
 
 
@@ -265,52 +226,7 @@ def settling_schedule(
     schedule truncates at the last computable round.  At least the
     first round must fit under the cap.
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise ParameterError(f"radius must be finite and positive, got {radius!r}")
-    if depth < 1:
-        raise ParameterError(f"depth must be at least 1, got {depth}")
-    if eps_levels is None:
-        levels = [1.0 / m for m in range(1, depth + 1)]
-    else:
-        levels = [float(e) for e in eps_levels]
-        if len(levels) != depth:
-            raise ParameterError(f"expected {depth} levels, got {len(levels)}")
-        if any(not (0.0 < e <= 1.0) for e in levels):
-            raise ParameterError("levels must lie in (0, 1]")
-        if any(b >= a for a, b in zip(levels, levels[1:])):
-            raise ParameterError("levels must be strictly decreasing")
-
-    state_gauge, _ = _gauges(ucc)
-    relay = relay_bound(ucc)
-    top = ucc.cost_bound.eval(radius)
-
-    targets, horizons, cums = [], [], []
-    total_steps = 0
-    for m, level in enumerate(levels, start=1):
-        target = min(
-            relay.invert(state_gauge.eval(level)),
-            relay.invert((2.0 ** -m) * top),
-            radius,
-        )
-        try:
-            if target <= 0.0:
-                raise BudgetError(f"round {m} target degenerated to {target!r}")
-            steps = settle_horizon(ucc, radius, target, eps_tilde_factor, step_cap)
-        except BudgetError:
-            if m == 1:
-                raise
-            break
-        total_steps += steps
-        targets.append(target)
-        horizons.append(steps)
-        cums.append(total_steps)
-    return SettlingSchedule(
-        radius=float(radius),
-        eps_levels=tuple(levels[: len(targets)]),
-        eps_targets=tuple(targets),
-        round_horizons=tuple(horizons),
-        cum_horizons=tuple(cums),
-    )
+    return _Settler(ucc, eps_tilde_factor, step_cap).schedule(radius, depth, eps_levels)[0]
 
 
 def stitched_policy(
@@ -329,41 +245,7 @@ def stitched_policy(
     capped at ``length`` controls and states with zero measure fall
     back to the certificate's own policy.
     """
-    if length < 1:
-        raise ParameterError(f"length must be positive, got {length}")
-
-    def prefix(x):
-        start = sys.sigma(x)
-        if start <= 0.0:
-            return ucc.policy.controls(x, length)
-        schedule = settling_schedule(
-            ucc, start, depth=depth, eps_tilde_factor=eps_tilde_factor, step_cap=step_cap
-        )
-        controls = []
-        state = x
-        for m in range(schedule.depth):
-            room = length - len(controls)
-            if room <= 0:
-                break
-            block = stitch_controls(
-                ucc,
-                sys,
-                state,
-                eps=schedule.eps_targets[m],
-                radius=start,
-                eps_tilde_factor=eps_tilde_factor,
-                step_cap=step_cap,
-                length=min(schedule.round_horizons[m], room),
-            )
-            controls.extend(block.controls)
-            state = rollout(sys, state, block.controls).states[-1]
-        if len(controls) < length:
-            controls.extend(ucc.policy.controls(state, length - len(controls)))
-        return controls[:length]
-
-    return PolicyOracle(
-        prefix=prefix, length=length, tail=TAIL_ZERO, zero_input=zero_input, ref="stitched"
-    )
+    return _Settler(ucc, eps_tilde_factor, step_cap).policy(sys, depth, length, zero_input)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +339,217 @@ class StateBoundBuild:
     curves: Tuple[NuCurve, ...]
 
 
+class _Settler:
+    """The converse construction for one certificate.
+
+    Holds the state gauge and the excursion and relay bounds, built
+    once, and remembers the numeric inversions that do not depend on
+    the starting radius: the relay preimage of each level's stage cost.
+    ``assemble`` also keeps the schedules it builds, with the threshold
+    of every round, so that the stitched policy of the same certificate
+    reuses them for sample states instead of rebuilding them.  Every
+    float comes from the same ``eval``/``invert`` call with the same
+    arguments as when it is computed afresh.
+    """
+
+    def __init__(self, ucc: UCCCert, eps_tilde_factor: float, step_cap: int):
+        self.ucc = ucc
+        self.state_gauge, _ = _gauges(ucc)
+        self.excursion = excursion_bound(ucc)
+        self.relay = relay_bound(ucc)
+        self.eps_tilde_factor = eps_tilde_factor
+        self.step_cap = step_cap
+        self._level_targets = {}
+        # radius -> (schedule, round thresholds) of the last assemble
+        self._built = {}
+        self._built_depth = 0
+
+    def threshold(self, eps: float) -> float:
+        """Excursion level of ``eps_tilde_factor * eps``."""
+        return self.excursion.invert(self.eps_tilde_factor * eps)
+
+    def settle(self, radius: float, eps: float, threshold: Optional[float] = None):
+        """``settle_horizon`` and the threshold it used, which may be given."""
+        if not (np.isfinite(radius) and radius >= 0):
+            raise ParameterError(f"radius must be finite and nonnegative, got {radius!r}")
+        if not (np.isfinite(eps) and eps > 0):
+            raise ParameterError(f"target must be finite and positive, got {eps!r}")
+        if not 0.0 < self.eps_tilde_factor < 1.0:
+            raise ParameterError(
+                f"eps_tilde_factor must lie in (0, 1), got {self.eps_tilde_factor!r}"
+            )
+        if threshold is None:
+            threshold = self.threshold(eps)
+        floor_cost = self.state_gauge.eval(threshold)
+        top = self.ucc.cost_bound.eval(radius)
+        if floor_cost <= 0.0:
+            if top <= 0.0:
+                return 1, threshold
+            raise BudgetError(f"threshold {threshold:g} carries no stage cost; cannot bound steps")
+        ratio = top / floor_cost
+        if ratio > self.step_cap:
+            raise BudgetError(
+                f"settling from radius {radius:g} to target {eps:g} needs about "
+                f"{ratio:.3g} steps, above the cap {self.step_cap:g}"
+            )
+        value = ratio - 1.0
+        nearest = round(value)
+        if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
+            value = nearest
+        return max(1, math.ceil(value)), threshold
+
+    def level_target(self, level: float) -> float:
+        """Relay preimage of the level's stage cost, computed once per level."""
+        target = self._level_targets.get(level)
+        if target is None:
+            target = self.relay.invert(self.state_gauge.eval(level))
+            self._level_targets[level] = target
+        return target
+
+    def schedule(self, radius: float, depth: int, eps_levels: Optional[Sequence[float]] = None):
+        """``settling_schedule`` and the threshold of each of its rounds."""
+        if not (np.isfinite(radius) and radius > 0):
+            raise ParameterError(f"radius must be finite and positive, got {radius!r}")
+        if depth < 1:
+            raise ParameterError(f"depth must be at least 1, got {depth}")
+        if eps_levels is None:
+            levels = [1.0 / m for m in range(1, depth + 1)]
+        else:
+            levels = [float(e) for e in eps_levels]
+            if len(levels) != depth:
+                raise ParameterError(f"expected {depth} levels, got {len(levels)}")
+            if any(not (0.0 < e <= 1.0) for e in levels):
+                raise ParameterError("levels must lie in (0, 1]")
+            if any(b >= a for a, b in zip(levels, levels[1:])):
+                raise ParameterError("levels must be strictly decreasing")
+
+        top = self.ucc.cost_bound.eval(radius)
+        targets, horizons, cums, thresholds = [], [], [], []
+        total_steps = 0
+        for m, level in enumerate(levels, start=1):
+            target = min(
+                self.level_target(level),
+                self.relay.invert((2.0 ** -m) * top),
+                radius,
+            )
+            try:
+                if target <= 0.0:
+                    raise BudgetError(f"round {m} target degenerated to {target!r}")
+                steps, threshold = self.settle(radius, target)
+            except BudgetError:
+                if m == 1:
+                    raise
+                break
+            total_steps += steps
+            targets.append(target)
+            horizons.append(steps)
+            cums.append(total_steps)
+            thresholds.append(threshold)
+        schedule = SettlingSchedule(
+            radius=float(radius),
+            eps_levels=tuple(levels[: len(targets)]),
+            eps_targets=tuple(targets),
+            round_horizons=tuple(horizons),
+            cum_horizons=tuple(cums),
+        )
+        return schedule, tuple(thresholds)
+
+    def scan(
+        self, sys: ControlSystem, x, threshold: float, horizon: int, length: int
+    ) -> Tuple[list, Optional[int]]:
+        """Controls of one stitched prefix, unpriced, and its switch step.
+
+        Follows the certified policy from ``x`` for at most
+        ``min(horizon, length)`` steps until the state measure dips
+        below the threshold, then restarts it from the state reached.
+        """
+        scan_cap = min(horizon, length)
+        lead = self.ucc.policy.controls(x, scan_cap)
+        state = x
+        tolerance = threshold * (1.0 + 1e-12)
+        for n in range(scan_cap + 1):
+            if sys.sigma(state) <= tolerance:
+                return list(lead[:n]) + self.ucc.policy.controls(state, length - n), n
+            if n < scan_cap:
+                state = sys.transition(state, lead[n])
+        if scan_cap >= horizon:
+            raise CertificateInvalidError(
+                f"no certified state dipped below {threshold:g} within {horizon} steps "
+                f"from state measure {sys.sigma(x):g}; the cost bound cannot hold"
+            )
+        return list(lead[:length]), None
+
+    def policy(self, sys: ControlSystem, depth: int, length: int, zero_input) -> PolicyOracle:
+        """``stitched_policy``; sample radii reuse the schedules of ``assemble``.
+
+        With the default ``1/m`` levels a schedule of depth ``d`` is
+        the first ``d`` rounds of a deeper one, step-cap truncation
+        included, so any depth up to the assembled one can reuse it.
+        """
+        if length < 1:
+            raise ParameterError(f"length must be positive, got {length}")
+        built = self._built if 1 <= depth <= self._built_depth else {}
+
+        def prefix(x):
+            start = sys.sigma(x)
+            if start <= 0.0:
+                return self.ucc.policy.controls(x, length)
+            known = built.get(float(start))
+            schedule, thresholds = known if known else self.schedule(start, depth)
+            controls = []
+            state = x
+            for m in range(min(depth, schedule.depth)):
+                room = length - len(controls)
+                if room <= 0:
+                    break
+                _within(sys, state, start)
+                horizon = schedule.round_horizons[m]
+                block, _ = self.scan(sys, state, thresholds[m], horizon, min(horizon, room))
+                controls.extend(block)
+                state = rollout(sys, state, block).states[-1]
+            if len(controls) < length:
+                controls.extend(self.ucc.policy.controls(state, length - len(controls)))
+            return controls[:length]
+
+        return PolicyOracle(
+            prefix=prefix, length=length, tail=TAIL_ZERO, zero_input=zero_input, ref="stitched"
+        )
+
+    def assemble(self, r_values: Sequence[float], t_grid, depth: int) -> StateBoundBuild:
+        """``assemble_state_bound``; keeps the schedules for ``policy``."""
+        radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
+        if radii.size < 2 or np.any(radii <= 0):
+            raise ParameterError("need at least two distinct positive radii")
+        t_grid = np.arange(65, dtype=float) if t_grid is None else np.asarray(t_grid, dtype=float)
+
+        built, curves, rows = {}, [], []
+        for radius in radii:
+            schedule, thresholds = self.schedule(radius, depth)
+            curve = NuCurve(
+                radius=radius,
+                eps_levels=schedule.eps_levels,
+                cum_horizons=schedule.cum_horizons,
+            )
+            ceiling = self.excursion.eval(radius)
+            row = []
+            for t in t_grid:
+                settled = curve.inverse(float(t))
+                value = ceiling if settled is None else min(ceiling, settled)
+                row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
+            built[schedule.radius] = (schedule, thresholds)
+            curves.append(curve)
+            rows.append(row)
+
+        values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
+        bound = SampledKL(r_grid=radii, t_grid=t_grid, values=values)
+        self._built, self._built_depth = built, depth
+        return StateBoundBuild(
+            bound=bound,
+            schedules=tuple(schedule for schedule, _ in built.values()),
+            curves=tuple(curves),
+        )
+
+
 def assemble_state_bound(
     ucc: UCCCert,
     r_values: Sequence[float],
@@ -473,35 +566,7 @@ def assemble_state_bound(
     strictly-decreasing term that keeps the grid a valid decay bound.
     Rows are repaired to strict increase with a running maximum.
     """
-    exc = excursion_bound(ucc)
-    radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
-    if radii.size < 2 or np.any(radii <= 0):
-        raise ParameterError("need at least two distinct positive radii")
-    t_grid = np.arange(65, dtype=float) if t_grid is None else np.asarray(t_grid, dtype=float)
-
-    schedules, curves, rows = [], [], []
-    for radius in radii:
-        schedule = settling_schedule(
-            ucc, radius, depth=depth, eps_tilde_factor=eps_tilde_factor, step_cap=step_cap
-        )
-        curve = NuCurve(
-            radius=radius,
-            eps_levels=schedule.eps_levels,
-            cum_horizons=schedule.cum_horizons,
-        )
-        ceiling = exc.eval(radius)
-        row = []
-        for t in t_grid:
-            settled = curve.inverse(float(t))
-            value = ceiling if settled is None else min(ceiling, settled)
-            row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
-        schedules.append(schedule)
-        curves.append(curve)
-        rows.append(row)
-
-    values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
-    bound = SampledKL(r_grid=radii, t_grid=t_grid, values=values)
-    return StateBoundBuild(bound=bound, schedules=tuple(schedules), curves=tuple(curves))
+    return _Settler(ucc, eps_tilde_factor, step_cap).assemble(r_values, t_grid, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -591,35 +656,23 @@ def converse_pipeline(
     else:
         radii = measures
 
-    build = assemble_state_bound(
-        ucc,
-        radii,
-        t_grid=t_grid,
-        depth=nu_depth,
-        eps_tilde_factor=eps_tilde_factor,
-        step_cap=step_cap,
-    )
-    policy = stitched_policy(
-        ucc,
-        sys,
-        depth=depth,
-        eps_tilde_factor=eps_tilde_factor,
-        length=policy_length,
-        step_cap=step_cap,
-    )
+    settler = _Settler(ucc, eps_tilde_factor, step_cap)
+    build = settler.assemble(radii, t_grid, nu_depth)
+    policy = settler.policy(sys, depth, policy_length, zero_input=0.0)
+    total = total_bound(ucc)
     cert = UBgECCert(
         state_bound=build.bound,
         energy=ucc.stage_cost.input_cost,
-        energy_budget=total_bound(ucc),
+        energy_budget=total,
         domain=ucc.domain,
         policy=policy,
     )
     report = verify(cert, sys, samples, horizon, slack)
     return ConverseResult(
         cert=cert,
-        excursion=excursion_bound(ucc),
-        relay=relay_bound(ucc),
-        total=total_bound(ucc),
+        excursion=settler.excursion,
+        relay=settler.relay,
+        total=total,
         build=build,
         report=report,
     )

@@ -293,6 +293,22 @@ class TestSampledKL:
         beta = SampledKL(r_grid=r, t_grid=t, values=values)
         assert beta.eval(2.0, 10.0) < beta.eval(2.0, 2.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tail_keeps_rows_ordered_and_covers_each_rows_own_tail(self, seed):
+        beta, _ = random_sampled(np.random.default_rng(seed), r_points=12, t_points=10)
+        tg, v = beta.t_grid, beta.values
+        ts = tg[-1] + np.linspace(0.5, 2.0 * tg[-1], 12)
+        tail = beta.eval(beta.r_grid[:, None], ts[None, :])
+        assert np.all(np.diff(tail, axis=0) > 0)
+        assert np.all(np.diff(tail, axis=1) < 0)
+        # each row continued with the ratio of its own final two columns;
+        # the common ratio's power is one float, the per-row powers an
+        # array, and numpy may round the two through different kernels
+        ratio = np.clip(v[:, -1] / v[:, -2], 0.0, 1.0 - 1e-12)
+        own = v[:, -1:] * ratio[:, None] ** (ts - tg[-1])
+        assert np.all(tail >= own * (1.0 - 4.0 * np.finfo(float).eps))
+
     def test_rejects_nonincreasing_radius(self):
         r = np.arange(3, dtype=float)
         t = np.arange(3, dtype=float)

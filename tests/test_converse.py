@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
     BudgetError,
@@ -13,6 +14,7 @@ from stagecraft import (
     ParameterError,
     PolicyOracle,
     SampledKL,
+    SimulationError,
     StageCost,
     UBgECCert,
     UCCCert,
@@ -30,11 +32,14 @@ from stagecraft import (
     settling_schedule,
     stitch_controls,
     stitched_policy,
+    synthesize,
+    to_ucc_cert,
     total_bound,
     total_cost,
     value_iterate,
     verify,
 )
+from stagecraft.converse import DEFAULT_STEP_CAP
 
 
 def _dummy_policy():
@@ -77,6 +82,33 @@ def halving_fixture():
         stage_cost=cost,
         cost_bound=linear(3.0),
         policy=policy,
+        forward_invariant=True,
+    )
+    return sys, ucc
+
+
+def stepping_fixture():
+    """Unit-drift scalar plant under a certified policy with a memory.
+
+    From a measure above 0.01 the policy jumps to 1/198 of the state;
+    from below it shrinks the state by sqrt(2) once.  Either way it
+    then holds, so a restart changes the controls that follow.  With
+    the bound 6r on measures up to 1/3, round ``m`` of a stitched
+    prefix scans for ``r / (84 * 2**m)``: round 1 dips after the jump
+    and every later round one step after its start, so the controls
+    depend on each round's threshold and on how many rounds run.
+    Over 24 steps a sample from above 0.01 costs about 2.1r.
+    """
+    sys, base = halving_fixture()
+
+    def prefix(x):
+        x = float(x)
+        return [x / 198.0 - x] if abs(x) > 0.01 else [x / np.sqrt(2.0) - x]
+
+    ucc = UCCCert(
+        stage_cost=base.stage_cost,
+        cost_bound=linear(6.0),
+        policy=PolicyOracle(prefix=prefix, length=1, tail="zero", ref="stepping"),
         forward_invariant=True,
     )
     return sys, ucc
@@ -203,6 +235,36 @@ class TestSettlingSchedule:
     def test_first_round_over_cap_raises(self):
         with pytest.raises(BudgetError):
             settling_schedule(doubling_cert(), 1.0, depth=4, step_cap=10)
+
+
+class TestScheduleDepth:
+    """The stitched policy reuses deeper schedules; that rests on this prefix property."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["doubling", "halving"]),
+        st.floats(0.01, 100.0),
+        st.integers(1, 10),
+        st.integers(0, 6),
+        st.sampled_from([150, 2000, 10 ** 5, DEFAULT_STEP_CAP]),
+    )
+    def test_shallow_schedule_is_the_first_rounds_of_a_deep_one(
+        self, fixture, radius, depth, extra, step_cap
+    ):
+        ucc = doubling_cert() if fixture == "doubling" else halving_fixture()[1]
+        deep_depth = depth + extra
+        try:
+            deep = settling_schedule(ucc, radius, depth=deep_depth, step_cap=step_cap)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                settling_schedule(ucc, radius, depth=depth, step_cap=step_cap)
+            return
+        shallow = settling_schedule(ucc, radius, depth=depth, step_cap=step_cap)
+        rounds = min(depth, deep.depth)
+        assert shallow.depth == rounds
+        assert shallow.radius == deep.radius
+        for field in ("eps_levels", "eps_targets", "round_horizons", "cum_horizons"):
+            assert getattr(shallow, field) == getattr(deep, field)[:rounds]
 
 
 class TestNuCurve:
@@ -335,6 +397,125 @@ class TestStitchedPolicy:
         with pytest.raises(ParameterError, match="length"):
             stitched_policy(ucc, sys, length=0)
 
+    def test_stalled_rollout_still_flags_the_certificate(self):
+        frozen = ControlSystem(
+            transition=lambda x, u: x,
+            state_measure=abs,
+            input_measure=abs,
+        )
+        cost = StageCost(state_cost=identity(), input_cost=identity())
+        ucc = UCCCert(
+            stage_cost=cost,
+            cost_bound=linear(3.0),
+            policy=PolicyOracle(prefix=lambda x: [], length=0, tail="zero"),
+            forward_invariant=True,
+        )
+        # the first round's horizon (215 steps) fits in the prefix, so
+        # the scan runs to its end without a dip
+        pol = stitched_policy(ucc, frozen, depth=2, length=256)
+        with pytest.raises(CertificateInvalidError, match="cost bound cannot hold"):
+            pol.controls(1.0, 256)
+
+    def test_non_finite_state_after_the_switch_raises(self):
+        sys, ucc = halving_fixture()
+
+        def prefix(x):
+            # halve for 20 steps, then blow up: the scan dips below the
+            # threshold first, the rest of the block overflows
+            state, controls = float(x), []
+            for _ in range(20):
+                controls.append(-0.5 * state)
+                state *= 0.5
+            return controls + [1e308] * 236
+
+        ucc = UCCCert(
+            stage_cost=ucc.stage_cost,
+            cost_bound=ucc.cost_bound,
+            policy=PolicyOracle(prefix=prefix, length=256, tail="zero"),
+            forward_invariant=True,
+        )
+        # one round, so no later state-measure call meets the overflow first
+        pol = stitched_policy(ucc, sys, depth=1, length=256)
+        with pytest.raises(SimulationError):
+            pol.controls(1.0, 256)
+
+
+def _control_bits(controls):
+    return np.asarray(controls, dtype=float).view(np.uint64)
+
+
+def _chain_case():
+    chain = build_builtin("finite_chain")
+    cost = StageCost(state_cost=identity(), input_cost=identity())
+    ucc = extract_ucc(value_iterate(chain.finite, cost), chain.finite, margin=1.5)
+    # 2 and 9 are not sample measures
+    return ucc, chain.system, [1, 3, 5, 0], [1, 3, 5, 0, 2, 9], 256
+
+
+def _stepping_case():
+    sys, ucc = stepping_fixture()
+    # rounds of 1007, 2015, 4031 and 8063 steps, then a fifth one;
+    # 0.25 is not a sample measure
+    return ucc, sys, [0.1, -0.3, 0.2], [0.1, -0.3, 0.2, 0.25, 0.0], 16384
+
+
+def _synthesized_case():
+    builtin = build_builtin("scalar_linear")
+    ucc = to_ucc_cert(synthesize(builtin.ubgec, decay=0.5), builtin.ubgec, forward_invariant=True)
+    samples = builtin.samples(2)
+    starts = samples + [1.5 * samples[0], -0.3 * samples[1]]
+    return ucc, builtin.system, samples, starts, 256
+
+
+def _priced_prefix(ucc, sys, x, depth, length):
+    """The stitched prefix built from the public, priced stitches."""
+    start = sys.sigma(x)
+    if start <= 0.0:
+        return ucc.policy.controls(x, length)
+    schedule = settling_schedule(ucc, start, depth=depth)
+    controls, state = [], x
+    for m in range(schedule.depth):
+        room = length - len(controls)
+        if room <= 0:
+            break
+        block = stitch_controls(
+            ucc, sys, state, eps=schedule.eps_targets[m], radius=start,
+            length=min(schedule.round_horizons[m], room),
+        )
+        controls.extend(block.controls)
+        state = rollout(sys, state, block.controls).states[-1]
+    if len(controls) < length:
+        controls.extend(ucc.policy.controls(state, length - len(controls)))
+    return controls[:length]
+
+
+class TestPipelinePolicyReuse:
+    """The pipeline's policy reuses the assembled schedules; nothing may show."""
+
+    @pytest.mark.parametrize("case", [_stepping_case, _chain_case, _synthesized_case])
+    def test_unpriced_policy_equals_the_priced_stitches(self, case):
+        ucc, sys, _, starts, length = case()
+        pol = stitched_policy(ucc, sys, depth=5, length=length)
+        for x in starts:
+            np.testing.assert_array_equal(
+                _control_bits(pol.controls(x, length)),
+                _control_bits(_priced_prefix(ucc, sys, x, 5, length)),
+            )
+
+    @pytest.mark.parametrize("case", [_stepping_case, _chain_case, _synthesized_case])
+    @pytest.mark.parametrize("depth, nu_depth", [(4, 6), (6, 6), (8, 4)])
+    def test_controls_equal_a_standalone_policy(self, case, depth, nu_depth):
+        ucc, sys, samples, starts, length = case()
+        result = converse_pipeline(
+            ucc, sys, samples, horizon=24, depth=depth, nu_depth=nu_depth, policy_length=length
+        )
+        standalone = stitched_policy(ucc, sys, depth=depth, length=length)
+        for x in starts:
+            np.testing.assert_array_equal(
+                _control_bits(result.cert.policy.controls(x, length + 8)),
+                _control_bits(standalone.controls(x, length + 8)),
+            )
+
 
 class TestAssembleStateBound:
     def test_grid_shape_and_strictifier(self):
@@ -413,6 +594,11 @@ class TestConversePipeline:
         )
         with pytest.raises(ParameterError, match="fails verification"):
             converse_pipeline(tight, sys, [1.0], horizon=16)
+
+    def test_policy_depth_still_validated(self):
+        sys, ucc = halving_fixture()
+        with pytest.raises(ParameterError, match="depth"):
+            converse_pipeline(ucc, sys, [1.0, 2.0], horizon=8, depth=0)
 
     def test_zero_measure_samples_get_default_radii(self):
         sys, ucc = halving_fixture()
