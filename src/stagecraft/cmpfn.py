@@ -4,6 +4,8 @@ Scalar comparison functions are expression trees over a fixed primitive
 set (identity, power, linear, const, sum, product, scale, compose,
 pointwise min, inverse-of, monotone table), so class membership is
 decided by construction instead of by probing arbitrary callables.
+Each node evaluates, inverts, checks and serialises itself, and
+``fn_from_json`` looks nodes up in one table keyed by ``op``.
 Two wrappers are exposed for one-argument functions:
 
 * ``KInfFn``: zero at zero, strictly increasing, unbounded.
@@ -17,19 +19,21 @@ in ``t``).  ``kl_decompose`` rewrites any of them as a separable bound
 with a prescribed decay rate, which is the workhorse behind stage-cost
 synthesis.
 
-Evaluation accepts scalars or numpy arrays.  Decay bounds broadcast
-``r`` against ``t``, so every grid check and decomposition here
-evaluates its bound over the whole ``(r, t)`` grid in one call.
-Numeric inversion is a bracketed bisection vectorised over query
-points; structurally invertible trees (powers, linear maps, tables,
-compositions of those) take an exact shortcut.
+Evaluation accepts scalars or numpy arrays, but trees only ever see
+1-d arrays: a scalar is evaluated as a one-point array and unwrapped,
+so a float call equals its entry in any array bitwise (numpy rounds
+``**`` on numpy scalars and on arrays through different kernels).
+Decay bounds broadcast ``r`` against ``t``, so every grid check and
+decomposition here evaluates its bound over the whole ``(r, t)`` grid
+in one call.  Numeric inversion is a bracketed bisection vectorised
+over query points; structurally invertible trees (powers, linear maps,
+tables, compositions of those) take an exact shortcut.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,8 +63,6 @@ __all__ = [
     "combine",
     "pointwise_min",
     "inverse_of",
-    "evaluate",
-    "invert",
     "weak_triangle_split",
     "kl_decompose",
     "sample_kl",
@@ -97,78 +99,168 @@ def _finite_positive(value, name):
 # ---------------------------------------------------------------------------
 
 
+def _node(obj):
+    if not isinstance(obj, Expr):
+        raise ParameterError(f"expected an expression node, got {type(obj).__name__}")
+    return obj
+
+
 class Expr:
-    """Marker base class for expression-tree nodes."""
+    """Base class of expression-tree nodes.
+
+    ``eval`` and ``invert`` take and return 1-d float arrays.  Fields
+    annotated ``Expr`` hold child nodes; the init fields, in order, are
+    the node's JSON keys after ``op``.
+    """
 
     __slots__ = ()
+    op = None
+
+    def eval(self, r):
+        raise NotImplementedError
+
+    def invert(self, y):
+        return _invert_numeric(self, y)
+
+    def check(self, kinf):
+        """Raise unless the tree is nonnegative and, with ``kinf``, every
+        node preserves zero-at-zero + strict growth + unboundedness."""
+        for f in fields(self):
+            if f.type == "Expr":
+                _node(getattr(self, f.name)).check(kinf)
+
+    def to_obj(self):
+        fs = (f for f in fields(self) if f.init)
+        return {"op": self.op, **{f.name: _CODECS[f.type][0](getattr(self, f.name)) for f in fs}}
 
 
 @dataclass(frozen=True)
 class Identity(Expr):
-    pass
+    op = "identity"
+
+    def eval(self, r):
+        return r
+
+    def invert(self, y):
+        return y
 
 
 @dataclass(frozen=True)
 class Power(Expr):
     p: float
+    op = "power"
 
     def __post_init__(self):
         _finite_positive(self.p, "power exponent")
+
+    def eval(self, r):
+        return r ** self.p
+
+    def invert(self, y):
+        return y ** (1.0 / self.p)
 
 
 @dataclass(frozen=True)
 class Linear(Expr):
     c: float
+    op = "linear"
 
     def __post_init__(self):
         _finite_positive(self.c, "linear slope")
+
+    def eval(self, r):
+        return self.c * r
+
+    def invert(self, y):
+        return y / self.c
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     c: float
+    op = "const"
 
     def __post_init__(self):
         if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c >= 0):
             raise ParameterError(f"const value must be finite and nonnegative, got {self.c!r}")
+
+    def eval(self, r):
+        return np.full_like(r, self.c)
+
+    def check(self, kinf):
+        if kinf:
+            raise ParameterError("a constant node cannot appear in an unbounded strictly increasing tree")
 
 
 @dataclass(frozen=True)
 class Scale(Expr):
     c: float
     inner: Expr
+    op = "scale"
 
     def __post_init__(self):
         _finite_positive(self.c, "scale factor")
 
+    def eval(self, r):
+        return self.c * self.inner.eval(r)
 
-@dataclass(frozen=True)
-class Sum(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Product(Expr):
-    left: Expr
-    right: Expr
+    def invert(self, y):
+        return self.inner.invert(y / self.c)
 
 
 @dataclass(frozen=True)
-class Min(Expr):
+class _Pointwise(Expr):
+    """Two subtrees joined by the ufunc ``join``; no closed-form inverse."""
+
     left: Expr
     right: Expr
+
+    def eval(self, r):
+        return self.join(self.left.eval(r), self.right.eval(r))
+
+
+@dataclass(frozen=True)
+class Sum(_Pointwise):
+    op, join = "sum", np.add
+
+
+@dataclass(frozen=True)
+class Product(_Pointwise):
+    op, join = "product", np.multiply
+
+
+@dataclass(frozen=True)
+class Min(_Pointwise):
+    op, join = "min", np.minimum
 
 
 @dataclass(frozen=True)
 class Compose(Expr):
     outer: Expr
     inner: Expr
+    op = "compose"
+
+    def eval(self, r):
+        return self.outer.eval(self.inner.eval(r))
+
+    def invert(self, y):
+        return self.inner.invert(self.outer.invert(y))
 
 
 @dataclass(frozen=True)
 class InverseOf(Expr):
     inner: Expr
+    op = "inverse_of"
+
+    def eval(self, r):
+        return self.inner.invert(r)
+
+    def invert(self, y):
+        return self.inner.eval(y)
+
+    def check(self, kinf):
+        # only meaningful for invertible trees
+        super().check(kinf=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +271,15 @@ class Table(Expr):
     slope, which keeps the interpolant strictly increasing and unbounded.
     """
 
-    xs: tuple
-    ys: tuple
+    x: tuple
+    y: tuple
     _xa: np.ndarray = field(init=False, repr=False, compare=False)
     _ya: np.ndarray = field(init=False, repr=False, compare=False)
+    op = "table"
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        xs = np.asarray(self.x, dtype=float)
+        ys = np.asarray(self.y, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise MonotoneInputError("table needs matching 1-d knot arrays with >= 2 points")
         if xs[0] != 0.0 or ys[0] != 0.0:
@@ -195,10 +288,16 @@ class Table(Expr):
             raise MonotoneInputError("table knots must be finite")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise MonotoneInputError("table knots must be strictly increasing in both coordinates")
-        object.__setattr__(self, "xs", tuple(float(v) for v in xs))
-        object.__setattr__(self, "ys", tuple(float(v) for v in ys))
+        object.__setattr__(self, "x", tuple(float(v) for v in xs))
+        object.__setattr__(self, "y", tuple(float(v) for v in ys))
         object.__setattr__(self, "_xa", xs)
         object.__setattr__(self, "_ya", ys)
+
+    def eval(self, r):
+        return _interp_extend(r, self._xa, self._ya)
+
+    def invert(self, y):
+        return _interp_extend(y, self._ya, self._xa)
 
 
 def _interp_extend(q, xs, ys):
@@ -211,56 +310,11 @@ def _interp_extend(q, xs, ys):
     return out
 
 
-def _eval(expr, r):
-    if isinstance(expr, Identity):
-        return r
-    if isinstance(expr, Power):
-        return r ** expr.p
-    if isinstance(expr, Linear):
-        return expr.c * r
-    if isinstance(expr, Const):
-        return np.full_like(r, expr.c)
-    if isinstance(expr, Scale):
-        return expr.c * _eval(expr.inner, r)
-    if isinstance(expr, Sum):
-        return _eval(expr.left, r) + _eval(expr.right, r)
-    if isinstance(expr, Product):
-        return _eval(expr.left, r) * _eval(expr.right, r)
-    if isinstance(expr, Min):
-        return np.minimum(_eval(expr.left, r), _eval(expr.right, r))
-    if isinstance(expr, Compose):
-        return _eval(expr.outer, _eval(expr.inner, r))
-    if isinstance(expr, InverseOf):
-        return _invert(expr.inner, r)
-    if isinstance(expr, Table):
-        return _interp_extend(r, expr._xa, expr._ya)
-    raise ParameterError(f"unknown expression node {type(expr).__name__}")
-
-
-def _invert(expr, y):
-    if isinstance(expr, Identity):
-        return y
-    if isinstance(expr, Power):
-        return y ** (1.0 / expr.p)
-    if isinstance(expr, Linear):
-        return y / expr.c
-    if isinstance(expr, Scale):
-        return _invert(expr.inner, y / expr.c)
-    if isinstance(expr, Compose):
-        return _invert(expr.inner, _invert(expr.outer, y))
-    if isinstance(expr, InverseOf):
-        return _eval(expr.inner, y)
-    if isinstance(expr, Table):
-        return _interp_extend(y, expr._ya, expr._xa)
-    return _invert_numeric(expr, y)
-
-
 def _invert_numeric(expr, y):
     """Bracket [0, hi] by doubling, then bisect, vectorised over y."""
-    y = np.asarray(y, dtype=float)
     hi = np.ones_like(y)
     for _ in range(_INVERT_BRACKET_CAP):
-        short = _eval(expr, hi) < y
+        short = expr.eval(hi) < y
         if not np.any(short):
             break
         hi = np.where(short, 2.0 * hi, hi)
@@ -274,7 +328,7 @@ def _invert_numeric(expr, y):
         if not np.any(live):
             break
         mid = 0.5 * (lo + hi)
-        below = _eval(expr, mid) < y
+        below = expr.eval(mid) < y
         lo = np.where(live & below, mid, lo)
         hi = np.where(live & ~below, mid, hi)
         live = live & (hi - lo > _INVERT_REL_TOL * hi)
@@ -282,53 +336,31 @@ def _invert_numeric(expr, y):
     return np.where(y == 0.0, 0.0, out)
 
 
-# ---------------------------------------------------------------------------
-# structural class checks
-# ---------------------------------------------------------------------------
+def _node_from_obj(obj):
+    if not isinstance(obj, dict) or "op" not in obj:
+        raise ParameterError(f"expression object must be a dict with an 'op' key, got {obj!r}")
+    op = obj["op"]
+    try:
+        node = _NODES[op]
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown expression op {op!r}") from None
+    try:
+        return node(*(_CODECS[f.type][1](obj[f.name]) for f in fields(node) if f.init))
+    except KeyError as exc:
+        raise ParameterError(f"expression op {op!r} is missing field {exc}") from exc
 
 
-def _require_kinf(expr):
-    """Raise unless every node preserves zero-at-zero + strict growth."""
-    if isinstance(expr, (Identity, Power, Linear, Table)):
-        return
-    if isinstance(expr, Const):
-        raise ParameterError("a constant node cannot appear in an unbounded strictly increasing tree")
-    if isinstance(expr, Scale):
-        _require_kinf(expr.inner)
-        return
-    if isinstance(expr, (Sum, Product, Min)):
-        _require_kinf(expr.left)
-        _require_kinf(expr.right)
-        return
-    if isinstance(expr, Compose):
-        _require_kinf(expr.outer)
-        _require_kinf(expr.inner)
-        return
-    if isinstance(expr, InverseOf):
-        _require_kinf(expr.inner)
-        return
-    raise ParameterError(f"unknown expression node {type(expr).__name__}")
+_NODES = {
+    node.op: node
+    for node in (Identity, Power, Linear, Const, Scale, Sum, Product, Min, Compose, InverseOf, Table)
+}
 
-
-def _require_nonneg(expr):
-    if isinstance(expr, (Identity, Power, Linear, Const, Table)):
-        return
-    if isinstance(expr, Scale):
-        _require_nonneg(expr.inner)
-        return
-    if isinstance(expr, (Sum, Product, Min)):
-        _require_nonneg(expr.left)
-        _require_nonneg(expr.right)
-        return
-    if isinstance(expr, Compose):
-        _require_nonneg(expr.outer)
-        _require_nonneg(expr.inner)
-        return
-    if isinstance(expr, InverseOf):
-        # only meaningful for invertible trees
-        _require_kinf(expr.inner)
-        return
-    raise ParameterError(f"unknown expression node {type(expr).__name__}")
+# field annotation -> (to JSON, from JSON)
+_CODECS = {
+    "float": (lambda v: v, float),
+    "tuple": (list, tuple),
+    "Expr": (lambda node: node.to_obj(), _node_from_obj),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +368,29 @@ def _require_nonneg(expr):
 # ---------------------------------------------------------------------------
 
 
+def _on_points(method, x, domain):
+    """Apply a node method to x as a 1-d array; a scalar is one point, returned as a float."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise DomainError(f"{domain}, got {x!r}")
+    with _errstate():
+        out = method(arr.reshape(-1))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 class NonnegFn:
     """Nonnegative scalar function backed by an expression tree."""
 
     __slots__ = ("expr", "positive_definite")
+    _kinf = False
 
     def __init__(self, expr, positive_definite=False):
-        _require_nonneg(expr)
+        _node(expr).check(self._kinf)
         self.expr = expr
         self.positive_definite = bool(positive_definite)
 
     def eval(self, r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise DomainError(f"comparison functions are defined on [0, inf), got {r!r}")
-        with _errstate():
-            out = _eval(self.expr, arr)
-        if np.isscalar(r) or arr.ndim == 0:
-            return float(out)
-        return out
+        return _on_points(self.expr.eval, r, "comparison functions are defined on [0, inf)")
 
     __call__ = eval
 
@@ -375,31 +411,24 @@ class NonnegFn:
         return {
             "kind": "nonneg",
             "positive_definite": self.positive_definite,
-            "expr": _expr_to_obj(self.expr),
+            "expr": self.expr.to_obj(),
         }
 
     def __repr__(self):
-        return f"{type(self).__name__}({_expr_repr(self.expr)})"
+        return f"{type(self).__name__}({self.expr.to_obj()!r})"
 
 
 class KInfFn(NonnegFn):
     """Strictly increasing, unbounded, zero at zero."""
 
     __slots__ = ()
+    _kinf = True
 
     def __init__(self, expr):
-        _require_kinf(expr)
         super().__init__(expr, positive_definite=True)
 
     def invert(self, y):
-        arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise DomainError(f"inverse queries must be finite and nonnegative, got {y!r}")
-        with _errstate():
-            out = _invert(self.expr, arr)
-        if np.isscalar(y) or arr.ndim == 0:
-            return float(out)
-        return out
+        return _on_points(self.expr.invert, y, "inverse queries must be finite and nonnegative")
 
     def inverse(self):
         return KInfFn(InverseOf(self.expr))
@@ -415,7 +444,7 @@ class KInfFn(NonnegFn):
         return self
 
     def to_json(self):
-        return {"kind": "kinf", "expr": _expr_to_obj(self.expr)}
+        return {"kind": "kinf", "expr": self.expr.to_obj()}
 
 
 def _assert_unbounded(f, start=1.0, factor=4.0, doublings=400):
@@ -493,30 +522,13 @@ def combine(f, g, mode, c1=1.0, c2=1.0):
     """Weighted pointwise combination c1*f (op) c2*g for op in sum/product/min."""
     c1 = _finite_positive(c1, "first combination weight")
     c2 = _finite_positive(c2, "second combination weight")
+    if mode not in ("sum", "product", "min"):
+        raise ParameterError(f"unknown combination mode {mode!r}")
     left = Scale(c1, f.expr) if c1 != 1.0 else f.expr
     right = Scale(c2, g.expr) if c2 != 1.0 else g.expr
-    if mode == "sum":
-        expr = Sum(left, right)
-        pd = f.positive_definite or g.positive_definite
-    elif mode == "product":
-        expr = Product(left, right)
-        pd = f.positive_definite and g.positive_definite
-    elif mode == "min":
-        expr = Min(left, right)
-        pd = f.positive_definite and g.positive_definite
-    else:
-        raise ParameterError(f"unknown combination mode {mode!r}")
-    return _wrap(expr, f, g, positive_definite=pd)
-
-
-def evaluate(f, r):
-    return f.eval(r)
-
-
-def invert(f, y):
-    if not isinstance(f, KInfFn):
-        raise ParameterError("invert expects a strictly increasing unbounded function")
-    return f.invert(y)
+    # a sum is positive definite when either part is, a product or min when both are
+    pd = (any if mode == "sum" else all)((f.positive_definite, g.positive_definite))
+    return _wrap(_NODES[mode](left, right), f, g, positive_definite=pd)
 
 
 def weak_triangle_split(alpha, a, b):
@@ -555,81 +567,15 @@ def strict_table(xs, ys):
     return KInfFn(Table(tuple(keep_x), tuple(float(v) for v in ys_out)))
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _expr_to_obj(expr):
-    if isinstance(expr, Identity):
-        return {"op": "identity"}
-    if isinstance(expr, Power):
-        return {"op": "power", "p": expr.p}
-    if isinstance(expr, Linear):
-        return {"op": "linear", "c": expr.c}
-    if isinstance(expr, Const):
-        return {"op": "const", "c": expr.c}
-    if isinstance(expr, Scale):
-        return {"op": "scale", "c": expr.c, "inner": _expr_to_obj(expr.inner)}
-    if isinstance(expr, Sum):
-        return {"op": "sum", "left": _expr_to_obj(expr.left), "right": _expr_to_obj(expr.right)}
-    if isinstance(expr, Product):
-        return {"op": "product", "left": _expr_to_obj(expr.left), "right": _expr_to_obj(expr.right)}
-    if isinstance(expr, Min):
-        return {"op": "min", "left": _expr_to_obj(expr.left), "right": _expr_to_obj(expr.right)}
-    if isinstance(expr, Compose):
-        return {"op": "compose", "outer": _expr_to_obj(expr.outer), "inner": _expr_to_obj(expr.inner)}
-    if isinstance(expr, InverseOf):
-        return {"op": "inverse_of", "inner": _expr_to_obj(expr.inner)}
-    if isinstance(expr, Table):
-        return {"op": "table", "x": list(expr.xs), "y": list(expr.ys)}
-    raise ParameterError(f"unknown expression node {type(expr).__name__}")
-
-
-def _expr_from_obj(obj):
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ParameterError(f"expression object must be a dict with an 'op' key, got {obj!r}")
-    op = obj["op"]
-    try:
-        if op == "identity":
-            return Identity()
-        if op == "power":
-            return Power(float(obj["p"]))
-        if op == "linear":
-            return Linear(float(obj["c"]))
-        if op == "const":
-            return Const(float(obj["c"]))
-        if op == "scale":
-            return Scale(float(obj["c"]), _expr_from_obj(obj["inner"]))
-        if op == "sum":
-            return Sum(_expr_from_obj(obj["left"]), _expr_from_obj(obj["right"]))
-        if op == "product":
-            return Product(_expr_from_obj(obj["left"]), _expr_from_obj(obj["right"]))
-        if op == "min":
-            return Min(_expr_from_obj(obj["left"]), _expr_from_obj(obj["right"]))
-        if op == "compose":
-            return Compose(_expr_from_obj(obj["outer"]), _expr_from_obj(obj["inner"]))
-        if op == "inverse_of":
-            return InverseOf(_expr_from_obj(obj["inner"]))
-        if op == "table":
-            return Table(tuple(float(v) for v in obj["x"]), tuple(float(v) for v in obj["y"]))
-    except KeyError as exc:
-        raise ParameterError(f"expression op {op!r} is missing field {exc}") from exc
-    raise ParameterError(f"unknown expression op {op!r}")
-
-
 def fn_from_json(obj):
     """Rebuild a one-argument comparison function from its JSON form."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "kinf":
-        return KInfFn(_expr_from_obj(obj["expr"]))
+        return KInfFn(_node_from_obj(obj["expr"]))
     if kind == "nonneg":
-        return NonnegFn(_expr_from_obj(obj["expr"]), positive_definite=bool(obj.get("positive_definite")))
+        return NonnegFn(_node_from_obj(obj["expr"]), positive_definite=bool(obj.get("positive_definite")))
     raise ParameterError(f"unknown function kind {kind!r}")
 
-
-def _expr_repr(expr):
-    return _expr_to_obj(expr).__repr__()
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +634,9 @@ class SeparableKL(KLFn):
 
     def eval(self, r, t):
         r, t = _kl_domain(r, t)
-        return self.outer.eval(self.decay ** t * self.inner.eval(r))
+        # scalars go in as one-point arrays so every ** takes the array kernel
+        out = self.outer.eval(self.decay ** np.atleast_1d(t) * self.inner.eval(np.atleast_1d(r)))
+        return float(out[0]) if r.ndim == t.ndim == 0 else out
 
     __call__ = eval
 

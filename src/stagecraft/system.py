@@ -16,6 +16,7 @@ a tolerance; the estimate reports whether that happened.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +47,8 @@ def _fmt(v):
 
 
 def _isfinite_state(x):
+    if isinstance(x, float):
+        return math.isfinite(x)
     try:
         return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
     except (TypeError, ValueError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from stagecraft import (
     strict_table,
     table_fn,
 )
-from stagecraft.cmpfn import _max_per_x
+from stagecraft.cmpfn import _NODES, Scale, _max_per_x
 from support import LOG_GRID, random_kinf, random_separable, random_sampled
 
 
@@ -408,16 +410,7 @@ def bits(a):
 
 
 def point_value(beta, r, t):
-    """beta at one point, the way a per-point loop evaluates it.
-
-    Sampled bounds take float scalars.  Separable bounds take one-point
-    arrays: numpy computes ``**`` on numpy scalars and 0-d arrays with the
-    C library's ``pow`` but on arrays with its SIMD kernel where the CPU
-    has one, and the two can differ in the last bit (see
-    ``test_scalar_calls``).
-    """
-    if isinstance(beta, SeparableKL):
-        return beta.eval(np.array([r]), np.array([t]))[0]
+    """beta at one point, the way a per-point loop evaluates it."""
     return beta.eval(float(r), float(t))
 
 
@@ -480,14 +473,12 @@ class TestBroadcastEval:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_scalar_calls(self, seed):
-        # float calls of a separable bound agree with its array path to
-        # rounding: ** on scalars rounds through libm, on arrays through SIMD
         rng = np.random.default_rng(seed)
         beta = random_separable(rng, depth=3)
         rs, ts = query_points(rng, np.logspace(-3.0, 3.0, 12), np.arange(10, dtype=float))
         floats = np.array([[beta.eval(float(r), float(t)) for t in ts] for r in rs])
         grid = beta.eval(rs[:, None], ts[None, :])
-        np.testing.assert_allclose(grid, floats, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(bits(grid), bits(floats))
 
     @pytest.mark.parametrize("kind", ["separable", "sampled"])
     def test_scalars_give_a_float_and_arrays_keep_their_shape(self, kind):
@@ -497,6 +488,98 @@ class TestBroadcastEval:
         assert type(beta.eval(np.float64(1.0), 2)) is float
         assert beta.eval(np.ones((2, 1)), np.arange(3.0)).shape == (2, 3)
         assert beta.eval(np.array([1.0]), 0.0).shape == (1,)
+
+
+class TestFloatCallsAreArrayEntries:
+    """A float call is its point inside a larger array, to the last bit.
+
+    numpy rounds ``**`` on numpy scalars through the C library and on
+    arrays through its own SIMD kernel where the CPU has one; trees only
+    ever see arrays, so both kinds of call take the same kernel.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_eval_and_invert(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_kinf(rng, 5)
+        rs = np.concatenate(([0.0], np.exp(rng.uniform(-7.0, 7.0, 23))))
+        ys = np.concatenate(([0.0], f.eval(rs[1:]) * rng.uniform(0.5, 2.0, rs.size - 1)))
+        floats = np.array([f.eval(float(r)) for r in rs])
+        np.testing.assert_array_equal(bits(floats), bits(f.eval(rs)))
+        inverted = np.array([f.invert(float(y)) for y in ys])
+        np.testing.assert_array_equal(bits(inverted), bits(f.invert(ys)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_separable_eval(self, seed):
+        rng = np.random.default_rng(seed)
+        beta = random_separable(rng, depth=3)
+        rs = np.concatenate(([0.0], np.exp(rng.uniform(-7.0, 7.0, 23))))
+        ts = np.concatenate(([0.0], rng.uniform(0.0, 40.0, 23)))
+        floats = np.array([beta.eval(float(r), float(t)) for r, t in zip(rs, ts)])
+        np.testing.assert_array_equal(bits(floats), bits(beta.eval(rs, ts)))
+
+
+# one tree over all eleven node kinds, and its JSON as the format writes it
+ALL_OPS_JSON = (
+    '{"kind": "nonneg", "positive_definite": true, "expr": {"op": "sum", "left": {"op": "min", '
+    '"left": {"op": "sum", "left": {"op": "compose", "outer": {"op": "scale", "c": 2.0, "inner": '
+    '{"op": "power", "p": 1.5}}, "inner": {"op": "inverse_of", "inner": {"op": "linear", "c": 3.0}}}, '
+    '"right": {"op": "product", "left": {"op": "table", "x": [0.0, 1.0, 2.0], "y": [0.0, 0.5, 3.0]}, '
+    '"right": {"op": "identity"}}}, "right": {"op": "identity"}}, "right": {"op": "const", "c": 0.25}}}'
+)
+
+
+def all_ops_tree():
+    f = combine(
+        compose(scale(2.0, power(1.5)), inverse_of(linear(3.0))),
+        combine(table_fn([1.0, 2.0], [0.5, 3.0]), identity(), "product"),
+        "sum",
+    )
+    return combine(pointwise_min(f, identity()), const_fn(0.25), "sum")
+
+
+def ops_in(obj):
+    kids = [v for v in obj.values() if isinstance(v, dict)]
+    return {obj["op"]}.union(*(ops_in(kid) for kid in kids))
+
+
+class TestNodeSerialization:
+    def test_all_ops_json_bytes_are_pinned_and_round_trip(self):
+        tree = all_ops_tree()
+        assert json.dumps(tree.to_json()) == ALL_OPS_JSON
+        assert ops_in(tree.to_json()["expr"]) == set(_NODES)
+        back = fn_from_json(json.loads(ALL_OPS_JSON))
+        assert type(back) is NonnegFn and back.positive_definite
+        assert json.dumps(back.to_json()) == ALL_OPS_JSON
+        np.testing.assert_array_equal(bits(back.eval(LOG_GRID)), bits(tree.eval(LOG_GRID)))
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            {"op": "mystery"},
+            {"op": ["sum"]},
+            {"op": "power"},
+            {"op": "scale", "c": 2.0},
+            {"op": "table", "x": [0.0, 1.0]},
+            {"op": "compose", "outer": {"op": "identity"}, "inner": {"op": "sqrt"}},
+            {"op": "sum", "left": {"op": "identity"}, "right": [{"op": "identity"}]},
+            {"c": 1.0},
+            "identity",
+            None,
+        ],
+    )
+    def test_malformed_expressions_raise(self, expr):
+        for kind in ("kinf", "nonneg"):
+            with pytest.raises(ParameterError):
+                fn_from_json({"kind": kind, "expr": expr})
+
+    @pytest.mark.parametrize("wrapper", [KInfFn, NonnegFn])
+    @pytest.mark.parametrize("bad", ["identity", 1.0, None, identity(), Scale(2.0, linear(1.0))])
+    def test_non_node_objects_are_rejected(self, wrapper, bad):
+        with pytest.raises(ParameterError):
+            wrapper(bad)
 
 
 class TestKLDomain:

@@ -62,6 +62,25 @@ class TestRollout:
             rollout(bad, 1.0, [0.0, 0.0, 0.0])
         assert err.value.step is not None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.array([1.0, np.nan]), [0.0, -np.inf]])
+    def test_nonfinite_states_raise_with_their_step(self, bad):
+        with pytest.raises(SimulationError) as err:
+            rollout(scalar_system(), bad, [0.0])
+        assert err.value.step == 0
+        blowup = ControlSystem(
+            transition=lambda x, u: bad if u else x,
+            state_measure=lambda x: 0.0,
+            input_measure=abs,
+        )
+        with pytest.raises(SimulationError) as err:
+            rollout(blowup, 1.0, [0.0, 0.0, 1.0, 0.0])
+        assert err.value.step == 2
+
+    def test_finite_states_of_every_shape_pass(self):
+        sys = ControlSystem(transition=lambda x, u: x, state_measure=lambda x: 0.0, input_measure=abs)
+        for x0 in (1.0, np.float64(2.0), 3, np.array([1.0, 2.0]), [0.5, 0.25]):
+            assert rollout(sys, x0, [0.0]).states[-1] is x0
+
     def test_state_count_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             Trajectory(states=(1.0, 0.5), inputs=(0.0, 0.0))
