@@ -348,6 +348,8 @@ def _node_from_obj(obj):
         return node(*(_CODECS[f.type][1](obj[f.name]) for f in fields(node) if f.init))
     except KeyError as exc:
         raise ParameterError(f"expression op {op!r} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"expression op {op!r} has a malformed field: {exc}") from exc
 
 
 _NODES = {
@@ -571,9 +573,9 @@ def fn_from_json(obj):
     """Rebuild a one-argument comparison function from its JSON form."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "kinf":
-        return KInfFn(_node_from_obj(obj["expr"]))
+        return KInfFn(_node_from_obj(obj.get("expr")))
     if kind == "nonneg":
-        return NonnegFn(_node_from_obj(obj["expr"]), positive_definite=bool(obj.get("positive_definite")))
+        return NonnegFn(_node_from_obj(obj.get("expr")), positive_definite=bool(obj.get("positive_definite")))
     raise ParameterError(f"unknown function kind {kind!r}")
 
 

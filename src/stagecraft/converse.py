@@ -19,6 +19,7 @@ energy budget, using the stitched controls as its policy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -132,7 +133,7 @@ def settle_horizon(
     more than the returned number of steps: the smallest positive
     integer at least ``cost_bound(radius) / state_gauge(threshold) - 1``.
     """
-    return _Settler(ucc, eps_tilde_factor, step_cap).settle(radius, eps)[0]
+    return _Settler(ucc, eps_tilde_factor, step_cap).settle(radius, eps)
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def stitch_controls(
     settler = _Settler(ucc, eps_tilde_factor, step_cap)
     start, big_r = _within(sys, x, radius)
     threshold = settler.threshold(eps)
-    horizon = settler.settle(big_r, eps, threshold)[0] if big_r > 0 else 1
+    horizon = settler.settle(big_r, eps, threshold) if big_r > 0 else 1
     out_len = horizon + ucc.policy.length if length is None else int(length)
     if out_len < 0:
         raise ParameterError(f"length must be nonnegative, got {length!r}")
@@ -343,48 +344,48 @@ class _Settler:
     """The converse construction for one certificate.
 
     Holds the state gauge and the excursion and relay bounds, built
-    once, and remembers the numeric inversions that do not depend on
-    the starting radius: the relay preimage of each level's stage cost.
-    ``assemble`` also keeps the schedules it builds, with the threshold
-    of every round, so that the stitched policy of the same certificate
-    reuses them for sample states instead of rebuilding them.  Every
-    float comes from the same ``eval``/``invert`` call with the same
-    arguments as when it is computed afresh.
+    once.  ``schedule`` computes all rounds of a schedule with one
+    array call per bound; a float call equals its entry in any array
+    bitwise, so every round is the one a scalar computation gives.
+    ``assemble`` keeps the schedules it builds, with the threshold of
+    every round, and the stitched policy of the same certificate reuses
+    them for sample states: without that hand-off the policy would
+    redo each sample radius's inversions for every verified sample.
     """
 
     def __init__(self, ucc: UCCCert, eps_tilde_factor: float, step_cap: int):
+        if not 0.0 < eps_tilde_factor < 1.0:
+            raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
         self.ucc = ucc
         self.state_gauge, _ = _gauges(ucc)
         self.excursion = excursion_bound(ucc)
         self.relay = relay_bound(ucc)
         self.eps_tilde_factor = eps_tilde_factor
         self.step_cap = step_cap
-        self._level_targets = {}
         # radius -> (schedule, round thresholds) of the last assemble
         self._built = {}
         self._built_depth = 0
 
-    def threshold(self, eps: float) -> float:
+    def threshold(self, eps):
         """Excursion level of ``eps_tilde_factor * eps``."""
         return self.excursion.invert(self.eps_tilde_factor * eps)
 
-    def settle(self, radius: float, eps: float, threshold: Optional[float] = None):
-        """``settle_horizon`` and the threshold it used, which may be given."""
+    def settle(self, radius: float, eps: float, threshold: Optional[float] = None) -> int:
+        """``settle_horizon``, optionally at a threshold already computed."""
         if not (np.isfinite(radius) and radius >= 0):
             raise ParameterError(f"radius must be finite and nonnegative, got {radius!r}")
         if not (np.isfinite(eps) and eps > 0):
             raise ParameterError(f"target must be finite and positive, got {eps!r}")
-        if not 0.0 < self.eps_tilde_factor < 1.0:
-            raise ParameterError(
-                f"eps_tilde_factor must lie in (0, 1), got {self.eps_tilde_factor!r}"
-            )
         if threshold is None:
             threshold = self.threshold(eps)
-        floor_cost = self.state_gauge.eval(threshold)
         top = self.ucc.cost_bound.eval(radius)
+        return self._steps(radius, eps, threshold, self.state_gauge.eval(threshold), top)
+
+    def _steps(self, radius, eps, threshold, floor_cost, top) -> int:
+        """Smallest positive integer at least ``top / floor_cost - 1``, capped."""
         if floor_cost <= 0.0:
             if top <= 0.0:
-                return 1, threshold
+                return 1
             raise BudgetError(f"threshold {threshold:g} carries no stage cost; cannot bound steps")
         ratio = top / floor_cost
         if ratio > self.step_cap:
@@ -396,15 +397,7 @@ class _Settler:
         nearest = round(value)
         if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
             value = nearest
-        return max(1, math.ceil(value)), threshold
-
-    def level_target(self, level: float) -> float:
-        """Relay preimage of the level's stage cost, computed once per level."""
-        target = self._level_targets.get(level)
-        if target is None:
-            target = self.relay.invert(self.state_gauge.eval(level))
-            self._level_targets[level] = target
-        return target
+        return max(1, math.ceil(value))
 
     def schedule(self, radius: float, depth: int, eps_levels: Optional[Sequence[float]] = None):
         """``settling_schedule`` and the threshold of each of its rounds."""
@@ -424,35 +417,32 @@ class _Settler:
                 raise ParameterError("levels must be strictly decreasing")
 
         top = self.ucc.cost_bound.eval(radius)
-        targets, horizons, cums, thresholds = [], [], [], []
-        total_steps = 0
-        for m, level in enumerate(levels, start=1):
-            target = min(
-                self.level_target(level),
-                self.relay.invert((2.0 ** -m) * top),
-                radius,
-            )
+        by_level = self.relay.invert(self.state_gauge.eval(levels))
+        by_budget = self.relay.invert(2.0 ** -np.arange(1, depth + 1) * top)
+        targets = np.minimum(np.minimum(by_level, by_budget), radius).tolist()
+        live = next((m for m, target in enumerate(targets) if target <= 0.0), depth)
+        if live == 0:
+            raise BudgetError(f"round 1 target degenerated to {targets[0]!r}")
+        thresholds = self.threshold(np.asarray(targets[:live]))
+        floor_costs = self.state_gauge.eval(thresholds).tolist()
+        thresholds = thresholds.tolist()
+        horizons = []
+        for m in range(live):
             try:
-                if target <= 0.0:
-                    raise BudgetError(f"round {m} target degenerated to {target!r}")
-                steps, threshold = self.settle(radius, target)
+                horizons.append(self._steps(radius, targets[m], thresholds[m], floor_costs[m], top))
             except BudgetError:
-                if m == 1:
+                if m == 0:
                     raise
                 break
-            total_steps += steps
-            targets.append(target)
-            horizons.append(steps)
-            cums.append(total_steps)
-            thresholds.append(threshold)
+        rounds = len(horizons)
         schedule = SettlingSchedule(
             radius=float(radius),
-            eps_levels=tuple(levels[: len(targets)]),
-            eps_targets=tuple(targets),
+            eps_levels=tuple(levels[:rounds]),
+            eps_targets=tuple(targets[:rounds]),
             round_horizons=tuple(horizons),
-            cum_horizons=tuple(cums),
+            cum_horizons=tuple(itertools.accumulate(horizons)),
         )
-        return schedule, tuple(thresholds)
+        return schedule, tuple(thresholds[:rounds])
 
     def scan(
         self, sys: ControlSystem, x, threshold: float, horizon: int, length: int

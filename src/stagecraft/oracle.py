@@ -31,7 +31,7 @@ import numpy as np
 
 from .cmpfn import _max_per_x, identity, strict_table
 from .certificates import TAIL_REPEAT, PolicyOracle, UCCCert
-from .errors import EnvelopeError, ParameterError, SimulationError
+from .errors import EnvelopeError, ParameterError
 from .system import ControlSystem, StageCost, _fmt
 
 __all__ = [
@@ -125,31 +125,8 @@ class FiniteSystem:
 
 
 def _cost_table(fsys: FiniteSystem, cost: StageCost) -> np.ndarray:
-    """Stage cost of every (state, input) pair, bitwise equal to ``of_measures``.
-
-    The state and input parts are one array ``eval`` each, added in the
-    order ``0.0 + state + input`` that ``of_measures`` uses; only the
-    opaque cross term is called per entry.  The same nonnegativity and
-    finiteness check then runs once over the whole table.
-    """
-    sig, rho = fsys.state_measure, fsys.input_measure
-    table = np.zeros((fsys.num_states, fsys.num_inputs))
-    if cost.state_cost is not None:
-        table = table + cost.state_cost.eval(sig)[:, None]
-    if cost.input_cost is not None:
-        table = table + cost.input_cost.eval(rho)[None, :]
-    if cost.cross_cost is not None:
-        rhos = rho.tolist()
-        for x, sigma in enumerate(sig.tolist()):
-            table[x] += [float(cost.cross_cost(sigma, r)) for r in rhos]
-    bad = np.argwhere(~((table >= 0.0) & np.isfinite(table)))
-    if bad.size:
-        x, u = bad[0]
-        raise SimulationError(
-            f"stage cost evaluated to {float(table[x, u])!r} "
-            f"at sigma={float(sig[x])}, rho={float(rho[u])}"
-        )
-    return table
+    """Stage cost of every (state, input) pair: one broadcast ``of_measures`` call."""
+    return cost.of_measures(fsys.state_measure[:, None], fsys.input_measure[None, :])
 
 
 def _predecessors(successor: np.ndarray, edges: Optional[np.ndarray] = None):

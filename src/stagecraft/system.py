@@ -47,7 +47,7 @@ def _fmt(v):
 
 
 def _isfinite_state(x):
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return math.isfinite(x)
     try:
         return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
@@ -143,17 +143,35 @@ class StageCost:
         if self.state_cost is None and self.input_cost is None and self.cross_cost is None:
             raise ParameterError("a stage cost needs at least one nonzero part")
 
-    def of_measures(self, sigma: float, rho: float) -> float:
-        total = 0.0
+    def of_measures(self, sigma, rho):
+        """Stage cost at state measure ``sigma`` and input measure ``rho``.
+
+        The two arguments broadcast; two scalars give a ``float``.  The
+        parts are added in the order ``0.0 + state + input + cross``, so
+        every entry equals its own scalar call bitwise, and the opaque
+        cross term is called once per entry, in C order, with Python
+        floats.  Raises SimulationError naming the first entry that is
+        negative or not finite.
+        """
+        sigma = np.asarray(sigma, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        grid = np.broadcast_arrays(sigma, rho)
+        total = np.zeros(grid[0].shape)
         if self.state_cost is not None:
-            total += self.state_cost.eval(sigma)
+            total = total + self.state_cost.eval(sigma)
         if self.input_cost is not None:
-            total += self.input_cost.eval(rho)
+            total = total + self.input_cost.eval(rho)
         if self.cross_cost is not None:
-            total += float(self.cross_cost(sigma, rho))
-        if not (total >= 0.0 and np.isfinite(total)):
-            raise SimulationError(f"stage cost evaluated to {total!r} at sigma={sigma}, rho={rho}")
-        return total
+            pairs = zip(*(a.ravel().tolist() for a in grid))
+            total = total + np.reshape([float(self.cross_cost(s, r)) for s, r in pairs], total.shape)
+        bad = ~((total >= 0.0) & np.isfinite(total))
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), total.shape)
+            raise SimulationError(
+                f"stage cost evaluated to {float(total[k])!r} "
+                f"at sigma={float(grid[0][k])}, rho={float(grid[1][k])}"
+            )
+        return float(total) if total.ndim == 0 else total
 
     def evaluate(self, sys: ControlSystem, x, u) -> float:
         return self.of_measures(sys.sigma(x), sys.rho(u))
@@ -167,10 +185,15 @@ class StageCost:
         }
 
 
+def _measures(sys: ControlSystem, traj: Trajectory):
+    """State measures of the states that inputs act on, and the input measures."""
+    sigma = np.array([sys.sigma(x) for x in traj.states[:-1]], dtype=float)
+    rho = np.array([sys.rho(u) for u in traj.inputs], dtype=float)
+    return sigma, rho
+
+
 def stage_costs(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> np.ndarray:
-    return np.array(
-        [cost.evaluate(sys, traj.states[k], traj.inputs[k]) for k in range(len(traj))]
-    )
+    return cost.of_measures(*_measures(sys, traj))
 
 
 def total_cost(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> float:
@@ -221,12 +244,10 @@ def write_trajectory_csv(sys: ControlSystem, cost: Optional[StageCost], traj: Tr
     Numbers are written with 17 significant digits so the file
     round-trips doubles exactly; rows end with CRLF.
     """
+    sigma, rho = _measures(sys, traj)
+    costs = np.zeros(len(traj)) if cost is None else cost.of_measures(sigma, rho)
+    rows = zip(sigma.tolist(), rho.tolist(), costs.tolist(), np.cumsum(costs).tolist())
     writer = csv.writer(fp)
     writer.writerow(["n", "sigma", "rho", "stage_cost", "cumulative_cost"])
-    running = 0.0
-    for k in range(len(traj)):
-        sigma = sys.sigma(traj.states[k])
-        rho = sys.rho(traj.inputs[k])
-        c = cost.of_measures(sigma, rho) if cost is not None else 0.0
-        running += c
-        writer.writerow([str(k), _fmt(sigma), _fmt(rho), _fmt(c), _fmt(running)])
+    for k, row in enumerate(rows):
+        writer.writerow([str(k), *map(_fmt, row)])

@@ -162,6 +162,24 @@ class TestSynthesizeCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "state_cost",
+        [{"kind": "kinf"}, {"kind": "kinf", "expr": {"op": "power", "p": "two"}}],
+        ids=["missing_expr", "unconvertible_field"],
+    )
+    def test_malformed_stage_cost_exits_two(self, tmp_path, capsys, state_cost):
+        rc, _ = run(
+            tmp_path,
+            "synthesize",
+            {
+                "system": {"builtin": "scalar_linear"},
+                "synthesis": {"state_cost": state_cost},
+                "samples": {"count": 4},
+            },
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_product_interaction_passes(self, tmp_path):
         rc, _ = run(
             tmp_path,

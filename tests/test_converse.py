@@ -1,6 +1,8 @@
 """Settling schedules, stitched controls, and the rebuilt energy certificate."""
 
+import functools
 import io
+import math
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from stagecraft import (
     value_iterate,
     verify,
 )
-from stagecraft.converse import DEFAULT_STEP_CAP
+from stagecraft.converse import DEFAULT_STEP_CAP, _Settler
 
 
 def _dummy_policy():
@@ -487,6 +489,101 @@ def _priced_prefix(ucc, sys, x, depth, length):
     if len(controls) < length:
         controls.extend(ucc.policy.controls(state, length - len(controls)))
     return controls[:length]
+
+
+def _scalar_schedule(ucc, radius, levels, eps_tilde_factor, step_cap):
+    """The per-round loop that batched schedules replaced, one float call at a time.
+
+    Returns ``(level, target, horizon, threshold)`` per round, cut at the
+    first round over budget as ``settling_schedule`` cuts it.
+    """
+    state_gauge = ucc.stage_cost.state_cost
+    excursion, relay = excursion_bound(ucc), relay_bound(ucc)
+    rounds = []
+    for m, level in enumerate(levels, start=1):
+        top = ucc.cost_bound.eval(radius)
+        target = min(
+            relay.invert(state_gauge.eval(level)), relay.invert((2.0 ** -m) * top), radius
+        )
+        try:
+            if target <= 0.0:
+                raise BudgetError(f"round {m} target degenerated")
+            threshold = excursion.invert(eps_tilde_factor * target)
+            floor_cost = state_gauge.eval(threshold)
+            if floor_cost <= 0.0:
+                if top > 0.0:
+                    raise BudgetError("no stage cost at the threshold")
+                steps = 1
+            else:
+                ratio = top / floor_cost
+                if ratio > step_cap:
+                    raise BudgetError("over the step cap")
+                value = ratio - 1.0
+                nearest = round(value)
+                if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
+                    value = nearest
+                steps = max(1, math.ceil(value))
+        except BudgetError:
+            if m == 1:
+                raise
+            break
+        rounds.append((level, target, steps, threshold))
+    return rounds
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@functools.lru_cache(maxsize=None)
+def _schedule_cert(name):
+    if name == "doubling":
+        return doubling_cert()
+    if name == "stepping":
+        return stepping_fixture()[1]
+    return (_chain_case if name == "chain" else _synthesized_case)()[0]
+
+
+class TestBatchedSchedule:
+    """Array schedules equal the old per-round scalar loop bitwise."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(["doubling", "stepping", "chain", "synthesized"]),
+        st.one_of(st.floats(0.01, 100.0), st.sampled_from([1.0, 2.0, 3.0, 5.0, 9.0])),
+        st.one_of(
+            st.integers(1, 12),
+            st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12, unique=True),
+        ),
+        st.sampled_from([0.25, 0.5, 0.9]),
+        st.sampled_from([150, 2000, 10 ** 5, DEFAULT_STEP_CAP]),
+    )
+    def test_rounds_equal_the_scalar_loop(self, name, radius, depth, factor, step_cap):
+        ucc = _schedule_cert(name)
+        if isinstance(depth, int):
+            eps_levels, levels = None, [1.0 / m for m in range(1, depth + 1)]
+        else:
+            eps_levels = levels = sorted(depth, reverse=True)
+            depth = len(levels)
+        try:
+            expected = _scalar_schedule(ucc, radius, levels, factor, step_cap)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                settling_schedule(ucc, radius, depth, eps_levels, factor, step_cap)
+            return
+        schedule = settling_schedule(ucc, radius, depth, eps_levels, factor, step_cap)
+        _, thresholds = _Settler(ucc, factor, step_cap).schedule(radius, depth, eps_levels)
+        level, target, steps, threshold = (list(col) for col in zip(*expected))
+        assert _hex(schedule.eps_levels) == _hex(level)
+        assert _hex(schedule.eps_targets) == _hex(target)
+        assert schedule.round_horizons == tuple(steps)
+        assert schedule.cum_horizons == tuple(int(n) for n in np.cumsum(steps))
+        assert _hex(thresholds) == _hex(threshold)
+
+    def test_bad_eps_tilde_factor_is_rejected_at_construction(self):
+        sys, ucc = halving_fixture()
+        with pytest.raises(ParameterError, match="eps_tilde_factor"):
+            stitched_policy(ucc, sys, eps_tilde_factor=-0.5)
 
 
 class TestPipelinePolicyReuse:

@@ -1,6 +1,7 @@
 """Value iteration, certificate extraction, and brute-force cross-checks."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -69,12 +70,21 @@ def random_system(rng):
 
 
 def scalar_cost_table(fsys, cost):
-    return np.array(
-        [
-            [cost.of_measures(float(s), float(r)) for r in fsys.input_measure]
-            for s in fsys.state_measure
-        ]
-    )
+    """Per-entry reference: ``0.0 + state + input + cross`` and its check, one float at a time."""
+    table = np.empty((fsys.num_states, fsys.num_inputs))
+    for x, sigma in enumerate(fsys.state_measure.tolist()):
+        for u, rho in enumerate(fsys.input_measure.tolist()):
+            total = 0.0
+            if cost.state_cost is not None:
+                total += cost.state_cost.eval(sigma)
+            if cost.input_cost is not None:
+                total += cost.input_cost.eval(rho)
+            if cost.cross_cost is not None:
+                total += float(cost.cross_cost(sigma, rho))
+            if not (total >= 0.0 and math.isfinite(total)):
+                raise SimulationError(f"stage cost evaluated to {total!r} at sigma={sigma}, rho={rho}")
+            table[x, u] = total
+    return table
 
 
 def reference_core(fsys, table):
@@ -192,6 +202,15 @@ class TestCostGuards:
         cost = StageCost(state_cost=identity(), cross_cost=lambda s, r: bad if r > 0 else 0.0)
         with pytest.raises(SimulationError, match="stage cost evaluated to"):
             value_iterate(countdown(4), cost)
+
+    @pytest.mark.parametrize("bad", [-7.0, np.inf, np.nan])
+    def test_table_names_the_first_bad_entry_like_the_scalar_loop(self, bad):
+        cost = StageCost(state_cost=identity(), cross_cost=lambda s, r: bad if s > 1 and r > 0 else 0.0)
+        with pytest.raises(SimulationError) as expected:
+            scalar_cost_table(countdown(5), cost)
+        with pytest.raises(SimulationError) as got:
+            _cost_table(countdown(5), cost)
+        assert str(got.value) == str(expected.value)
 
 
 class TestFiniteSystem:

@@ -10,6 +10,7 @@ from stagecraft import (
     StageCost,
     Trajectory,
     identity,
+    linear,
     power,
     rollout,
     stage_costs,
@@ -109,6 +110,30 @@ class TestStageCost:
         with pytest.raises(SimulationError):
             cost.of_measures(1.0, 1.0)
 
+    def test_broadcast_entries_equal_scalar_calls(self):
+        cost = StageCost(state_cost=power(1.5), input_cost=linear(0.3), cross_cost=lambda s, r: s * r)
+        sigma = np.array([0.0, 1.0 / 3.0, 2.5, 40.0])
+        rho = np.array([0.0, 0.7, 1e-3])
+        table = cost.of_measures(sigma[:, None], rho[None, :])
+        assert table.shape == (4, 3)
+        expected = [[cost.of_measures(s, r) for r in rho.tolist()] for s in sigma.tolist()]
+        assert table.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+        assert type(cost.of_measures(2.0, 3.0)) is float
+
+    def test_first_bad_entry_is_named(self):
+        calls = []
+
+        def cross(s, r):
+            calls.append((s, r))
+            return -5.0 if s > 1.0 and r > 0.0 else 0.0
+
+        cost = StageCost(state_cost=identity(), cross_cost=cross)
+        with pytest.raises(SimulationError, match=r"to -3\.0 at sigma=2\.0, rho=1\.0$"):
+            cost.of_measures(np.array([[0.0], [2.0], [3.0]]), np.array([0.0, 1.0]))
+        # one call per entry, in C order, with Python floats
+        assert calls == [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (2.0, 1.0), (3.0, 0.0), (3.0, 1.0)]
+        assert all(type(v) is float for pair in calls for v in pair)
+
     def test_json_shape(self):
         cost = StageCost(state_cost=identity(), cross_cost=lambda s, r: s * r)
         obj = cost.to_json()
@@ -122,6 +147,11 @@ class TestTotals:
         cost = StageCost(state_cost=identity())
         np.testing.assert_allclose(stage_costs(sys, cost, traj), [1.0, 0.5, 0.25])
         assert total_cost(sys, cost, traj) == pytest.approx(1.75)
+
+    def test_empty_trajectory_has_no_costs(self):
+        costs = stage_costs(scalar_system(), StageCost(state_cost=identity()), rollout(scalar_system(), 1.0, []))
+        assert costs.shape == (0,) and costs.dtype == np.float64
+        assert total_cost(scalar_system(), StageCost(state_cost=identity()), rollout(scalar_system(), 1.0, [])) == 0.0
 
     def test_prefix_additivity(self):
         sys = scalar_system()
@@ -176,3 +206,35 @@ class TestCsv:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
         assert "0.33333333333333331" in outs[0]
+
+    @pytest.mark.parametrize(
+        "with_cost, expected",
+        [
+            (
+                True,
+                "n,sigma,rho,stage_cost,cumulative_cost\r\n"
+                "0,0.33333333333333331,0.10000000000000001,0.22721199449178001,0.22721199449178001\r\n"
+                "1,0.26666666666666666,0.69999999999999996,0.3743727411984859,0.60158473569026594\r\n"
+                "2,0.56666666666666665,0.25,0.52180926510657444,1.1233940007968404\r\n"
+                "3,0.033333333333333326,0.001,0.0063905680992637484,1.1297845688961041\r\n",
+            ),
+            (
+                False,
+                "n,sigma,rho,stage_cost,cumulative_cost\r\n"
+                "0,0.33333333333333331,0.10000000000000001,0,0\r\n"
+                "1,0.26666666666666666,0.69999999999999996,0,0\r\n"
+                "2,0.56666666666666665,0.25,0,0\r\n"
+                "3,0.033333333333333326,0.001,0,0\r\n",
+            ),
+        ],
+        ids=["cross_term", "no_cost"],
+    )
+    def test_csv_bytes_pinned(self, with_cost, expected):
+        sys = scalar_system()
+        traj = rollout(sys, 1.0 / 3.0, [0.1, -0.7, 0.25, 1e-3])
+        cost = StageCost(
+            state_cost=power(1.5), input_cost=linear(0.3), cross_cost=lambda s, r: s * r / 7.0
+        )
+        buf = io.StringIO(newline="")
+        write_trajectory_csv(sys, cost if with_cost else None, traj, buf)
+        assert buf.getvalue() == expected
