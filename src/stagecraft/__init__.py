@@ -8,218 +8,21 @@ certificate.  A small value-iteration oracle and a library of builtin
 benchmark systems support end-to-end checks.
 """
 
-from .cmpfn import (
-    DEFAULT_R_GRID,
-    DEFAULT_T_GRID,
-    KInfFn,
-    KLFn,
-    NonnegFn,
-    SampledKL,
-    SeparableKL,
-    combine,
-    compose,
-    const_fn,
-    fn_from_json,
-    identity,
-    inverse_of,
-    kl_decompose,
-    kl_from_json,
-    kl_grid_violations,
-    linear,
-    pointwise_min,
-    power,
-    sample_kl,
-    scale,
-    scale_kl,
-    strict_table,
-    table_fn,
-    weak_triangle_split,
-)
-from .system import (
-    ControlSystem,
-    CostLimit,
-    StageCost,
-    Trajectory,
-    rollout,
-    stage_costs,
-    total_cost,
-    total_cost_limit,
-    write_trajectory_csv,
-)
-from .certificates import (
-    PolicyOracle,
-    UACCert,
-    UBgECCert,
-    UCCCert,
-    UVCCert,
-    VerificationReport,
-    as_state_certificate,
-    cert_to_json,
-    joint_bound_merge,
-    joint_bound_split,
-    uvc_to_ubgec,
-    verify,
-)
-from .synthesis import (
-    InteractionSpec,
-    SynthesisResult,
-    TransientData,
-    TransientSplit,
-    admissible_wrapper,
-    admit_interaction,
-    certify_ucc,
-    synthesize,
-    to_ucc_cert,
-    transient_partition,
-    transient_split,
-    transient_split_bound,
-)
-from .converse import (
-    ConverseResult,
-    NuCurve,
-    SettlingSchedule,
-    assemble_state_bound,
-    converse_pipeline,
-    excursion_bound,
-    relay_bound,
-    settle_horizon,
-    settling_schedule,
-    stitch_controls,
-    stitched_policy,
-    total_bound,
-)
-from .oracle import (
-    FiniteSystem,
-    ValueTable,
-    brute_force_values,
-    discretize_scalar,
-    extract_ucc,
-    greedy_policy,
-    reaches_core,
-    value_iterate,
-    zero_cost_core,
-)
-from .library import BUILTIN_FACTORIES, BuiltinSystem, build_builtin
-from .errors import (
-    BudgetError,
-    CertificateInvalidError,
-    ChoiceRejectedError,
-    ConfigError,
-    DecompositionError,
-    DomainError,
-    EnvelopeError,
-    InteractionRejectedError,
-    InvariantViolation,
-    InversionError,
-    KLValidityError,
-    MonotoneInputError,
-    NonContractionError,
-    ParameterError,
-    PolicyError,
-    SimulationError,
-    StagecraftError,
-)
+from . import certificates, cmpfn, converse, errors, library, oracle, synthesis, system
+from .cmpfn import *
+from .system import *
+from .certificates import *
+from .synthesis import *
+from .converse import *
+from .oracle import *
+from .library import *
+from .errors import *
 
 __version__ = "0.1.0"
 
+# each module declares its public names once; the package exports their union
 __all__ = [
-    "BUILTIN_FACTORIES",
-    "BudgetError",
-    "BuiltinSystem",
-    "CertificateInvalidError",
-    "ChoiceRejectedError",
-    "ConfigError",
-    "ControlSystem",
-    "ConverseResult",
-    "CostLimit",
-    "DEFAULT_R_GRID",
-    "DEFAULT_T_GRID",
-    "DecompositionError",
-    "DomainError",
-    "EnvelopeError",
-    "FiniteSystem",
-    "InteractionRejectedError",
-    "InteractionSpec",
-    "InvariantViolation",
-    "InversionError",
-    "KInfFn",
-    "KLFn",
-    "KLValidityError",
-    "MonotoneInputError",
-    "NonContractionError",
-    "NonnegFn",
-    "NuCurve",
-    "ParameterError",
-    "PolicyError",
-    "PolicyOracle",
-    "SampledKL",
-    "SeparableKL",
-    "SettlingSchedule",
-    "SimulationError",
-    "StageCost",
-    "StagecraftError",
-    "SynthesisResult",
-    "Trajectory",
-    "TransientData",
-    "TransientSplit",
-    "UACCert",
-    "UBgECCert",
-    "UCCCert",
-    "UVCCert",
-    "ValueTable",
-    "VerificationReport",
-    "admissible_wrapper",
-    "admit_interaction",
-    "as_state_certificate",
-    "assemble_state_bound",
-    "brute_force_values",
-    "build_builtin",
-    "cert_to_json",
-    "certify_ucc",
-    "combine",
-    "compose",
-    "const_fn",
-    "converse_pipeline",
-    "discretize_scalar",
-    "excursion_bound",
-    "extract_ucc",
-    "fn_from_json",
-    "greedy_policy",
-    "identity",
-    "inverse_of",
-    "joint_bound_merge",
-    "joint_bound_split",
-    "kl_decompose",
-    "kl_from_json",
-    "kl_grid_violations",
-    "linear",
-    "pointwise_min",
-    "power",
-    "reaches_core",
-    "relay_bound",
-    "rollout",
-    "sample_kl",
-    "scale",
-    "scale_kl",
-    "settle_horizon",
-    "settling_schedule",
-    "stage_costs",
-    "stitch_controls",
-    "stitched_policy",
-    "strict_table",
-    "synthesize",
-    "table_fn",
-    "to_ucc_cert",
-    "total_bound",
-    "total_cost",
-    "total_cost_limit",
-    "transient_partition",
-    "transient_split",
-    "transient_split_bound",
-    "uvc_to_ubgec",
-    "value_iterate",
-    "verify",
-    "weak_triangle_split",
-    "write_trajectory_csv",
-    "zero_cost_core",
+    name
+    for module in (cmpfn, system, certificates, synthesis, converse, oracle, library, errors)
+    for name in module.__all__
 ]

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .cmpfn import fn_from_json, identity, scale, scale_kl
-from .certificates import UBgECCert, as_state_certificate, cert_to_json, uvc_to_ubgec, verify
+from .certificates import UVCCert, as_state_certificate, cert_to_json, uvc_to_ubgec, verify
 from .converse import converse_pipeline
 from .errors import (
     ChoiceRejectedError,
@@ -33,14 +33,7 @@ from .errors import (
     StagecraftError,
 )
 from .library import BuiltinSystem, build_builtin
-from .oracle import (
-    DEFAULT_MAX_ITER,
-    FiniteSystem,
-    ValueTable,
-    discretize_scalar,
-    extract_ucc,
-    value_iterate,
-)
+from .oracle import FiniteSystem, ValueTable, discretize_scalar, extract_ucc, value_iterate
 from .synthesis import InteractionSpec, admit_interaction, certify_ucc, synthesize, to_ucc_cert
 from .system import StageCost, _fmt
 
@@ -48,6 +41,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+DEFAULT_HORIZON = 64
 
 
 def _load_config(path: str) -> dict:
@@ -63,42 +58,78 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _read(config: dict, *path: str, **convert) -> dict:
+    """The keys named in ``convert`` of the section at ``path``, converted.
+
+    Every section on the path must be a JSON object; an absent one reads
+    as empty.  Absent keys are left out of the result, so the callee's
+    own defaults apply to them.  A value its converter rejects raises
+    ConfigError naming the key.
+    """
+    spec = config
+    for depth, key in enumerate(path):
+        spec = spec.get(key, {})
+        if not isinstance(spec, dict):
+            raise ConfigError(f"config key {'.'.join(path[:depth + 1])!r} must be a JSON object")
+    out = {}
+    for key, converter in convert.items():
+        if key in spec:
+            try:
+                out[key] = converter(spec[key])
+            except (TypeError, ValueError) as exc:
+                name = ".".join(path + (key,))
+                raise ConfigError(
+                    f"bad value {spec[key]!r} for config key {name!r}: {exc}"
+                ) from None
+    return out
+
+
+def _grid(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
 def _build_system(config: dict):
     """Returns (BuiltinSystem or None, ControlSystem, FiniteSystem or None)."""
     spec = config.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'system' object")
     if "builtin" in spec:
-        builtin = build_builtin(spec["builtin"], spec.get("params"))
+        name = _read(config, "system", builtin=str)["builtin"]
+        builtin = build_builtin(name, spec.get("params"))
         return builtin, builtin.system, builtin.finite
     if "finite" in spec:
         finite = FiniteSystem.from_json(spec["finite"])
         return None, finite.to_control_system(), finite
     if "discretize" in spec:
-        inner = spec["discretize"]
-        builtin = build_builtin(inner["builtin"], inner.get("params"))
+        inner = _read(
+            config, "system", "discretize", builtin=str, state_grid=_grid, input_grid=_grid
+        )
+        missing = sorted({"builtin", "state_grid", "input_grid"} - inner.keys())
+        if missing:
+            raise ConfigError(f"system.discretize needs {', '.join(map(repr, missing))}")
+        builtin = build_builtin(inner["builtin"], spec["discretize"].get("params"))
         finite = discretize_scalar(
-            builtin.system.transition,
-            np.asarray(inner["state_grid"], dtype=float),
-            np.asarray(inner["input_grid"], dtype=float),
+            builtin.system.transition, inner["state_grid"], inner["input_grid"]
         )
         return None, finite.to_control_system(), finite
     raise ConfigError("system must name a 'builtin', 'finite', or 'discretize' source")
 
 
-def _builtin_certificate(
-    builtin: Optional[BuiltinSystem], config: dict, kind: Optional[str] = None
-) -> UBgECCert:
+# the certificates a builtin bundles, by the config's ``certificate.kind``
+_CERTIFICATES = {
+    "ubgec": lambda builtin: builtin.ubgec,
+    "uvc": lambda builtin: builtin.uvc,
+    "uac": lambda builtin: as_state_certificate(builtin.uvc),
+}
+
+
+def _certificate(builtin: Optional[BuiltinSystem], kind: str, kinds=tuple(_CERTIFICATES)):
     if builtin is None:
         raise ConfigError("this command needs a builtin system with bundled certificates")
-    if kind is None:
-        kind = config.get("certificate", {}).get("kind", "ubgec")
-    if kind == "ubgec":
-        return builtin.ubgec
-    if kind == "uvc":
-        decay = config.get("certificate", {}).get("decay", builtin.natural_decay)
-        return uvc_to_ubgec(builtin.uvc, decay=float(decay))
-    raise ConfigError(f"unsupported certificate kind {kind!r} here (use 'ubgec' or 'uvc')")
+    if kind not in kinds:
+        known = " or ".join(repr(k) for k in kinds)
+        raise ConfigError(f"unsupported certificate kind {kind!r} here (use {known})")
+    return _CERTIFICATES[kind](builtin)
 
 
 _CROSS_FORMS = {
@@ -107,28 +138,39 @@ _CROSS_FORMS = {
 }
 
 
-def _interaction_from_config(spec: dict) -> InteractionSpec:
-    form = spec.get("form", "zero")
+def _interaction(config: dict) -> InteractionSpec:
+    spec = _read(config, "interaction", form=str, scale=float, c_state=float, c_input=float,
+                 c_cross=float, gain=lambda g: None if g is None else fn_from_json(g))
+    form = spec.pop("form", "zero")
     if form not in _CROSS_FORMS:
         raise ConfigError(f"unknown interaction form {form!r}; known: {sorted(_CROSS_FORMS)}")
-    base = _CROSS_FORMS[form]
-    factor = float(spec.get("scale", 1.0))
-    gain = spec.get("gain")
-    return InteractionSpec(
-        cross=lambda s, r: factor * base(s, r),
-        c_state=float(spec.get("c_state", 0.0)),
-        c_input=float(spec.get("c_input", 0.0)),
-        c_cross=float(spec.get("c_cross", 0.0)),
-        gain=None if gain is None else fn_from_json(gain),
-    )
+    base, factor = _CROSS_FORMS[form], spec.pop("scale", 1.0)
+    return InteractionSpec(cross=lambda s, r: factor * base(s, r), **spec)
 
 
-def _draw_samples(builtin, sys, finite, config: dict, seed: int) -> list:
-    spec = config.get("samples", {})
-    count = int(spec.get("count", 16))
+def _synthesis(config: dict, builtin: Optional[BuiltinSystem], kind: str):
+    """Stage cost synthesized on the builtin's certificate ``kind`` from the
+    ``synthesis`` and ``interaction`` keys; returns (result, energy certificate)."""
+    cert = _certificate(builtin, kind, ("ubgec", "uvc"))
+    if isinstance(cert, UVCCert):
+        decay = _read(config, "certificate", decay=float).get("decay", builtin.natural_decay)
+        cert = uvc_to_ubgec(cert, decay=decay)
+    params = _read(config, "synthesis", decay=float, state_coeff=float, input_coeff=float,
+                   state_cost=fn_from_json, input_cost=fn_from_json, cost_bound_scale=float)
+    bound_scale = params.pop("cost_bound_scale", 1.0)
+    result = synthesize(cert, **{"decay": builtin.natural_decay, **params})
+    if bound_scale != 1.0:
+        result = dataclasses.replace(result, cost_bound=scale(bound_scale, result.cost_bound))
+    if "interaction" in config:
+        result = admit_interaction(_interaction(config), result, cert)
+    return result, cert
+
+
+def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
+    spec = _read(config, "samples", count=int, mode=str)
+    count, mode = spec.get("count", 16), spec.get("mode", "default")
     if count < 0:
         raise ConfigError(f"sample count must be nonnegative, got {count}")
-    mode = spec.get("mode", "default")
     if mode == "default":
         if builtin is not None:
             return builtin.samples(count)
@@ -151,19 +193,24 @@ def _draw_samples(builtin, sys, finite, config: dict, seed: int) -> list:
     raise ConfigError(f"unknown sample mode {mode!r}")
 
 
+def _replay(config: dict) -> dict:
+    """``horizon`` and ``slack`` of a run; the horizon has no library default."""
+    return {"horizon": DEFAULT_HORIZON, **_read(config, horizon=int, slack=float)}
+
+
+def _artifact(out_dir: str, name: str):
+    return open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="")
+
+
 def _write_json(payload: dict, out_dir: str, name: str) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fp:
+    with _artifact(out_dir, name) as fp:
         json.dump(payload, fp, indent=2, sort_keys=True)
         fp.write("\n")
 
 
-def _write_report(report, out_dir: str, name: str = "report.csv") -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fp:
-        report.to_csv(fp)
-
-
 def _finish(report, out_dir: str) -> int:
-    _write_report(report, out_dir)
+    with _artifact(out_dir, "report.csv") as fp:
+        report.to_csv(fp)
     if report.vacuous:
         print("warning: no inequalities were checked (empty sample set)", file=sys.stderr)
         print("PASS (vacuous)")
@@ -176,135 +223,65 @@ def _finish(report, out_dir: str) -> int:
 
 def cmd_synthesize(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
-    cert = _builtin_certificate(builtin, config)
-    params = config.get("synthesis", {})
-    decay = float(params.get("decay", builtin.natural_decay))
-    result = synthesize(
-        cert,
-        decay=decay,
-        state_coeff=float(params.get("state_coeff", 1.0)),
-        input_coeff=float(params.get("input_coeff", 1.0)),
-        state_cost=None
-        if "state_cost" not in params
-        else fn_from_json(params["state_cost"]),
-        input_cost=None
-        if "input_cost" not in params
-        else fn_from_json(params["input_cost"]),
-    )
-    bound_scale = float(params.get("cost_bound_scale", 1.0))
-    if bound_scale != 1.0:
-        result = dataclasses.replace(result, cost_bound=scale(bound_scale, result.cost_bound))
-    if "interaction" in config:
-        result = admit_interaction(_interaction_from_config(config["interaction"]), result, cert)
-    samples = _draw_samples(builtin, sys_, finite, config, seed)
-    report = certify_ucc(
-        result,
-        cert,
-        sys_,
-        samples,
-        horizon=int(config.get("horizon", 64)),
-        slack=float(config.get("slack", 1e-9)),
-    )
+    kind = _read(config, "certificate", kind=str).get("kind", "ubgec")
+    result, cert = _synthesis(config, builtin, kind)
+    samples = _draw_samples(builtin, finite, config, seed)
+    report = certify_ucc(result, cert, sys_, samples, **_replay(config))
     _write_json(result.to_json(), out_dir, "synthesis.json")
     return _finish(report, out_dir)
 
 
 def cmd_verify(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
-    kind = config.get("certificate", {}).get("kind", "ubgec")
-    if builtin is None:
-        raise ConfigError("verify needs a builtin system with bundled certificates")
-    if kind == "uvc":
-        cert = builtin.uvc
-    elif kind == "ubgec":
-        cert = builtin.ubgec
-    elif kind == "uac":
-        cert = as_state_certificate(builtin.uvc)
-    else:
-        raise ConfigError(f"unsupported certificate kind {kind!r}")
-    scale_factor = float(config.get("certificate", {}).get("state_bound_scale", 1.0))
+    spec = _read(config, "certificate", kind=str, state_bound_scale=float)
+    cert = _certificate(builtin, spec.get("kind", "ubgec"))
+    scale_factor = spec.get("state_bound_scale", 1.0)
     if scale_factor != 1.0:
         cert = dataclasses.replace(cert, state_bound=scale_kl(cert.state_bound, scale_factor))
-    samples = _draw_samples(builtin, sys_, finite, config, seed)
-    report = verify(
-        cert,
-        sys_,
-        samples,
-        horizon=int(config.get("horizon", 64)),
-        slack=float(config.get("slack", 1e-9)),
-    )
+    samples = _draw_samples(builtin, finite, config, seed)
+    report = verify(cert, sys_, samples, **_replay(config))
     _write_json(cert_to_json(cert), out_dir, "certificate.json")
     return _finish(report, out_dir)
 
 
 def _oracle_values(config: dict, finite: FiniteSystem) -> ValueTable:
     """Value iteration on ``finite`` under the config's ``oracle`` section."""
-    params = config.get("oracle", {})
-    cost_spec = params.get("stage_cost", {})
-    cost = StageCost(
-        state_cost=identity()
-        if "state_cost" not in cost_spec
-        else fn_from_json(cost_spec["state_cost"]),
-        input_cost=identity()
-        if "input_cost" not in cost_spec
-        else fn_from_json(cost_spec["input_cost"]),
-    )
-    return value_iterate(
-        finite,
-        cost,
-        tol=float(params.get("tol", 1e-10)),
-        max_iter=int(params.get("max_iter", DEFAULT_MAX_ITER)),
-    )
+    cost = _read(config, "oracle", "stage_cost", state_cost=fn_from_json, input_cost=fn_from_json)
+    stage_cost = StageCost(**{"state_cost": identity(), "input_cost": identity(), **cost})
+    return value_iterate(finite, stage_cost, **_read(config, "oracle", tol=float, max_iter=int))
 
 
-def _ucc_from_config(config: dict, builtin, sys_, finite):
-    spec = config.get("certificate", {})
+def _ucc_from_config(config: dict, builtin, finite):
+    spec = _read(config, "certificate", kind=str, base=str, forward_invariant=bool)
     kind = spec.get("kind", "synthesize")
     if kind == "oracle":
         if finite is None:
             raise ConfigError("oracle-built certificates need a finite system")
-        margin = float(config.get("oracle", {}).get("margin", 1.5))
-        return extract_ucc(_oracle_values(config, finite), finite, margin=margin)
+        margin = _read(config, "oracle", margin=float)
+        return extract_ucc(_oracle_values(config, finite), finite, **margin)
     if kind == "synthesize":
-        cert = _builtin_certificate(builtin, config, kind=spec.get("base", "ubgec"))
-        params = config.get("synthesis", {})
-        result = synthesize(
-            cert,
-            decay=float(params.get("decay", builtin.natural_decay)),
-            state_coeff=float(params.get("state_coeff", 1.0)),
-            input_coeff=float(params.get("input_coeff", 1.0)),
-        )
-        invariant = bool(spec.get("forward_invariant", True))
-        return to_ucc_cert(result, cert, forward_invariant=invariant)
+        result, cert = _synthesis(config, builtin, spec.get("base", "ubgec"))
+        return to_ucc_cert(result, cert, forward_invariant=spec.get("forward_invariant", True))
     raise ConfigError(f"unsupported certificate kind {kind!r} for converse")
 
 
 def cmd_converse(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
-    ucc = _ucc_from_config(config, builtin, sys_, finite)
-    samples = _draw_samples(builtin, sys_, finite, config, seed)
-    params = config.get("converse", {})
-    result = converse_pipeline(
-        ucc,
-        sys_,
-        samples,
-        horizon=int(config.get("horizon", 64)),
-        depth=int(params.get("depth", 16)),
-        nu_depth=int(params.get("nu_depth", 48)),
-        eps_tilde_factor=float(params.get("eps_tilde_factor", 0.5)),
-        slack=float(config.get("slack", 1e-9)),
-        policy_length=int(params.get("policy_length", 4096)),
-    )
+    ucc = _ucc_from_config(config, builtin, finite)
+    samples = _draw_samples(builtin, finite, config, seed)
+    params = _read(config, "converse", depth=int, nu_depth=int, eps_tilde_factor=float,
+                   policy_length=int)
+    result = converse_pipeline(ucc, sys_, samples, **_replay(config), **params)
     _write_json(result.to_json(), out_dir, "converse.json")
     bound = result.cert.state_bound
-    with open(os.path.join(out_dir, "beta_grid.csv"), "w", encoding="utf-8", newline="") as fp:
+    with _artifact(out_dir, "beta_grid.csv") as fp:
         header = "r," + ",".join(_fmt(t) for t in bound.t_grid)
         fp.write(header + "\r\n")
         for r, row in zip(bound.r_grid, bound.values):
             fp.write(_fmt(r) + "," + ",".join(_fmt(v) for v in row) + "\r\n")
-    with open(os.path.join(out_dir, "schedules.csv"), "w", encoding="utf-8", newline="") as fp:
+    with _artifact(out_dir, "schedules.csv") as fp:
         result.schedule_csv(fp)
-    with open(os.path.join(out_dir, "nu.csv"), "w", encoding="utf-8", newline="") as fp:
+    with _artifact(out_dir, "nu.csv") as fp:
         result.nu_csv(fp)
     return _finish(result.report, out_dir)
 
@@ -314,7 +291,7 @@ def cmd_oracle(config: dict, out_dir: str, seed: int) -> int:
     if finite is None:
         raise ConfigError("oracle runs need a finite or discretized system")
     table = _oracle_values(config, finite)
-    with open(os.path.join(out_dir, "value_table.csv"), "w", encoding="utf-8", newline="") as fp:
+    with _artifact(out_dir, "value_table.csv") as fp:
         table.to_csv(finite, fp)
     _write_json(
         {

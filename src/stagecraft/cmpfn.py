@@ -65,6 +65,8 @@ __all__ = [
     "inverse_of",
     "weak_triangle_split",
     "kl_decompose",
+    "kl_grid_violations",
+    "strict_table",
     "sample_kl",
     "scale_kl",
     "fn_from_json",

@@ -19,8 +19,10 @@ energy budget, using the stitched controls as its policy.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -281,15 +283,8 @@ class NuCurve:
             raise ParameterError(
                 f"target {eps:g} is at or below the schedule floor {self.floor:g}"
             )
-        descending = self.eps_levels
-        lo, hi = 0, len(descending)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if descending[mid] < eps:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.cum_horizons[lo]
+        # eps_levels descend: find the first level strictly below eps
+        return self.cum_horizons[bisect.bisect_right(self.eps_levels, -eps, key=operator.neg)]
 
     def value(self, eps: float) -> float:
         if eps / 2.0 <= self.floor:

@@ -7,6 +7,14 @@ plain verification failure is reported through the result object rather
 than an exception.
 """
 
+__all__ = [
+    "StagecraftError", "DomainError", "ParameterError", "ConfigError",
+    "MonotoneInputError", "InvariantViolation", "InversionError", "DecompositionError",
+    "KLValidityError", "SimulationError", "PolicyError", "ChoiceRejectedError",
+    "InteractionRejectedError", "NonContractionError", "BudgetError",
+    "CertificateInvalidError", "EnvelopeError",
+]
+
 
 class StagecraftError(Exception):
     """Base class for all toolkit errors."""

@@ -117,11 +117,17 @@ class FiniteSystem:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteSystem":
-        return FiniteSystem(
-            successor=np.asarray(obj["successor"], dtype=int),
-            state_measure=np.asarray(obj["state_measure"], dtype=float),
-            input_measure=np.asarray(obj["input_measure"], dtype=float),
-        )
+        try:
+            tables = {
+                key: np.asarray(obj[key], dtype=dtype)
+                for key, dtype in (("successor", int), ("state_measure", float),
+                                   ("input_measure", float))
+            }
+        except KeyError as exc:
+            raise ParameterError(f"finite system JSON needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed finite system JSON: {exc}") from None
+        return FiniteSystem(**tables)
 
 
 def _cost_table(fsys: FiniteSystem, cost: StageCost) -> np.ndarray:
@@ -212,8 +218,8 @@ class ValueTable:
     def to_csv(self, fsys: FiniteSystem, fp) -> None:
         fp.write("state,sigma,value,greedy\r\n")
         for x in range(fsys.num_states):
-            value = "inf" if np.isinf(self.values[x]) else _fmt(self.values[x])
-            fp.write(f"{x},{_fmt(fsys.state_measure[x])},{value},{int(self.greedy[x])}\r\n")
+            sigma, value = _fmt(fsys.state_measure[x]), _fmt(self.values[x])
+            fp.write(f"{x},{sigma},{value},{int(self.greedy[x])}\r\n")
 
 
 def value_iterate(

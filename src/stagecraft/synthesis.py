@@ -287,16 +287,22 @@ def _measure_grid(grid) -> np.ndarray:
 
 def _envelope_values(spec: InteractionSpec, inv_outer, energy, sig, rho) -> np.ndarray:
     """Declared envelope on the (sigma, rho) grid, shaped (len(sig), len(rho))."""
-    sig_part = spec.c_state * np.asarray(inv_outer.eval(sig), dtype=float)
+    inv_sig = np.asarray(inv_outer.eval(sig), dtype=float)
     rho_part = spec.c_input * np.asarray(energy.eval(rho), dtype=float)
-    total = sig_part[:, None] + rho_part[None, :]
+    total = (spec.c_state * inv_sig)[:, None] + rho_part[None, :]
     if spec.c_cross > 0:
-        total += (
-            spec.c_cross
-            * np.asarray(inv_outer.eval(sig), dtype=float)[:, None]
-            * np.asarray(spec.gain.eval(rho), dtype=float)[None, :]
-        )
+        gain = np.asarray(spec.gain.eval(rho), dtype=float)
+        total += spec.c_cross * inv_sig[:, None] * gain[None, :]
     return total
+
+
+def _reject_gap(gap, sig, rho, slack, envelope: str) -> None:
+    """Raise at the worst (sigma, rho) grid point if ``gap`` exceeds ``slack``."""
+    if np.max(gap) > slack:
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        raise InteractionRejectedError(
+            f"cross term breaks {envelope} at sigma={sig[i]:g}, rho={rho[j]:g} by {gap[i, j]:g}"
+        )
 
 
 def _check_regimes(spec, inv_outer, energy, grid, slack):
@@ -319,22 +325,10 @@ def _check_regimes(spec, inv_outer, energy, grid, slack):
                 np.asarray(spec.transient.state_rate.eval(sig[large]), dtype=float)[:, None]
                 + np.asarray(spec.transient.input_rate.eval(rho), dtype=float)[None, :]
             )
-            gap = cross[large] - bound
-            if np.max(gap) > slack:
-                i, j = np.unravel_index(np.argmax(gap), gap.shape)
-                raise InteractionRejectedError(
-                    f"cross term breaks the excursion envelope at "
-                    f"sigma={sig[large][i]:g}, rho={rho[j]:g} by {gap[i, j]:g}"
-                )
+            _reject_gap(cross[large] - bound, sig[large], rho, slack, "the excursion envelope")
     if np.any(small):
         bound = _envelope_values(spec, inv_outer, energy, sig[small], rho)
-        gap = cross[small] - bound
-        if np.max(gap) > slack:
-            i, j = np.unravel_index(np.argmax(gap), gap.shape)
-            raise InteractionRejectedError(
-                f"cross term breaks its declared envelope at "
-                f"sigma={sig[small][i]:g}, rho={rho[j]:g} by {gap[i, j]:g}"
-            )
+        _reject_gap(cross[small] - bound, sig[small], rho, slack, "its declared envelope")
 
 
 def _cross_product_term(spec: InteractionSpec, decomp: SeparableKL, cert: UBgECCert):

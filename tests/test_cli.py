@@ -124,6 +124,54 @@ class TestConfigErrors:
         rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    SCALAR = {"builtin": "scalar_linear"}
+    CHAIN_ORACLE = {"system": {"builtin": "finite_chain"}, "certificate": {"kind": "oracle"}}
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("verify", {"system": SCALAR, "certificate": "uvc"}),
+            ("verify", {"system": SCALAR, "samples": 5}),
+            ("verify", {"system": SCALAR, "horizon": "long"}),
+            ("synthesize", {"system": SCALAR, "synthesis": {"decay": "fast"}}),
+            ("converse", {**CHAIN_ORACLE, "converse": {"depth": None}}),
+            (
+                "oracle",
+                {"system": {"discretize": {"builtin": "saturating_scalar", "input_grid": [0.0]}}},
+            ),
+            ("oracle", {"system": {"finite": {"successor": [[0]], "input_measure": [0.0]}}}),
+            (
+                "converse",
+                {
+                    "system": SCALAR,
+                    "certificate": {"kind": "synthesize"},
+                    "interaction": {"scale": "big"},
+                },
+            ),
+        ],
+        ids=[
+            "certificate_not_object",
+            "samples_not_object",
+            "horizon_not_int",
+            "decay_not_float",
+            "depth_null",
+            "discretize_without_state_grid",
+            "finite_without_state_measure",
+            "converse_interaction_scale_not_float",
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload):
+        rc, _ = run(tmp_path, command, payload)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_bad_value_message_names_the_key(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "converse", {**self.CHAIN_ORACLE, "converse": {"nu_depth": "deep"}})
+        assert rc == 2
+        assert "'converse.nu_depth'" in capsys.readouterr().err
+
 
 class TestSynthesizeCommand:
     def test_default_synthesis_passes(self, tmp_path):
@@ -237,6 +285,32 @@ class TestConverseCommand:
         assert rc == 0
         payload = json.loads((out / "converse.json").read_text(encoding="utf-8"))
         assert payload["passed"] is True
+
+    SYNTHESIZED = {
+        "system": {"builtin": "scalar_linear", "params": {"a": 0.5}},
+        "certificate": {"kind": "synthesize"},
+        "samples": {"count": 4},
+        "horizon": 32,
+        "converse": {"depth": 8, "nu_depth": 12, "policy_length": 512},
+    }
+
+    def test_synthesized_certificate_honours_cost_bound_scale(self, tmp_path, capsys):
+        # the same keys make `synthesize` fail; the converse refuses the certificate
+        payload = {**self.SYNTHESIZED, "synthesis": {"cost_bound_scale": 0.001}}
+        rc, _ = run(tmp_path, "converse", payload)
+        assert rc == 2
+        assert "fails verification" in capsys.readouterr().err
+
+    def test_synthesized_certificate_honours_interaction(self, tmp_path, capsys):
+        interaction = {
+            "form": "product",
+            "scale": 0.5,
+            "c_cross": 1.0,
+            "gain": linear(1.0).to_json(),
+        }
+        rc, _ = run(tmp_path, "converse", {**self.SYNTHESIZED, "interaction": interaction})
+        assert rc == 2
+        assert "cross term" in capsys.readouterr().err
 
 
 class TestOracleCommand:

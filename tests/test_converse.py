@@ -284,6 +284,14 @@ class TestNuCurve:
         assert curve.count(0.75) == 142
         assert curve.count(0.4) == 333
 
+    def test_count_matches_a_linear_scan(self):
+        rng = np.random.default_rng(3)
+        levels = tuple(sorted(rng.uniform(0.01, 10.0, size=40), reverse=True))
+        curve = NuCurve(radius=1.0, eps_levels=levels, cum_horizons=tuple(range(1, 41)))
+        for eps in rng.uniform(levels[-1], 12.0, size=500).tolist() + list(levels[:-1]):
+            first_inside = next(i for i, level in enumerate(levels) if level < eps)
+            assert curve.count(eps) == curve.cum_horizons[first_inside]
+
     def test_count_below_floor_rejected(self):
         with pytest.raises(ParameterError, match="floor"):
             self.curve().count(1.0 / 3.0)

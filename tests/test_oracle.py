@@ -266,6 +266,22 @@ class TestFiniteSystem:
         assert np.array_equal(back.state_measure, fsys.state_measure)
         assert np.array_equal(back.input_measure, fsys.input_measure)
 
+    def test_json_without_a_table_is_a_parameter_error(self):
+        payload = countdown(3).to_json()
+        del payload["state_measure"]
+        with pytest.raises(ParameterError, match="'state_measure'"):
+            FiniteSystem.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], {"successor": [[0], [0, 1]], "state_measure": [0.0], "input_measure": [0.0]},
+         {"successor": [[0]], "state_measure": ["a"], "input_measure": [0.0]}],
+        ids=["not_an_object", "ragged_successor", "non_numeric_measure"],
+    )
+    def test_malformed_json_is_a_parameter_error(self, payload):
+        with pytest.raises(ParameterError, match="malformed finite system JSON"):
+            FiniteSystem.from_json(payload)
+
     def test_control_system_view(self):
         sys = countdown(4).to_control_system()
         assert sys.transition(3, 1) == 2

@@ -168,7 +168,7 @@ class TestInteractions:
     def test_undeclared_growth_rejected(self, damped):
         base = synthesize(damped.ubgec, decay=0.5)
         spec = InteractionSpec(cross=lambda s, r: s * s, c_state=1.0)
-        with pytest.raises(InteractionRejectedError):
+        with pytest.raises(InteractionRejectedError, match="its declared envelope at sigma="):
             admit_interaction(spec, base, damped.ubgec)
 
     def test_negative_cross_rejected(self, damped):
@@ -322,7 +322,7 @@ class TestTransientSplit:
                 radius=1.0, state_rate=identity(), input_rate=identity()
             ),
         )
-        with pytest.raises(InteractionRejectedError):
+        with pytest.raises(InteractionRejectedError, match="the excursion envelope at sigma="):
             transient_split(spec, simple.ubgec, decay=0.5)
 
     def test_needs_transient_data(self, simple):
