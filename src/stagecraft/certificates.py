@@ -7,14 +7,18 @@ energy, or a bound on the total trajectory cost.  ``verify`` replays
 the certified policy from sampled initial states and reports the
 worst violation margin of every inequality the certificate declares.
 
-Certificates are immutable and verification is pure.  Each decay
-bound is evaluated once per sample, over the whole horizon in one
-broadcast call.
+Certificates are immutable and verification is pure.  Each kind
+declares its own inequalities: its ``rows`` turn one replayed
+trajectory into one worst-margin row per inequality, and its
+``to_json`` records its fields.  Each decay bound is evaluated once per
+sample, over the whole horizon in one broadcast call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,7 +35,7 @@ from .cmpfn import (
     scale_kl,
 )
 from .errors import ParameterError, PolicyError
-from .system import ControlSystem, StageCost, _fmt, rollout, stage_costs
+from .system import ControlSystem, StageCost, _write_csv, rollout, stage_costs
 
 __all__ = [
     "PolicyOracle",
@@ -102,39 +106,80 @@ def _always(_x) -> bool:
     return True
 
 
+# the class each annotated certificate field must hold, and how to say so
+_FIELD_TYPES = {
+    "KLFn": (KLFn, "a KL decay bound"),
+    "NonnegFn": (NonnegFn, "a nonnegative function"),
+    "KInfFn": (KInfFn, "strictly increasing and unbounded"),
+    "StageCost": (StageCost, "a StageCost"),
+}
+
+
+class _Certificate:
+    """Checks, margin rows and JSON form shared by the certificate kinds.
+
+    Each kind is a frozen dataclass that names its JSON ``kind`` and
+    annotates its mathematical fields with the classes of
+    ``_FIELD_TYPES``; ``domain`` and ``policy`` are opaque callables.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in _FIELD_TYPES:
+                cls, what = _FIELD_TYPES[f.type]
+                if not isinstance(getattr(self, f.name), cls):
+                    raise ParameterError(f"{f.name} must be {what}")
+        if self.policy is None:
+            raise ParameterError("a certificate needs a policy oracle")
+
+    def rows(self, sys: ControlSystem, traj, sig: np.ndarray, sample: int):
+        """Worst margin of each declared inequality along one replayed
+        trajectory ``traj`` whose state measures are ``sig``."""
+        bound = self.state_bound.eval(float(sig[0]), np.arange(len(sig), dtype=float))
+        yield _worst_row(sample, "state_bound", sig, bound)
+
+    def to_json(self) -> dict:
+        """The fields plus policy metadata; ``domain`` is not recorded."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            if f.name not in ("domain", "policy"):
+                value = getattr(self, f.name)
+                out[f.name] = value if isinstance(value, bool) else value.to_json()
+        policy = self.policy
+        out["policy"] = {"length": policy.length, "tail": policy.tail, "ref": policy.ref}
+        return out
+
+
 @dataclass(frozen=True)
-class UACCert:
+class UACCert(_Certificate):
     """State decay certificate: sigma along the trajectory stays under a KL bound."""
 
+    kind = "uac"
     state_bound: KLFn
     domain: Callable[[Any], bool] = _always
     policy: PolicyOracle = None
 
-    def __post_init__(self):
-        if not isinstance(self.state_bound, KLFn):
-            raise ParameterError("state_bound must be a KL decay bound")
-        if self.policy is None:
-            raise ParameterError("a certificate needs a policy oracle")
-
 
 @dataclass(frozen=True)
-class UVCCert:
+class UVCCert(_Certificate):
     """State decay plus a matching KL decay bound on the control measure."""
 
+    kind = "uvc"
     state_bound: KLFn
     control_bound: KLFn
     domain: Callable[[Any], bool] = _always
     policy: PolicyOracle = None
 
-    def __post_init__(self):
-        if not isinstance(self.state_bound, KLFn) or not isinstance(self.control_bound, KLFn):
-            raise ParameterError("state_bound and control_bound must be KL decay bounds")
-        if self.policy is None:
-            raise ParameterError("a certificate needs a policy oracle")
+    def rows(self, sys, traj, sig, sample):
+        yield from super().rows(sys, traj, sig, sample)
+        if len(traj):
+            rho = np.array([sys.rho(u) for u in traj.inputs])
+            bound = self.control_bound.eval(float(sig[0]), np.arange(len(traj), dtype=float))
+            yield _worst_row(sample, "control_bound", rho, bound)
 
 
 @dataclass(frozen=True)
-class UBgECCert:
+class UBgECCert(_Certificate):
     """State decay plus a budget on accumulated control energy.
 
     ``energy`` prices each control through its measure; partial sums
@@ -144,30 +189,32 @@ class UBgECCert:
     guarantees; a merely nonnegative ``energy`` is accepted.
     """
 
+    kind = "ubgec"
     state_bound: KLFn
     energy: NonnegFn
     energy_budget: KInfFn
     domain: Callable[[Any], bool] = _always
     policy: PolicyOracle = None
 
-    def __post_init__(self):
-        if not isinstance(self.state_bound, KLFn):
-            raise ParameterError("state_bound must be a KL decay bound")
-        if not isinstance(self.energy, NonnegFn):
-            raise ParameterError("energy must be a nonnegative function")
-        if not isinstance(self.energy_budget, KInfFn):
-            raise ParameterError("energy_budget must be strictly increasing and unbounded")
-        if self.policy is None:
-            raise ParameterError("a certificate needs a policy oracle")
-
     @property
     def energy_unbounded(self) -> bool:
         """Whether the energy gauge is strictly increasing and unbounded."""
         return isinstance(self.energy, KInfFn)
 
+    def rows(self, sys, traj, sig, sample):
+        yield from super().rows(sys, traj, sig, sample)
+        if len(traj):
+            rho = np.array([sys.rho(u) for u in traj.inputs])
+            sums = np.cumsum(self.energy.eval(rho))
+            budget = np.full(len(traj), self.energy_budget.eval(float(sig[0])))
+            yield _worst_row(sample, "energy_budget", sums, budget, n0=1)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "energy_unbounded": self.energy_unbounded}
+
 
 @dataclass(frozen=True)
-class UCCCert:
+class UCCCert(_Certificate):
     """Total-cost certificate: every truncated cost stays under a bound.
 
     ``forward_invariant`` additionally asserts that certified
@@ -175,19 +222,24 @@ class UCCCert:
     construction requires.
     """
 
+    kind = "ucc"
     stage_cost: StageCost
     cost_bound: KInfFn
     domain: Callable[[Any], bool] = _always
     policy: PolicyOracle = None
     forward_invariant: bool = False
 
-    def __post_init__(self):
-        if not isinstance(self.stage_cost, StageCost):
-            raise ParameterError("stage_cost must be a StageCost")
-        if not isinstance(self.cost_bound, KInfFn):
-            raise ParameterError("cost_bound must be strictly increasing and unbounded")
-        if self.policy is None:
-            raise ParameterError("a certificate needs a policy oracle")
+    def rows(self, sys, traj, sig, sample):
+        if len(traj):
+            sums = np.cumsum(stage_costs(sys, self.stage_cost, traj))
+            bound = np.full(len(traj), self.cost_bound.eval(float(sig[0])))
+            yield _worst_row(sample, "total_cost", sums, bound, n0=1)
+        if self.forward_invariant:
+            inside = np.array([bool(self.domain(s)) for s in traj.states])
+            bad = np.flatnonzero(~inside)
+            n = int(bad[0]) if bad.size else 0
+            lhs = 1.0 if bad.size else 0.0
+            yield MarginRow(sample, "invariance", n, lhs, 0.0, lhs)
 
 
 Certificate = Union[UACCert, UVCCert, UBgECCert, UCCCert]
@@ -231,12 +283,8 @@ class VerificationReport:
         return max(self.rows, key=lambda row: row.margin)
 
     def to_csv(self, fp) -> None:
-        fp.write("sample,inequality,n,lhs,rhs,margin\r\n")
-        for row in self.rows:
-            fp.write(
-                f"{row.sample},{row.inequality},{row.n},"
-                f"{_fmt(row.lhs)},{_fmt(row.rhs)},{_fmt(row.margin)}\r\n"
-            )
+        header = [f.name for f in fields(MarginRow)]
+        _write_csv(fp, [header, *map(attrgetter(*header), self.rows)])
 
     def to_json(self) -> dict:
         return {
@@ -244,65 +292,22 @@ class VerificationReport:
             "horizon": self.horizon,
             "slack": self.slack,
             "passed": self.passed,
-            "rows": [
-                {
-                    "sample": row.sample,
-                    "inequality": row.inequality,
-                    "n": row.n,
-                    "lhs": row.lhs,
-                    "rhs": row.rhs,
-                    "margin": row.margin,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
 
-def _worst_row(sample: int, name: str, lhs, rhs, n0: int = 0) -> Optional[MarginRow]:
+def _worst_row(sample: int, name: str, lhs, rhs, n0: int = 0) -> MarginRow:
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    if lhs.size == 0:
-        return None
     margins = lhs - rhs
     k = int(np.argmax(margins))
     return MarginRow(sample, name, n0 + k, float(lhs[k]), float(rhs[k]), float(margins[k]))
 
 
 def _sample_rows(cert: Certificate, sys: ControlSystem, sample: int, x, horizon: int):
-    controls = cert.policy.controls(x, horizon)
-    traj = rollout(sys, x, controls)
+    traj = rollout(sys, x, cert.policy.controls(x, horizon))
     sig = np.array([sys.sigma(s) for s in traj.states])
-    r0 = float(sig[0])
-    rows = []
-
-    if isinstance(cert, (UACCert, UVCCert, UBgECCert)):
-        bound = cert.state_bound.eval(r0, np.arange(horizon + 1, dtype=float))
-        rows.append(_worst_row(sample, "state_bound", sig, bound))
-
-    if isinstance(cert, UVCCert) and horizon > 0:
-        rho = np.array([sys.rho(u) for u in traj.inputs])
-        bound = cert.control_bound.eval(r0, np.arange(horizon, dtype=float))
-        rows.append(_worst_row(sample, "control_bound", rho, bound))
-
-    if isinstance(cert, UBgECCert) and horizon > 0:
-        rho = np.array([sys.rho(u) for u in traj.inputs])
-        sums = np.cumsum(cert.energy.eval(rho))
-        budget = cert.energy_budget.eval(r0)
-        rows.append(_worst_row(sample, "energy_budget", sums, np.full(horizon, budget), n0=1))
-
-    if isinstance(cert, UCCCert):
-        if horizon > 0:
-            sums = np.cumsum(stage_costs(sys, cert.stage_cost, traj))
-            bound = cert.cost_bound.eval(r0)
-            rows.append(_worst_row(sample, "total_cost", sums, np.full(horizon, bound), n0=1))
-        if cert.forward_invariant:
-            inside = np.array([bool(cert.domain(s)) for s in traj.states])
-            bad = np.flatnonzero(~inside)
-            n = int(bad[0]) if bad.size else 0
-            lhs = 1.0 if bad.size else 0.0
-            rows.append(MarginRow(sample, "invariance", n, lhs, 0.0, lhs))
-
-    return [row for row in rows if row is not None]
+    return cert.rows(sys, traj, sig, sample)
 
 
 def verify(
@@ -320,8 +325,8 @@ def verify(
     """
     if horizon < 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
-    if slack < 0:
-        raise ParameterError(f"slack must be nonnegative, got {slack!r}")
+    if not 0.0 <= slack < math.inf:
+        raise ParameterError(f"slack must be finite and nonnegative, got {slack!r}")
     samples = list(samples)
     for x in samples:
         if not cert.domain(x):
@@ -400,44 +405,12 @@ def joint_bound_split(beta: KLFn, w1: float, w2: float) -> Tuple[KLFn, KLFn]:
 # ---------------------------------------------------------------------------
 
 
-def _policy_meta(policy: PolicyOracle) -> dict:
-    return {"length": policy.length, "tail": policy.tail, "ref": policy.ref}
-
-
 def cert_to_json(cert: Certificate) -> dict:
     """Serialize the mathematical content of a certificate.
 
     Policies and domain predicates are opaque callables; only their
     metadata is recorded.
     """
-    if isinstance(cert, UACCert):
-        return {
-            "kind": "uac",
-            "state_bound": cert.state_bound.to_json(),
-            "policy": _policy_meta(cert.policy),
-        }
-    if isinstance(cert, UVCCert):
-        return {
-            "kind": "uvc",
-            "state_bound": cert.state_bound.to_json(),
-            "control_bound": cert.control_bound.to_json(),
-            "policy": _policy_meta(cert.policy),
-        }
-    if isinstance(cert, UBgECCert):
-        return {
-            "kind": "ubgec",
-            "state_bound": cert.state_bound.to_json(),
-            "energy": cert.energy.to_json(),
-            "energy_budget": cert.energy_budget.to_json(),
-            "energy_unbounded": cert.energy_unbounded,
-            "policy": _policy_meta(cert.policy),
-        }
-    if isinstance(cert, UCCCert):
-        return {
-            "kind": "ucc",
-            "stage_cost": cert.stage_cost.to_json(),
-            "cost_bound": cert.cost_bound.to_json(),
-            "forward_invariant": cert.forward_invariant,
-            "policy": _policy_meta(cert.policy),
-        }
-    raise ParameterError(f"unknown certificate type {type(cert).__name__}")
+    if not isinstance(cert, _Certificate):
+        raise ParameterError(f"unknown certificate type {type(cert).__name__}")
+    return cert.to_json()

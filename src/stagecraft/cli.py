@@ -35,7 +35,7 @@ from .errors import (
 from .library import BuiltinSystem, build_builtin
 from .oracle import FiniteSystem, ValueTable, discretize_scalar, extract_ucc, value_iterate
 from .synthesis import InteractionSpec, admit_interaction, certify_ucc, synthesize, to_ucc_cert
-from .system import StageCost, _fmt
+from .system import StageCost, _write_csv
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -86,6 +86,19 @@ def _read(config: dict, *path: str, **convert) -> dict:
 
 def _grid(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
+
+
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError("expected an integer")
+
+
+def _boolean(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError("expected true or false")
+    return value
 
 
 def _build_system(config: dict):
@@ -167,7 +180,7 @@ def _synthesis(config: dict, builtin: Optional[BuiltinSystem], kind: str):
 
 
 def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
-    spec = _read(config, "samples", count=int, mode=str)
+    spec = _read(config, "samples", count=_integer, mode=str)
     count, mode = spec.get("count", 16), spec.get("mode", "default")
     if count < 0:
         raise ConfigError(f"sample count must be nonnegative, got {count}")
@@ -195,7 +208,7 @@ def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
 
 def _replay(config: dict) -> dict:
     """``horizon`` and ``slack`` of a run; the horizon has no library default."""
-    return {"horizon": DEFAULT_HORIZON, **_read(config, horizon=int, slack=float)}
+    return {"horizon": DEFAULT_HORIZON, **_read(config, horizon=_integer, slack=float)}
 
 
 def _artifact(out_dir: str, name: str):
@@ -248,11 +261,12 @@ def _oracle_values(config: dict, finite: FiniteSystem) -> ValueTable:
     """Value iteration on ``finite`` under the config's ``oracle`` section."""
     cost = _read(config, "oracle", "stage_cost", state_cost=fn_from_json, input_cost=fn_from_json)
     stage_cost = StageCost(**{"state_cost": identity(), "input_cost": identity(), **cost})
-    return value_iterate(finite, stage_cost, **_read(config, "oracle", tol=float, max_iter=int))
+    params = _read(config, "oracle", tol=float, max_iter=_integer)
+    return value_iterate(finite, stage_cost, **params)
 
 
 def _ucc_from_config(config: dict, builtin, finite):
-    spec = _read(config, "certificate", kind=str, base=str, forward_invariant=bool)
+    spec = _read(config, "certificate", kind=str, base=str, forward_invariant=_boolean)
     kind = spec.get("kind", "synthesize")
     if kind == "oracle":
         if finite is None:
@@ -269,16 +283,14 @@ def cmd_converse(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
     ucc = _ucc_from_config(config, builtin, finite)
     samples = _draw_samples(builtin, finite, config, seed)
-    params = _read(config, "converse", depth=int, nu_depth=int, eps_tilde_factor=float,
-                   policy_length=int)
+    params = _read(config, "converse", depth=_integer, nu_depth=_integer,
+                   eps_tilde_factor=float, policy_length=_integer)
     result = converse_pipeline(ucc, sys_, samples, **_replay(config), **params)
     _write_json(result.to_json(), out_dir, "converse.json")
     bound = result.cert.state_bound
     with _artifact(out_dir, "beta_grid.csv") as fp:
-        header = "r," + ",".join(_fmt(t) for t in bound.t_grid)
-        fp.write(header + "\r\n")
-        for r, row in zip(bound.r_grid, bound.values):
-            fp.write(_fmt(r) + "," + ",".join(_fmt(v) for v in row) + "\r\n")
+        rows = ([r, *row] for r, row in zip(bound.r_grid.tolist(), bound.values.tolist()))
+        _write_csv(fp, [["r", *bound.t_grid.tolist()], *rows])
     with _artifact(out_dir, "schedules.csv") as fp:
         result.schedule_csv(fp)
     with _artifact(out_dir, "nu.csv") as fp:

@@ -40,7 +40,7 @@ from .certificates import (
 )
 from .errors import BudgetError, CertificateInvalidError, ParameterError
 from .system import ControlSystem, StageCost, rollout, total_cost
-from .system import _fmt
+from .system import _write_csv
 
 __all__ = [
     "DEFAULT_STEP_CAP",
@@ -583,22 +583,22 @@ class ConverseResult:
         }
 
     def schedule_csv(self, fp) -> None:
-        fp.write("radius,round,eps_level,eps_target,round_horizon,cum_horizon\r\n")
-        for schedule in self.build.schedules:
-            for m in range(schedule.depth):
-                fp.write(
-                    f"{_fmt(schedule.radius)},{m + 1},{_fmt(schedule.eps_levels[m])},"
-                    f"{_fmt(schedule.eps_targets[m])},{schedule.round_horizons[m]},"
-                    f"{schedule.cum_horizons[m]}\r\n"
-                )
+        rows = [
+            (s.radius, m + 1, s.eps_levels[m], s.eps_targets[m], s.round_horizons[m],
+             s.cum_horizons[m])
+            for s in self.build.schedules
+            for m in range(s.depth)
+        ]
+        header = ("radius", "round", "eps_level", "eps_target", "round_horizon", "cum_horizon")
+        _write_csv(fp, [header, *rows])
 
     def nu_csv(self, fp, points: int = 9) -> None:
-        fp.write("radius,eps,nu\r\n")
+        rows = []
         for curve in self.build.curves:
             lo = 2.0 * curve.floor * 1.05
-            sweep = np.geomspace(lo, max(4.0, 4.0 * lo), points)
-            for eps in sweep:
-                fp.write(f"{_fmt(curve.radius)},{_fmt(eps)},{_fmt(curve.value(eps))}\r\n")
+            for eps in np.geomspace(lo, max(4.0, 4.0 * lo), points):
+                rows.append((curve.radius, eps, curve.value(eps)))
+        _write_csv(fp, [("radius", "eps", "nu"), *rows])
 
 
 def converse_pipeline(

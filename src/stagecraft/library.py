@@ -251,5 +251,5 @@ def build_builtin(name: str, params: Optional[dict] = None) -> BuiltinSystem:
         raise ParameterError(f"unknown builtin {name!r}; known: {known}")
     try:
         return factory(**(params or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad parameters for builtin {name!r}: {exc}") from None

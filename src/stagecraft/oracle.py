@@ -32,7 +32,7 @@ import numpy as np
 from .cmpfn import _max_per_x, identity, strict_table
 from .certificates import TAIL_REPEAT, PolicyOracle, UCCCert
 from .errors import EnvelopeError, ParameterError
-from .system import ControlSystem, StageCost, _fmt
+from .system import ControlSystem, StageCost, _write_csv
 
 __all__ = [
     "FiniteSystem",
@@ -216,10 +216,9 @@ class ValueTable:
     cost: StageCost
 
     def to_csv(self, fsys: FiniteSystem, fp) -> None:
-        fp.write("state,sigma,value,greedy\r\n")
-        for x in range(fsys.num_states):
-            sigma, value = _fmt(fsys.state_measure[x]), _fmt(self.values[x])
-            fp.write(f"{x},{sigma},{value},{int(self.greedy[x])}\r\n")
+        rows = zip(range(fsys.num_states), fsys.state_measure.tolist(), self.values.tolist(),
+                   self.greedy.tolist())
+        _write_csv(fp, [("state", "sigma", "value", "greedy"), *rows])
 
 
 def value_iterate(

@@ -15,7 +15,6 @@ a tolerance; the estimate reports whether that happened.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -41,9 +40,15 @@ INFINITY_HORIZON = 2048
 TAIL_TOL = 1e-10
 
 
-def _fmt(v):
-    """17 significant digits, enough to round-trip a double."""
-    return f"{float(v):.17g}"
+def _write_csv(fp, rows) -> None:
+    """Write each row as one CSV line ending in CRLF.
+
+    Floats, numpy floats included, take 17 significant digits, enough to
+    round-trip a double; any other value is written with ``str``.
+    """
+    for row in rows:
+        cells = ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        fp.write(",".join(cells) + "\r\n")
 
 
 def _isfinite_state(x):
@@ -246,8 +251,6 @@ def write_trajectory_csv(sys: ControlSystem, cost: Optional[StageCost], traj: Tr
     """
     sigma, rho = _measures(sys, traj)
     costs = np.zeros(len(traj)) if cost is None else cost.of_measures(sigma, rho)
-    rows = zip(sigma.tolist(), rho.tolist(), costs.tolist(), np.cumsum(costs).tolist())
-    writer = csv.writer(fp)
-    writer.writerow(["n", "sigma", "rho", "stage_cost", "cumulative_cost"])
-    for k, row in enumerate(rows):
-        writer.writerow([str(k), *map(_fmt, row)])
+    rows = zip(range(len(traj)), sigma.tolist(), rho.tolist(), costs.tolist(),
+               np.cumsum(costs).tolist())
+    _write_csv(fp, [("n", "sigma", "rho", "stage_cost", "cumulative_cost"), *rows])

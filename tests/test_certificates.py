@@ -1,5 +1,7 @@
 import io
+import json
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from stagecraft import (
     PolicyOracle,
     SampledKL,
     SeparableKL,
+    StageCost,
     UACCert,
     UBgECCert,
     UCCCert,
@@ -109,6 +112,19 @@ class TestConstruction:
         )
         assert not capped.energy_unbounded
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: UVCCert(geometric_bound(), identity(), policy=zero_policy()), "control_bound"),
+            (lambda: UBgECCert(geometric_bound(), "x", linear(2.0), policy=zero_policy()), "energy"),
+            (lambda: UCCCert(identity(), linear(2.0), policy=zero_policy()), "stage_cost"),
+        ],
+        ids=["uvc", "ubgec", "ucc"],
+    )
+    def test_field_error_names_the_one_bad_field(self, make, field):
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
+            make()
+
 
 class TestVerifyStateBound:
     def test_exact_bound_passes_with_zero_margin(self):
@@ -147,6 +163,9 @@ class TestVerifyStateBound:
             verify(cert, scalar_system(), [1.0], horizon=-1)
         with pytest.raises(ParameterError):
             verify(cert, scalar_system(), [1.0], horizon=4, slack=-1e-9)
+        for slack in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="slack must be finite"):
+                verify(cert, scalar_system(), [1.0], horizon=4, slack=slack)
 
     def test_empty_samples_is_vacuous_pass(self):
         cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
@@ -318,6 +337,169 @@ class TestReports:
         assert cert_to_json(b.ubgec)["kind"] == "ubgec"
         assert cert_to_json(as_state_certificate(b.uvc))["kind"] == "uac"
         assert isinstance(cert_to_json(b.ubgec)["energy_budget"], dict)
+
+
+# ---------------------------------------------------------------------------
+# each kind's JSON form and margin rows, pinned
+# ---------------------------------------------------------------------------
+
+
+def kind_certs():
+    """One certificate of each kind on ``scalar_system()``."""
+    policy = PolicyOracle(prefix=lambda x: [-0.25 * x, 0.1 * x], length=2, ref="two-step")
+    tight = SeparableKL(outer=identity(), decay=0.4, inner=linear(1.1))
+    return {
+        "uac": UACCert(state_bound=tight, policy=policy),
+        "uvc": UVCCert(
+            state_bound=tight,
+            control_bound=SeparableKL(outer=power(2.0), decay=0.6, inner=linear(3.0)),
+            policy=policy,
+        ),
+        "ubgec": UBgECCert(
+            state_bound=tight, energy=identity(), energy_budget=linear(2.0), policy=policy
+        ),
+        # the push policy takes sample -1.2 to -1.8, out of the domain at step 1
+        "ucc": UCCCert(
+            stage_cost=StageCost(state_cost=identity(), input_cost=power(2.0)),
+            cost_bound=linear(4.0),
+            domain=lambda x: abs(x) <= 1.5,
+            policy=PolicyOracle(prefix=lambda x: [x], length=1, ref="push"),
+            forward_invariant=True,
+        ),
+    }
+
+
+TIGHT_ROWS = {
+    3: [
+        (0, "state_bound", 2, 0.225, 0.17600000000000002, 0.04899999999999999),
+        (1, "state_bound", 2, 0.27, 0.21120000000000003, 0.05879999999999999),
+        (2, "state_bound", 0, 0.0, 0.0, 0.0),
+    ],
+    0: [
+        (0, "state_bound", 0, 1.0, 1.1, -0.10000000000000009),
+        (1, "state_bound", 0, 1.2, 1.32, -0.1200000000000001),
+        (2, "state_bound", 0, 0.0, 0.0, 0.0),
+    ],
+}
+
+
+def kinf(expr):
+    return {"expr": expr, "kind": "kinf"}
+
+
+TIGHT_BOUND = {
+    "decay": 0.4,
+    "inner": kinf({"c": 1.1, "op": "linear"}),
+    "kind": "kl.separable",
+    "outer": kinf({"op": "identity"}),
+}
+TWO_STEP = {"length": 2, "ref": "two-step", "tail": "zero"}
+
+# compared as JSON text, so true is not 1 and 2.0 is not 2
+PINNED_JSON = {
+    "uac": {"kind": "uac", "policy": TWO_STEP, "state_bound": TIGHT_BOUND},
+    "uvc": {
+        "control_bound": {
+            "decay": 0.6,
+            "inner": kinf({"c": 3.0, "op": "linear"}),
+            "kind": "kl.separable",
+            "outer": kinf({"op": "power", "p": 2.0}),
+        },
+        "kind": "uvc",
+        "policy": TWO_STEP,
+        "state_bound": TIGHT_BOUND,
+    },
+    "ubgec": {
+        "energy": kinf({"op": "identity"}),
+        "energy_budget": kinf({"c": 2.0, "op": "linear"}),
+        "energy_unbounded": True,
+        "kind": "ubgec",
+        "policy": TWO_STEP,
+        "state_bound": TIGHT_BOUND,
+    },
+    "ucc": {
+        "cost_bound": kinf({"c": 4.0, "op": "linear"}),
+        "forward_invariant": True,
+        "kind": "ucc",
+        "policy": {"length": 1, "ref": "push", "tail": "zero"},
+        "stage_cost": {
+            "has_cross": False,
+            "input_cost": kinf({"op": "power", "p": 2.0}),
+            "kind": "stage_cost",
+            "state_cost": kinf({"op": "identity"}),
+        },
+    },
+}
+
+PINNED_ROWS = {
+    "uac": TIGHT_ROWS,
+    "uvc": {
+        3: [
+            TIGHT_ROWS[3][0],
+            (0, "control_bound", 2, 0.0, 1.1664, -1.1664),
+            TIGHT_ROWS[3][1],
+            (1, "control_bound", 2, 0.0, 1.6796159999999996, -1.6796159999999996),
+            TIGHT_ROWS[3][2],
+            (2, "control_bound", 0, 0.0, 0.0, 0.0),
+        ],
+        0: TIGHT_ROWS[0],
+    },
+    "ubgec": {
+        3: [
+            TIGHT_ROWS[3][0],
+            (0, "energy_budget", 2, 0.35, 2.0, -1.65),
+            TIGHT_ROWS[3][1],
+            (1, "energy_budget", 2, 0.42, 2.4, -1.98),
+            TIGHT_ROWS[3][2],
+            (2, "energy_budget", 1, 0.0, 0.0, 0.0),
+        ],
+        0: TIGHT_ROWS[0],
+    },
+    "ucc": {
+        3: [
+            (0, "total_cost", 3, 4.25, 4.0, 0.25),
+            (0, "invariance", 0, 0.0, 0.0, 0.0),
+            (1, "total_cost", 3, 5.34, 4.8, 0.54),
+            (1, "invariance", 1, 1.0, 0.0, 1.0),
+            (2, "total_cost", 1, 0.0, 0.0, 0.0),
+            (2, "invariance", 0, 0.0, 0.0, 0.0),
+        ],
+        0: [(i, "invariance", 0, 0.0, 0.0, 0.0) for i in range(3)],
+    },
+}
+
+
+class TestKindForms:
+    @pytest.mark.parametrize("kind", sorted(PINNED_JSON))
+    def test_cert_to_json_is_pinned(self, kind):
+        obj = cert_to_json(kind_certs()[kind])
+        assert json.dumps(obj, sort_keys=True) == json.dumps(PINNED_JSON[kind], sort_keys=True)
+
+    def test_builtin_energy_certificate_json_is_pinned(self):
+        obj = cert_to_json(build_builtin("scalar_linear", None).ubgec)
+        assert json.dumps(obj, sort_keys=True) == (
+            '{"energy": {"expr": {"inner": {"op": "identity"}, "op": "inverse_of"}, '
+            '"kind": "kinf"}, "energy_budget": {"expr": {"c": 2.0, "inner": {"op": "identity"}, '
+            '"op": "scale"}, "kind": "kinf"}, "energy_unbounded": true, "kind": "ubgec", '
+            '"policy": {"length": 0, "ref": "zero", "tail": "zero"}, "state_bound": '
+            '{"decay": 0.5, "inner": {"expr": {"op": "identity"}, "kind": "kinf"}, '
+            '"kind": "kl.separable", "outer": {"expr": {"op": "identity"}, "kind": "kinf"}}}'
+        )
+
+    def test_cert_to_json_rejects_other_objects(self):
+        with pytest.raises(ParameterError, match="unknown certificate type"):
+            cert_to_json(geometric_bound())
+
+    @pytest.mark.parametrize("horizon", [3, 0])
+    @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))
+    def test_rows_are_pinned_in_order(self, kind, horizon):
+        report = verify(kind_certs()[kind], scalar_system(), [1.0, -1.2, 0.0], horizon=horizon)
+        assert [astuple(row) for row in report.rows] == PINNED_ROWS[kind][horizon]
+        keys = ("sample", "inequality", "n", "lhs", "rhs", "margin")
+        rows = report.to_json()["rows"]
+        assert [list(row.items()) for row in rows] == [
+            list(zip(keys, row)) for row in PINNED_ROWS[kind][horizon]
+        ]
 
 
 # ---------------------------------------------------------------------------

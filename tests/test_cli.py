@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -128,18 +129,23 @@ class TestConfigErrors:
     CHAIN_ORACLE = {"system": {"builtin": "finite_chain"}, "certificate": {"kind": "oracle"}}
 
     @pytest.mark.parametrize(
-        "command, payload",
+        "command, payload, needle",
         [
-            ("verify", {"system": SCALAR, "certificate": "uvc"}),
-            ("verify", {"system": SCALAR, "samples": 5}),
-            ("verify", {"system": SCALAR, "horizon": "long"}),
-            ("synthesize", {"system": SCALAR, "synthesis": {"decay": "fast"}}),
-            ("converse", {**CHAIN_ORACLE, "converse": {"depth": None}}),
+            ("verify", {"system": SCALAR, "certificate": "uvc"}, "'certificate'"),
+            ("verify", {"system": SCALAR, "samples": 5}, "'samples'"),
+            ("verify", {"system": SCALAR, "horizon": "long"}, "'horizon'"),
+            ("synthesize", {"system": SCALAR, "synthesis": {"decay": "fast"}}, "'synthesis.decay'"),
+            ("converse", {**CHAIN_ORACLE, "converse": {"depth": None}}, "'converse.depth'"),
             (
                 "oracle",
                 {"system": {"discretize": {"builtin": "saturating_scalar", "input_grid": [0.0]}}},
+                "'state_grid'",
             ),
-            ("oracle", {"system": {"finite": {"successor": [[0]], "input_measure": [0.0]}}}),
+            (
+                "oracle",
+                {"system": {"finite": {"successor": [[0]], "input_measure": [0.0]}}},
+                "'state_measure'",
+            ),
             (
                 "converse",
                 {
@@ -147,7 +153,30 @@ class TestConfigErrors:
                     "certificate": {"kind": "synthesize"},
                     "interaction": {"scale": "big"},
                 },
+                "'interaction.scale'",
             ),
+            (
+                "verify",
+                {"system": SCALAR, "certificate": {"state_bound_scale": 0.01}, "slack": math.inf},
+                "slack must be finite",
+            ),
+            (
+                "verify",
+                {"system": SCALAR, "certificate": {"state_bound_scale": 0.01}, "slack": math.nan},
+                "slack must be finite",
+            ),
+            (
+                "converse",
+                {"system": SCALAR, "certificate": {"forward_invariant": "false"}},
+                "'certificate.forward_invariant'",
+            ),
+            ("verify", {"system": SCALAR, "horizon": 2.7}, "'horizon'"),
+            ("verify", {"system": SCALAR, "horizon": math.inf}, "'horizon'"),
+            ("verify", {"system": SCALAR, "samples": {"count": True}}, "'samples.count'"),
+            ("converse", {**CHAIN_ORACLE, "converse": {"policy_length": "64"}},
+             "'converse.policy_length'"),
+            ("oracle", {**CHAIN_ORACLE, "oracle": {"max_iter": 1e400}}, "'oracle.max_iter'"),
+            ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'scalar_linear'"),
         ],
         ids=[
             "certificate_not_object",
@@ -158,14 +187,33 @@ class TestConfigErrors:
             "discretize_without_state_grid",
             "finite_without_state_measure",
             "converse_interaction_scale_not_float",
+            "slack_infinite",
+            "slack_nan",
+            "forward_invariant_string",
+            "horizon_fractional",
+            "horizon_infinite",
+            "count_bool",
+            "policy_length_string",
+            "max_iter_infinite",
+            "builtin_param_not_float",
         ],
     )
-    def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload):
+    def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload, needle):
         rc, _ = run(tmp_path, command, payload)
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+        assert needle in err
         assert "Traceback" not in err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        payload = {"system": self.SCALAR, "samples": {"count": 3}, "horizon": 8}
+        rc, out = run(tmp_path, "verify", payload)
+        assert rc == 0
+        payload = {"system": self.SCALAR, "samples": {"count": 3.0}, "horizon": 8.0}
+        rc, again = run(tmp_path, "verify", payload, outname="again")
+        assert rc == 0
+        assert (again / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
     def test_bad_value_message_names_the_key(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "converse", {**self.CHAIN_ORACLE, "converse": {"nu_depth": "deep"}})

@@ -1,7 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
     ControlSystem,
@@ -18,6 +20,7 @@ from stagecraft import (
     total_cost_limit,
     write_trajectory_csv,
 )
+from stagecraft.system import _write_csv
 
 
 def scalar_system(a=0.5):
@@ -183,6 +186,22 @@ class TestTotals:
 
 
 class TestCsv:
+    def test_write_csv_formats_each_type(self):
+        buf = io.StringIO(newline="")
+        row = (1.5, np.float64(0.1), np.float32(0.1), math.inf, -math.inf, math.nan, -0.0, 1e22,
+               7, np.int64(8), "s")
+        _write_csv(buf, [("a", "b"), row])
+        assert buf.getvalue() == (
+            "a,b\r\n1.5,0.10000000000000001,0.10000000149011612,inf,-inf,nan,-0,1e+22,7,8,s\r\n"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_write_csv_float_is_the_format_spec(self, x):
+        buf = io.StringIO(newline="")
+        _write_csv(buf, [(x, np.float64(x))])
+        assert buf.getvalue() == f"{x:.17g},{x:.17g}\r\n"
+
     def test_csv_layout_and_crlf(self):
         sys = scalar_system()
         traj = rollout(sys, 1.0, [0.0, 0.0])
