@@ -63,11 +63,9 @@ __all__ = [
     "combine",
     "pointwise_min",
     "inverse_of",
-    "weak_triangle_split",
     "kl_decompose",
     "kl_grid_violations",
     "strict_table",
-    "sample_kl",
     "scale_kl",
     "fn_from_json",
     "kl_from_json",
@@ -535,13 +533,6 @@ def combine(f, g, mode, c1=1.0, c2=1.0):
     return _wrap(_NODES[mode](left, right), f, g, positive_definite=pd)
 
 
-def weak_triangle_split(alpha, a, b):
-    """Split alpha(a + b) into the dominating pair (alpha(2a), alpha(2b))."""
-    if a < 0 or b < 0:
-        raise DomainError("split arguments must be nonnegative")
-    return alpha.eval(2.0 * a), alpha.eval(2.0 * b)
-
-
 def _max_per_x(xs, ys):
     """Distinct abscissae in increasing order, each with its largest ordinate."""
     order = np.argsort(xs, kind="stable")
@@ -659,7 +650,8 @@ class SampledKL(KLFn):
 
     Values are linearly interpolated in ``r`` (anchored at the origin
     and continued with the last slope above the grid) and in ``t``
-    within the grid; past the last time column every row decays
+    within the grid, which starts at ``t = 0`` so every query time is
+    covered; past the last time column every row decays
     geometrically with one common ratio, the largest ratio of a row's
     final two columns, so rows stay strictly increasing in ``r``.
     """
@@ -678,8 +670,8 @@ class SampledKL(KLFn):
             raise KLValidityError("grids need at least two points per axis")
         if np.any(r < 0) or np.any(np.diff(r) <= 0):
             raise KLValidityError("r grid must be nonnegative and strictly increasing")
-        if np.any(t < 0) or np.any(np.diff(t) <= 0):
-            raise KLValidityError("t grid must be nonnegative and strictly increasing")
+        if t[0] != 0.0 or not np.all(np.diff(t) > 0):
+            raise KLValidityError("t grid must start at 0 and strictly increase")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise KLValidityError("values must be finite and nonnegative")
         dr = np.diff(v, axis=0)
@@ -764,14 +756,6 @@ def kl_from_json(obj):
             values=np.asarray(obj["values"], dtype=float),
         )
     raise ParameterError(f"unknown decay-bound kind {kind!r}")
-
-
-def sample_kl(fn, r_grid=None, t_grid=None):
-    """Tabulate a callable (r, t) -> value into a validated SampledKL."""
-    r_grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    vals = np.array([[float(fn(r, t)) for t in t_grid] for r in r_grid])
-    return SampledKL(r_grid=r_grid, t_grid=t_grid, values=vals)
 
 
 def scale_kl(beta, c):

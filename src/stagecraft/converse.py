@@ -12,9 +12,8 @@ gauge plus an input gauge, it derives
 * a sampled decay bound on the state measure assembled from the
   schedule's settling times.
 
-The stitched controls price their own energy through the input
-gauge, so the output certifies a state decay bound together with an
-energy budget, using the stitched controls as its policy.
+The output certifies that decay bound together with an energy budget
+on the input gauge, using the stitched controls as its policy.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cmpfn import KInfFn, NonnegFn, SampledKL, combine, compose, inverse_of
+from .cmpfn import DEFAULT_T_GRID, KInfFn, NonnegFn, SampledKL, combine, compose, inverse_of
 from .certificates import (
     DEFAULT_SLACK,
     TAIL_ZERO,
@@ -39,7 +38,7 @@ from .certificates import (
     verify,
 )
 from .errors import BudgetError, CertificateInvalidError, ParameterError
-from .system import ControlSystem, StageCost, rollout, total_cost
+from .system import ControlSystem, rollout
 from .system import _write_csv
 
 __all__ = [
@@ -146,7 +145,6 @@ class StitchResult:
     switch_step: Optional[int]
     horizon: int
     threshold: float
-    cost: float
     bound: float
 
 
@@ -157,7 +155,6 @@ def stitch_controls(
     eps: float,
     radius: Optional[float] = None,
     eps_tilde_factor: float = 0.5,
-    step_cap: int = DEFAULT_STEP_CAP,
     length: Optional[int] = None,
 ) -> StitchResult:
     """Follow the certified policy until it dips below the target threshold,
@@ -168,7 +165,7 @@ def stitch_controls(
     explicit ``length`` the returned prefix is truncated, and a scan
     window cut short by the truncation is not an error.
     """
-    settler = _Settler(ucc, eps_tilde_factor, step_cap)
+    settler = _Settler(ucc, eps_tilde_factor)
     start, big_r = _within(sys, x, radius)
     threshold = settler.threshold(eps)
     horizon = settler.settle(big_r, eps, threshold) if big_r > 0 else 1
@@ -176,13 +173,11 @@ def stitch_controls(
     if out_len < 0:
         raise ParameterError(f"length must be nonnegative, got {length!r}")
     stitched, switch = settler.scan(sys, x, threshold, horizon, out_len)
-    traj = rollout(sys, x, stitched)
     return StitchResult(
         controls=tuple(stitched),
         switch_step=switch,
         horizon=horizon,
         threshold=threshold,
-        cost=total_cost(sys, ucc.stage_cost, traj),
         bound=settler.relay.eval(start),
     )
 
@@ -238,8 +233,6 @@ def stitched_policy(
     depth: int = DEFAULT_DEPTH,
     eps_tilde_factor: float = 0.5,
     length: int = DEFAULT_POLICY_LENGTH,
-    step_cap: int = DEFAULT_STEP_CAP,
-    zero_input=0.0,
 ) -> PolicyOracle:
     """Concatenate stitched prefixes through the settling schedule.
 
@@ -248,7 +241,7 @@ def stitched_policy(
     capped at ``length`` controls and states with zero measure fall
     back to the certificate's own policy.
     """
-    return _Settler(ucc, eps_tilde_factor, step_cap).policy(sys, depth, length, zero_input)
+    return _Settler(ucc, eps_tilde_factor).policy(sys, depth, length)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +341,7 @@ class _Settler:
     redo each sample radius's inversions for every verified sample.
     """
 
-    def __init__(self, ucc: UCCCert, eps_tilde_factor: float, step_cap: int):
+    def __init__(self, ucc: UCCCert, eps_tilde_factor: float, step_cap: int = DEFAULT_STEP_CAP):
         if not 0.0 < eps_tilde_factor < 1.0:
             raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
         self.ucc = ucc
@@ -464,7 +457,7 @@ class _Settler:
             )
         return list(lead[:length]), None
 
-    def policy(self, sys: ControlSystem, depth: int, length: int, zero_input) -> PolicyOracle:
+    def policy(self, sys: ControlSystem, depth: int, length: int) -> PolicyOracle:
         """``stitched_policy``; sample radii reuse the schedules of ``assemble``.
 
         With the default ``1/m`` levels a schedule of depth ``d`` is
@@ -496,16 +489,13 @@ class _Settler:
                 controls.extend(self.ucc.policy.controls(state, length - len(controls)))
             return controls[:length]
 
-        return PolicyOracle(
-            prefix=prefix, length=length, tail=TAIL_ZERO, zero_input=zero_input, ref="stitched"
-        )
+        return PolicyOracle(prefix=prefix, length=length, tail=TAIL_ZERO, ref="stitched")
 
-    def assemble(self, r_values: Sequence[float], t_grid, depth: int) -> StateBoundBuild:
+    def assemble(self, r_values: Sequence[float], depth: int) -> StateBoundBuild:
         """``assemble_state_bound``; keeps the schedules for ``policy``."""
         radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
         if radii.size < 2 or np.any(radii <= 0):
             raise ParameterError("need at least two distinct positive radii")
-        t_grid = np.arange(65, dtype=float) if t_grid is None else np.asarray(t_grid, dtype=float)
 
         built, curves, rows = {}, [], []
         for radius in radii:
@@ -517,7 +507,7 @@ class _Settler:
             )
             ceiling = self.excursion.eval(radius)
             row = []
-            for t in t_grid:
+            for t in DEFAULT_T_GRID:
                 settled = curve.inverse(float(t))
                 value = ceiling if settled is None else min(ceiling, settled)
                 row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
@@ -526,7 +516,7 @@ class _Settler:
             rows.append(row)
 
         values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
-        bound = SampledKL(r_grid=radii, t_grid=t_grid, values=values)
+        bound = SampledKL(r_grid=radii, t_grid=DEFAULT_T_GRID, values=values)
         self._built, self._built_depth = built, depth
         return StateBoundBuild(
             bound=bound,
@@ -538,20 +528,19 @@ class _Settler:
 def assemble_state_bound(
     ucc: UCCCert,
     r_values: Sequence[float],
-    t_grid=None,
     depth: int = DEFAULT_NU_DEPTH,
     eps_tilde_factor: float = 0.5,
-    step_cap: int = DEFAULT_STEP_CAP,
 ) -> StateBoundBuild:
     """Decay bound on the state measure for the stitched policy.
 
-    Rows are the given radii.  Each cell takes the smaller of the
-    excursion bound (valid at every step) and the settling-curve
-    inverse (valid once enough steps have passed), plus a vanishing
-    strictly-decreasing term that keeps the grid a valid decay bound.
+    Rows are the given radii and columns the steps of ``DEFAULT_T_GRID``.
+    Each cell takes the smaller of the excursion bound (valid at every
+    step) and the settling-curve inverse (valid once enough steps have
+    passed), plus a vanishing strictly-decreasing term that keeps the
+    grid a valid decay bound.
     Rows are repaired to strict increase with a running maximum.
     """
-    return _Settler(ucc, eps_tilde_factor, step_cap).assemble(r_values, t_grid, depth)
+    return _Settler(ucc, eps_tilde_factor).assemble(r_values, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +581,11 @@ class ConverseResult:
         header = ("radius", "round", "eps_level", "eps_target", "round_horizon", "cum_horizon")
         _write_csv(fp, [header, *rows])
 
-    def nu_csv(self, fp, points: int = 9) -> None:
+    def nu_csv(self, fp) -> None:
         rows = []
         for curve in self.build.curves:
             lo = 2.0 * curve.floor * 1.05
-            for eps in np.geomspace(lo, max(4.0, 4.0 * lo), points):
+            for eps in np.geomspace(lo, max(4.0, 4.0 * lo), 9):
                 rows.append((curve.radius, eps, curve.value(eps)))
         _write_csv(fp, [("radius", "eps", "nu"), *rows])
 
@@ -611,8 +600,6 @@ def converse_pipeline(
     eps_tilde_factor: float = 0.5,
     slack: float = DEFAULT_SLACK,
     policy_length: int = DEFAULT_POLICY_LENGTH,
-    step_cap: int = DEFAULT_STEP_CAP,
-    t_grid=None,
 ) -> ConverseResult:
     """Full constructive converse, verified on the given samples.
 
@@ -641,9 +628,9 @@ def converse_pipeline(
     else:
         radii = measures
 
-    settler = _Settler(ucc, eps_tilde_factor, step_cap)
-    build = settler.assemble(radii, t_grid, nu_depth)
-    policy = settler.policy(sys, depth, policy_length, zero_input=0.0)
+    settler = _Settler(ucc, eps_tilde_factor)
+    build = settler.assemble(radii, nu_depth)
+    policy = settler.policy(sys, depth, policy_length)
     total = total_bound(ucc)
     cert = UBgECCert(
         state_bound=build.bound,

@@ -63,8 +63,6 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
         transition=lambda x, u: a * x + b * u,
         state_measure=abs,
         input_measure=abs,
-        state_info="scalar state",
-        input_info="scalar input",
     )
     if gain is None:
         contraction = abs(a)
@@ -120,8 +118,6 @@ def two_state_linear() -> BuiltinSystem:
         transition=lambda x, u: A @ np.asarray(x, dtype=float) + B * float(u),
         state_measure=lambda x: float(np.linalg.norm(np.asarray(x, dtype=float))),
         input_measure=abs,
-        state_info="two-dimensional state",
-        input_info="scalar input",
     )
     growth = 1.0
     P = np.eye(2)
@@ -217,8 +213,6 @@ def saturating_scalar() -> BuiltinSystem:
         transition=lambda x, u: drift(x) + float(u),
         state_measure=abs,
         input_measure=abs,
-        state_info="scalar state",
-        input_info="scalar input",
     )
     policy = PolicyOracle(
         prefix=lambda x: [-drift(x)], length=1, tail="zero", ref="deadbeat"

@@ -67,7 +67,7 @@ class FiniteSystem:
     input_measure: np.ndarray
 
     def __post_init__(self):
-        succ = np.asarray(self.successor, dtype=int)
+        succ = _index_table(self.successor)
         sig = np.asarray(self.state_measure, dtype=float)
         rho = np.asarray(self.input_measure, dtype=float)
         if succ.ndim != 2:
@@ -103,8 +103,6 @@ class FiniteSystem:
             transition=lambda x, u: int(succ[int(x), int(u)]),
             state_measure=lambda x: float(sig[int(x)]),
             input_measure=lambda u: float(rho[int(u)]),
-            state_info="finite state index",
-            input_info="finite input index",
         )
 
     def to_json(self) -> dict:
@@ -120,14 +118,29 @@ class FiniteSystem:
         try:
             tables = {
                 key: np.asarray(obj[key], dtype=dtype)
-                for key, dtype in (("successor", int), ("state_measure", float),
+                for key, dtype in (("successor", None), ("state_measure", float),
                                    ("input_measure", float))
             }
         except KeyError as exc:
             raise ParameterError(f"finite system JSON needs {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed finite system JSON: {exc}") from None
+        # JSON booleans are Python ints, so an array of them mixed with indices reads as ints
+        if any(type(v) is bool for v in np.asarray(obj["successor"], dtype=object).ravel().tolist()):
+            raise ParameterError("successor entries must be integers, got a boolean")
         return FiniteSystem(**tables)
+
+
+def _index_table(successor) -> np.ndarray:
+    """The successor table as ints; boolean and fractional entries are rejected, not cast."""
+    table = np.asarray(successor)
+    if table.dtype.kind not in "iuf":
+        raise ParameterError(f"successor entries must be integers, got dtype {table.dtype}")
+    with np.errstate(invalid="ignore"):
+        ints = table.astype(int, copy=False)
+    if np.any(ints != table):
+        raise ParameterError("successor entries must be integers, got a fractional or non-finite entry")
+    return ints
 
 
 def _cost_table(fsys: FiniteSystem, cost: StageCost) -> np.ndarray:
@@ -235,8 +248,8 @@ def value_iterate(
     finite value by more than ``tol``; hitting ``max_iter`` first is
     reported through the ``converged`` flag, not an exception.
     """
-    if tol < 0:
-        raise ParameterError(f"tolerance must be nonnegative, got {tol!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tolerance must be finite and nonnegative, got {tol!r}")
     table = _cost_table(fsys, cost)
     finite_mask = reaches_core(fsys, zero_cost_core(fsys, cost, table=table))
 

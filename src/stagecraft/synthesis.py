@@ -54,7 +54,6 @@ __all__ = [
     "TransientSplit",
     "TransientPartition",
     "transient_split",
-    "transient_split_bound",
     "transient_partition",
 ]
 
@@ -540,18 +539,6 @@ def transient_split(
         count=count,
         radius=data.radius,
     )
-
-
-def transient_split_bound(
-    spec: InteractionSpec,
-    cert: UBgECCert,
-    decay: float = 0.5,
-    r_grid=None,
-    t_grid=None,
-    slack: float = DEFAULT_SLACK,
-) -> KInfFn:
-    """Total-cost bound for a radius-gated cross term."""
-    return transient_split(spec, cert, decay, r_grid, t_grid, slack).total_bound
 
 
 def transient_partition(

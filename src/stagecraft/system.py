@@ -7,10 +7,7 @@ cost accounting) sees states and inputs only through these gauges, so
 state and input types are opaque: scalars, tuples, numpy vectors all
 work as long as the transition map accepts them.
 
-Costs are accumulated per stage.  ``total_cost_limit`` estimates the
-infinite-horizon sum by rolling out a long finite horizon and declaring
-convergence when the last quarter of the horizon contributes less than
-a tolerance; the estimate reports whether that happened.
+Costs are accumulated per stage.
 """
 
 from __future__ import annotations
@@ -28,16 +25,10 @@ __all__ = [
     "ControlSystem",
     "Trajectory",
     "StageCost",
-    "CostLimit",
     "rollout",
     "stage_costs",
     "total_cost",
-    "total_cost_limit",
-    "write_trajectory_csv",
 ]
-
-INFINITY_HORIZON = 2048
-TAIL_TOL = 1e-10
 
 
 def _write_csv(fp, rows) -> None:
@@ -67,8 +58,6 @@ class ControlSystem:
     transition: Callable
     state_measure: Callable
     input_measure: Callable
-    state_info: str = ""
-    input_info: str = ""
 
     def sigma(self, x):
         v = float(self.state_measure(x))
@@ -98,15 +87,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.inputs)
-
-    def replay(self, sys: ControlSystem) -> bool:
-        """Re-run the transition map and compare states exactly."""
-        x = self.states[0]
-        for k, u in enumerate(self.inputs):
-            x = sys.transition(x, u)
-            if not np.array_equal(np.asarray(x, dtype=float), np.asarray(self.states[k + 1], dtype=float)):
-                return False
-        return True
 
 
 def rollout(sys: ControlSystem, x0, controls: Sequence, n: Optional[int] = None) -> Trajectory:
@@ -178,9 +158,6 @@ class StageCost:
             )
         return float(total) if total.ndim == 0 else total
 
-    def evaluate(self, sys: ControlSystem, x, u) -> float:
-        return self.of_measures(sys.sigma(x), sys.rho(u))
-
     def to_json(self) -> dict:
         return {
             "kind": "stage_cost",
@@ -190,67 +167,12 @@ class StageCost:
         }
 
 
-def _measures(sys: ControlSystem, traj: Trajectory):
-    """State measures of the states that inputs act on, and the input measures."""
+def stage_costs(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> np.ndarray:
+    """Cost of each stage, from the measures of the state an input acts on and of the input."""
     sigma = np.array([sys.sigma(x) for x in traj.states[:-1]], dtype=float)
     rho = np.array([sys.rho(u) for u in traj.inputs], dtype=float)
-    return sigma, rho
-
-
-def stage_costs(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> np.ndarray:
-    return cost.of_measures(*_measures(sys, traj))
+    return cost.of_measures(sigma, rho)
 
 
 def total_cost(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> float:
     return float(np.sum(stage_costs(sys, cost, traj)))
-
-
-@dataclass(frozen=True)
-class CostLimit:
-    """Infinite-horizon cost estimate from a truncated rollout."""
-
-    value: float
-    converged: bool
-    steps: int
-
-
-def total_cost_limit(
-    sys: ControlSystem,
-    cost: StageCost,
-    x0,
-    controls: Sequence,
-    n_max: int = INFINITY_HORIZON,
-    tail_tol: float = TAIL_TOL,
-) -> CostLimit:
-    """Sum stage costs until the tail stops contributing.
-
-    Convergence is checked at doubling horizons: the sum is accepted at
-    horizon k once steps 3k/4..k add at most ``tail_tol`` relative to
-    max(1, total).  If no horizon up to ``n_max`` passes, the full sum
-    is returned flagged as unconverged.
-    """
-    n = min(int(n_max), len(controls))
-    if n <= 0:
-        raise ParameterError("need at least one control to estimate a cost limit")
-    traj = rollout(sys, x0, controls, n)
-    cum = np.concatenate(([0.0], np.cumsum(stage_costs(sys, cost, traj))))
-    k = 4
-    while k <= n:
-        tail = cum[k] - cum[3 * k // 4]
-        if tail <= tail_tol * max(1.0, cum[k]):
-            return CostLimit(value=float(cum[k]), converged=True, steps=k)
-        k *= 2
-    return CostLimit(value=float(cum[n]), converged=False, steps=n)
-
-
-def write_trajectory_csv(sys: ControlSystem, cost: Optional[StageCost], traj: Trajectory, fp) -> None:
-    """One row per stage: n, sigma, rho, stage_cost, cumulative_cost.
-
-    Numbers are written with 17 significant digits so the file
-    round-trips doubles exactly; rows end with CRLF.
-    """
-    sigma, rho = _measures(sys, traj)
-    costs = np.zeros(len(traj)) if cost is None else cost.of_measures(sigma, rho)
-    rows = zip(range(len(traj)), sigma.tolist(), rho.tolist(), costs.tolist(),
-               np.cumsum(costs).tolist())
-    _write_csv(fp, [("n", "sigma", "rho", "stage_cost", "cumulative_cost"), *rows])

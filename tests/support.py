@@ -8,6 +8,7 @@ import numpy as np
 
 from stagecraft import (
     KInfFn,
+    SampledKL,
     SeparableKL,
     combine,
     compose,
@@ -16,7 +17,6 @@ from stagecraft import (
     linear,
     pointwise_min,
     power,
-    sample_kl,
     scale,
     strict_table,
 )
@@ -88,6 +88,14 @@ def random_separable(rng, depth=3):
         decay=float(rng.uniform(0.1, 0.9)),
         inner=random_kinf(rng, depth),
     )
+
+
+def sample_kl(fn, r_grid, t_grid):
+    """Tabulate a callable (r, t) -> value into a validated SampledKL."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    vals = np.array([[float(fn(r, t)) for t in t_grid] for r in r_grid])
+    return SampledKL(r_grid=r_grid, t_grid=t_grid, values=vals)
 
 
 def random_sampled(rng, r_points=24, t_points=24):

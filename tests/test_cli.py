@@ -177,6 +177,21 @@ class TestConfigErrors:
              "'converse.policy_length'"),
             ("oracle", {**CHAIN_ORACLE, "oracle": {"max_iter": 1e400}}, "'oracle.max_iter'"),
             ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'scalar_linear'"),
+            ("oracle", {**CHAIN_ORACLE, "oracle": {"tol": math.inf}}, "tolerance must be finite"),
+            ("oracle", {**CHAIN_ORACLE, "oracle": {"tol": math.nan}}, "tolerance must be finite"),
+            (
+                "oracle",
+                {
+                    "system": {
+                        "finite": {
+                            "successor": [[0, 0], [1, 0.7]],
+                            "state_measure": [0.0, 1.0],
+                            "input_measure": [0.0, 1.0],
+                        }
+                    }
+                },
+                "successor entries must be integers",
+            ),
         ],
         ids=[
             "certificate_not_object",
@@ -196,6 +211,9 @@ class TestConfigErrors:
             "policy_length_string",
             "max_iter_infinite",
             "builtin_param_not_float",
+            "tol_infinite",
+            "tol_nan",
+            "successor_fractional",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload, needle):

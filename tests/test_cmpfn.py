@@ -27,14 +27,13 @@ from stagecraft import (
     linear,
     pointwise_min,
     power,
-    sample_kl,
     scale,
     scale_kl,
     strict_table,
     table_fn,
 )
 from stagecraft.cmpfn import _NODES, Scale, _max_per_x
-from support import LOG_GRID, random_kinf, random_separable, random_sampled
+from support import LOG_GRID, random_kinf, random_sampled, random_separable, sample_kl
 
 
 class TestBasicEval:
@@ -134,14 +133,6 @@ class TestCombinators:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
             combine(identity(), identity(), "quotient")
-
-    def test_weak_triangle_split(self):
-        from stagecraft import weak_triangle_split
-
-        a, b = 1.0, 2.0
-        fa, fb = weak_triangle_split(power(2.0), a, b)
-        assert (fa, fb) == (4.0, 16.0)
-        assert power(2.0).eval(a + b) <= fa + fb
 
 
 class TestTables:
@@ -324,6 +315,18 @@ class TestSampledKL:
         values = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.5], [2.0, 2.0, 1.0]])
         with pytest.raises(KLValidityError):
             SampledKL(r_grid=r, t_grid=t, values=values)
+
+    def test_time_grid_must_start_at_zero(self):
+        # a query below the first column would interpolate against the last one
+        r = np.arange(3, dtype=float)
+        t = np.array([1.0, 2.0, 3.0])
+        values = np.outer(r, 1.0 / t)
+        with pytest.raises(KLValidityError, match="start at 0"):
+            SampledKL(r_grid=r, t_grid=t, values=values)
+        obj = {"kind": "kl.sampled", "r_grid": r.tolist(), "t_grid": t.tolist(),
+               "values": values.tolist()}
+        with pytest.raises(KLValidityError, match="start at 0"):
+            kl_from_json(obj)
 
     def test_sample_kl_matches_base_on_nodes(self):
         base = SeparableKL(outer=power(2.0), decay=0.5, inner=identity())

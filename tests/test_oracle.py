@@ -235,6 +235,36 @@ class TestFiniteSystem:
                 input_measure=np.array([0.0]),
             )
 
+    @pytest.mark.parametrize(
+        "successor",
+        [np.array([[0.0], [0.7]]), np.array([[False], [True]]), np.array([[0.0], [np.nan]]),
+         [[0], [0.5]]],
+        ids=["fractional", "boolean", "nan", "fractional_list"],
+    )
+    def test_successor_entries_must_be_integers(self, successor):
+        with pytest.raises(ParameterError, match="successor entries must be integers"):
+            FiniteSystem(
+                successor=successor,
+                state_measure=np.array([0.0, 1.0]),
+                input_measure=np.array([0.0]),
+            )
+
+    def test_integral_float_successors_are_indices(self):
+        fsys = FiniteSystem(
+            successor=np.array([[0.0], [0.0]]),
+            state_measure=np.array([0.0, 1.0]),
+            input_measure=np.array([0.0]),
+        )
+        assert fsys.successor.dtype.kind == "i"
+        assert fsys.successor.tolist() == [[0], [0]]
+
+    @pytest.mark.parametrize("cell", [0.7, True], ids=["fractional", "boolean"])
+    def test_json_successor_entries_must_be_integers(self, cell):
+        payload = countdown(3).to_json()
+        payload["successor"][2][1] = cell
+        with pytest.raises(ParameterError, match="successor entries must be integers"):
+            FiniteSystem.from_json(payload)
+
     def test_measure_shapes_must_match(self):
         with pytest.raises(ParameterError, match="match the successor"):
             FiniteSystem(
@@ -347,6 +377,12 @@ class TestValueIterate:
     def test_tolerance_validation(self):
         with pytest.raises(ParameterError, match="tolerance"):
             value_iterate(countdown(3), SIGMA_RHO, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite tolerance stops after one sweep with wrong values
+        with pytest.raises(ParameterError, match="tolerance must be finite"):
+            value_iterate(countdown(3), SIGMA_RHO, tol=tol)
 
     def test_csv_layout_with_infinities(self):
         fsys = stranded_pair()

@@ -27,7 +27,6 @@ from stagecraft import (
     to_ucc_cert,
     transient_partition,
     transient_split,
-    transient_split_bound,
     verify,
 )
 
@@ -304,7 +303,7 @@ class TestTransientSplit:
         from stagecraft import StageCost, UCCCert
 
         spec = all_id_transient_spec()
-        bound = transient_split_bound(spec, simple.ubgec, decay=0.5)
+        bound = transient_split(spec, simple.ubgec, decay=0.5).total_bound
         cert = UCCCert(
             stage_cost=StageCost(cross_cost=spec.cross),
             cost_bound=bound,
