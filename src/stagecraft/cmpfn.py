@@ -668,6 +668,8 @@ class SampledKL(KLFn):
             raise KLValidityError("grid shapes disagree: values must be (len(r_grid), len(t_grid))")
         if r.size < 2 or t.size < 2:
             raise KLValidityError("grids need at least two points per axis")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise KLValidityError("grid nodes must be finite")
         if np.any(r < 0) or np.any(np.diff(r) <= 0):
             raise KLValidityError("r grid must be nonnegative and strictly increasing")
         if t[0] != 0.0 or not np.all(np.diff(t) > 0):

@@ -224,7 +224,7 @@ def settling_schedule(
     schedule truncates at the last computable round.  At least the
     first round must fit under the cap.
     """
-    return _Settler(ucc, eps_tilde_factor, step_cap).schedule(radius, depth, eps_levels)[0]
+    return _Settler(ucc, eps_tilde_factor, step_cap).schedules([radius], depth, eps_levels)[0][0]
 
 
 def stitched_policy(
@@ -332,9 +332,9 @@ class _Settler:
     """The converse construction for one certificate.
 
     Holds the state gauge and the excursion and relay bounds, built
-    once.  ``schedule`` computes all rounds of a schedule with one
-    array call per bound; a float call equals its entry in any array
-    bitwise, so every round is the one a scalar computation gives.
+    once.  ``schedules`` settles any number of radii with one array
+    call per bound; a float call equals its entry in any array bitwise,
+    so every round is the one a scalar computation gives.
     ``assemble`` keeps the schedules it builds, with the threshold of
     every round, and the stitched policy of the same certificate reuses
     them for sample states: without that hand-off the policy would
@@ -387,10 +387,16 @@ class _Settler:
             value = nearest
         return max(1, math.ceil(value))
 
-    def schedule(self, radius: float, depth: int, eps_levels: Optional[Sequence[float]] = None):
-        """``settling_schedule`` and the threshold of each of its rounds."""
-        if not (np.isfinite(radius) and radius > 0):
-            raise ParameterError(f"radius must be finite and positive, got {radius!r}")
+    def schedules(self, radii: Sequence[float], depth: int, eps_levels: Optional[Sequence[float]] = None):
+        """``settling_schedule`` of every radius, with the threshold of each round.
+
+        The level costs and all budget shares go through one relay
+        inversion, and all live targets through one excursion inversion;
+        only the integer horizons are counted radius by radius.
+        """
+        for radius in radii:
+            if not (np.isfinite(radius) and radius > 0):
+                raise ParameterError(f"radius must be finite and positive, got {radius!r}")
         if depth < 1:
             raise ParameterError(f"depth must be at least 1, got {depth}")
         if eps_levels is None:
@@ -404,33 +410,38 @@ class _Settler:
             if any(b >= a for a, b in zip(levels, levels[1:])):
                 raise ParameterError("levels must be strictly decreasing")
 
-        top = self.ucc.cost_bound.eval(radius)
-        by_level = self.relay.invert(self.state_gauge.eval(levels))
-        by_budget = self.relay.invert(2.0 ** -np.arange(1, depth + 1) * top)
-        targets = np.minimum(np.minimum(by_level, by_budget), radius).tolist()
-        live = next((m for m, target in enumerate(targets) if target <= 0.0), depth)
-        if live == 0:
-            raise BudgetError(f"round 1 target degenerated to {targets[0]!r}")
-        thresholds = self.threshold(np.asarray(targets[:live]))
-        floor_costs = self.state_gauge.eval(thresholds).tolist()
-        thresholds = thresholds.tolist()
-        horizons = []
-        for m in range(live):
-            try:
-                horizons.append(self._steps(radius, targets[m], thresholds[m], floor_costs[m], top))
-            except BudgetError:
-                if m == 0:
-                    raise
-                break
-        rounds = len(horizons)
-        schedule = SettlingSchedule(
-            radius=float(radius),
-            eps_levels=tuple(levels[:rounds]),
-            eps_targets=tuple(targets[:rounds]),
-            round_horizons=tuple(horizons),
-            cum_horizons=tuple(itertools.accumulate(horizons)),
-        )
-        return schedule, tuple(thresholds[:rounds])
+        radii = np.asarray(radii, dtype=float)
+        tops = self.ucc.cost_bound.eval(radii)
+        shares = np.outer(tops, 2.0 ** -np.arange(1, depth + 1))
+        costs = self.relay.invert(np.concatenate((self.state_gauge.eval(levels), shares.ravel())))
+        by_level, by_budget = costs[:depth], costs[depth:].reshape(shares.shape)
+        targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None]).tolist()
+        lives = [next((m for m, target in enumerate(row) if target <= 0.0), depth) for row in targets]
+        if 0 in lives:
+            raise BudgetError(f"round 1 target degenerated to {targets[lives.index(0)][0]!r}")
+        thresholds = self.threshold(np.concatenate([row[:live] for row, live in zip(targets, lives)]))
+        by_round = iter(zip(thresholds.tolist(), self.state_gauge.eval(thresholds).tolist()))
+        out = []
+        for radius, top, row, live in zip(radii.tolist(), tops.tolist(), targets, lives):
+            rounds = list(itertools.islice(by_round, live))
+            horizons = []
+            for m, (threshold, floor_cost) in enumerate(rounds):
+                try:
+                    horizons.append(self._steps(radius, row[m], threshold, floor_cost, top))
+                except BudgetError:
+                    if m == 0:
+                        raise
+                    break
+            n = len(horizons)
+            schedule = SettlingSchedule(
+                radius=radius,
+                eps_levels=tuple(levels[:n]),
+                eps_targets=tuple(row[:n]),
+                round_horizons=tuple(horizons),
+                cum_horizons=tuple(itertools.accumulate(horizons)),
+            )
+            out.append((schedule, tuple(threshold for threshold, _ in rounds[:n])))
+        return out
 
     def scan(
         self, sys: ControlSystem, x, threshold: float, horizon: int, length: int
@@ -473,7 +484,7 @@ class _Settler:
             if start <= 0.0:
                 return self.ucc.policy.controls(x, length)
             known = built.get(float(start))
-            schedule, thresholds = known if known else self.schedule(start, depth)
+            schedule, thresholds = known if known else self.schedules([start], depth)[0]
             controls = []
             state = x
             for m in range(min(depth, schedule.depth)):
@@ -498,14 +509,14 @@ class _Settler:
             raise ParameterError("need at least two distinct positive radii")
 
         built, curves, rows = {}, [], []
-        for radius in radii:
-            schedule, thresholds = self.schedule(radius, depth)
+        schedules = self.schedules(radii, depth)
+        ceilings = self.excursion.eval(radii).tolist()
+        for radius, ceiling, (schedule, thresholds) in zip(radii, ceilings, schedules):
             curve = NuCurve(
                 radius=radius,
                 eps_levels=schedule.eps_levels,
                 cum_horizons=schedule.cum_horizons,
             )
-            ceiling = self.excursion.eval(radius)
             row = []
             for t in DEFAULT_T_GRID:
                 settled = curve.inverse(float(t))
@@ -539,6 +550,8 @@ def assemble_state_bound(
     passed), plus a vanishing strictly-decreasing term that keeps the
     grid a valid decay bound.
     Rows are repaired to strict increase with a running maximum.
+    All radii are settled in one pass, so when several fail, the error
+    raised is the first that pass meets, not the smallest radius's.
     """
     return _Settler(ucc, eps_tilde_factor).assemble(r_values, depth)
 

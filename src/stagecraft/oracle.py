@@ -286,15 +286,15 @@ def value_iterate(
 
 def greedy_policy(vt: ValueTable, fsys: FiniteSystem, prefix_len: int = 512) -> PolicyOracle:
     """Follow the greedy input table from a starting state index."""
-    succ, greedy = fsys.successor, vt.greedy
+    succ, greedy = fsys.successor.tolist(), vt.greedy.tolist()
 
     def prefix(x):
         state = int(x)
         controls = []
         for _ in range(prefix_len):
-            u = int(greedy[state])
+            u = greedy[state]
             controls.append(u)
-            state = int(succ[state, u])
+            state = succ[state][u]
         return controls
 
     return PolicyOracle(prefix=prefix, length=prefix_len, tail=TAIL_REPEAT, ref="greedy")

@@ -61,13 +61,13 @@ class ControlSystem:
 
     def sigma(self, x):
         v = float(self.state_measure(x))
-        if not (v >= 0.0 and np.isfinite(v)):
+        if not (v >= 0.0 and math.isfinite(v)):
             raise SimulationError(f"state measure returned {v!r}, expected a finite nonnegative value")
         return v
 
     def rho(self, u):
         v = float(self.input_measure(u))
-        if not (v >= 0.0 and np.isfinite(v)):
+        if not (v >= 0.0 and math.isfinite(v)):
             raise SimulationError(f"input measure returned {v!r}, expected a finite nonnegative value")
         return v
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -326,6 +327,23 @@ class TestSampledKL:
         obj = {"kind": "kl.sampled", "r_grid": r.tolist(), "t_grid": t.tolist(),
                "values": values.tolist()}
         with pytest.raises(KLValidityError, match="start at 0"):
+            kl_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "r, t",
+        [
+            ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),  # eval(1.0, 0.0) was NaN
+            ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0]),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, math.inf]),  # eval(2.0, t) never decayed
+            ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]),
+        ],
+    )
+    def test_grid_nodes_must_be_finite(self, r, t):
+        values = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.5], [4.0, 2.0, 1.0]])
+        with pytest.raises(KLValidityError, match="finite"):
+            SampledKL(r_grid=np.array(r), t_grid=np.array(t), values=values)
+        obj = {"kind": "kl.sampled", "r_grid": r, "t_grid": t, "values": values.tolist()}
+        with pytest.raises(KLValidityError, match="finite"):
             kl_from_json(obj)
 
     def test_sample_kl_matches_base_on_nodes(self):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stagecraft import (
     BudgetError,
@@ -41,6 +41,7 @@ from stagecraft import (
     value_iterate,
     verify,
 )
+from stagecraft import cmpfn
 from stagecraft.converse import DEFAULT_STEP_CAP, _Settler
 
 
@@ -551,12 +552,16 @@ def _schedule_cert(name):
 
 
 class TestBatchedSchedule:
-    """Array schedules equal the old per-round scalar loop bitwise."""
+    """Schedules settled together equal the old per-round scalar loop, radius by radius, bitwise."""
 
     @settings(max_examples=120, deadline=None)
     @given(
         st.sampled_from(["doubling", "stepping", "chain", "synthesized"]),
-        st.one_of(st.floats(0.01, 100.0), st.sampled_from([1.0, 2.0, 3.0, 5.0, 9.0])),
+        st.lists(
+            st.one_of(st.floats(0.01, 100.0), st.sampled_from([1.0, 2.0, 3.0, 5.0, 9.0])),
+            min_size=1,
+            max_size=4,
+        ),
         st.one_of(
             st.integers(1, 12),
             st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12, unique=True),
@@ -564,27 +569,57 @@ class TestBatchedSchedule:
         st.sampled_from([0.25, 0.5, 0.9]),
         st.sampled_from([150, 2000, 10 ** 5, DEFAULT_STEP_CAP]),
     )
-    def test_rounds_equal_the_scalar_loop(self, name, radius, depth, factor, step_cap):
+    # step-cap truncation: after rounds 2, 2 and 1 under a cap of 150, and
+    # with custom levels after rounds 4, 4 and 3 under a cap of 2000
+    @example("doubling", [0.5, 1.0, 2.0], 6, 0.5, 150)
+    @example("doubling", [0.5, 1.0, 3.0], [0.5, 0.2, 0.1, 0.05], 0.5, 2000)
+    def test_rounds_equal_the_scalar_loop(self, name, radii, depth, factor, step_cap):
         ucc = _schedule_cert(name)
         if isinstance(depth, int):
             eps_levels, levels = None, [1.0 / m for m in range(1, depth + 1)]
         else:
             eps_levels = levels = sorted(depth, reverse=True)
             depth = len(levels)
+        settler = _Settler(ucc, factor, step_cap)
         try:
-            expected = _scalar_schedule(ucc, radius, levels, factor, step_cap)
+            expected = [_scalar_schedule(ucc, r, levels, factor, step_cap) for r in radii]
         except BudgetError:
             with pytest.raises(BudgetError):
-                settling_schedule(ucc, radius, depth, eps_levels, factor, step_cap)
+                settler.schedules(radii, depth, eps_levels)
             return
-        schedule = settling_schedule(ucc, radius, depth, eps_levels, factor, step_cap)
-        _, thresholds = _Settler(ucc, factor, step_cap).schedule(radius, depth, eps_levels)
-        level, target, steps, threshold = (list(col) for col in zip(*expected))
-        assert _hex(schedule.eps_levels) == _hex(level)
-        assert _hex(schedule.eps_targets) == _hex(target)
-        assert schedule.round_horizons == tuple(steps)
-        assert schedule.cum_horizons == tuple(int(n) for n in np.cumsum(steps))
-        assert _hex(thresholds) == _hex(threshold)
+        batched = settler.schedules(radii, depth, eps_levels)
+        assert len(batched) == len(radii)
+        for radius, rounds, (schedule, thresholds) in zip(radii, expected, batched):
+            level, target, steps, threshold = (list(col) for col in zip(*rounds))
+            assert schedule.radius == radius
+            assert _hex(schedule.eps_levels) == _hex(level)
+            assert _hex(schedule.eps_targets) == _hex(target)
+            assert schedule.round_horizons == tuple(steps)
+            assert schedule.cum_horizons == tuple(int(n) for n in np.cumsum(steps))
+            assert _hex(thresholds) == _hex(threshold)
+            assert settling_schedule(ucc, radius, depth, eps_levels, factor, step_cap) == schedule
+
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_assemble_makes_two_numeric_inversions(self, monkeypatch, count):
+        # the synthesized certificate inverts both its relay and its excursion bound numerically
+        ucc = _schedule_cert("synthesized")
+        inversions = []
+        numeric = cmpfn._invert_numeric
+        monkeypatch.setattr(
+            cmpfn, "_invert_numeric", lambda expr, y: inversions.append(y.size) or numeric(expr, y)
+        )
+        build = assemble_state_bound(ucc, [0.25 * k for k in range(1, count + 1)])
+        assert len(build.schedules) == count
+        assert len(inversions) == 2
+
+    def test_round_one_budget_error_propagates_from_assemble(self):
+        # under a cap of 80 steps radius 1 settles in one round and radius 2 not at all
+        settler = _Settler(doubling_cert(), 0.5, step_cap=80)
+        assert settler.schedules([1.0], 4)[0][0].round_horizons == (47,)
+        with pytest.raises(BudgetError, match="radius 2 .* above the cap 80"):
+            settler.assemble([1.0, 2.0], 4)
+        with pytest.raises(BudgetError, match="radius 1 "):
+            _Settler(doubling_cert(), 0.5, step_cap=10).assemble([1.0, 2.0], 4)
 
     def test_bad_eps_tilde_factor_is_rejected_at_construction(self):
         sys, ucc = halving_fixture()

@@ -412,6 +412,22 @@ class TestGreedyPolicy:
             achieved = total_cost(sys, SIGMA_RHO, traj)
             assert abs(achieved - table.values[x0]) <= 10 * 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_controls_equal_a_numpy_indexed_walk(self, seed):
+        fsys = random_system(np.random.default_rng(seed))
+        table = value_iterate(fsys, SIGMA_RHO)
+        policy = greedy_policy(table, fsys, prefix_len=24)
+        for x0 in range(fsys.num_states):
+            expected, state = [], x0
+            for _ in range(24):
+                u = int(table.greedy[state])
+                expected.append(u)
+                state = int(fsys.successor[state, u])
+            controls = policy.controls(x0, 24)
+            assert list(controls) == expected
+            assert all(type(u) is int for u in controls)
+
 
 class TestExtractUcc:
     def test_countdown_envelope(self):
