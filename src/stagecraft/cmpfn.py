@@ -805,6 +805,9 @@ def kl_decompose(beta, decay=0.5, r_grid=None, t_grid=None, slack=_ENVELOPE_EPS)
     increasing upper envelope of the scatter
     ``(decay**t * inner(r), beta(r, t))`` over the grid, lifted by a
     relative margin so envelope domination survives interpolation.
+    Its knots are the two ends of each plateau of the running maximum:
+    inside a plateau the envelope ``top + eps * s`` is linear in s, so
+    the chord between the ends is the same function as the full table.
     Domination is re-verified on the grid before returning.
     """
     if not (0.0 < decay < 1.0):
@@ -823,7 +826,10 @@ def kl_decompose(beta, decay=0.5, r_grid=None, t_grid=None, slack=_ENVELOPE_EPS)
     cloud_v = beta.eval(r_grid[:, None], t_grid[None, :])
 
     xs, vs = _max_per_x(cloud_s.ravel(), cloud_v.ravel())
-    outer = strict_table(xs, np.maximum.accumulate(vs) + _ENVELOPE_EPS * xs)
+    top = np.maximum.accumulate(vs)
+    rise = np.diff(top) > 0
+    ends = np.concatenate(([True], rise)) | np.concatenate((rise, [True]))
+    outer = strict_table(xs[ends], top[ends] + _ENVELOPE_EPS * xs[ends])
 
     result = SeparableKL(outer=outer, decay=decay, inner=inner)
     worst = float(np.max(cloud_v - outer.eval(cloud_s)))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from stagecraft import linear
+from stagecraft import fn_from_json, linear
 from stagecraft.cli import main
 
 
@@ -249,6 +249,20 @@ class TestSynthesizeCommand:
         assert rc == 0
         payload = json.loads((out / "synthesis.json").read_text(encoding="utf-8"))
         assert payload["kind"] == "synthesis"
+
+    def test_decomposed_outer_is_written_small(self, tmp_path):
+        # natural rate 0.7; the 64 x 65 default grid gives 4,161 distinct cloud abscissae
+        rc, out = run(
+            tmp_path,
+            "synthesize",
+            {"system": {"builtin": "two_state_linear"}, "synthesis": {"decay": 0.3}, "samples": {"count": 2}},
+        )
+        assert rc == 0
+        payload = json.loads((out / "synthesis.json").read_text(encoding="utf-8"))
+        outer = fn_from_json(payload["provenance"]["outer"]).expr
+        gauge = fn_from_json(payload["stage_cost"]["state_cost"]).expr.inner
+        assert (outer.x, outer.y) == (gauge.x, gauge.y)
+        assert len(outer.x) < 500
 
     def test_underfunded_bound_fails_verification(self, tmp_path, capsys):
         rc, _ = run(

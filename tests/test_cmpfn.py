@@ -420,6 +420,32 @@ class TestDecomposition:
                 rhs = dec.outer.eval(0.5**t * dec.inner.eval(float(r)))
                 assert lhs <= rhs + 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.3, 0.5, 0.8]))
+    def test_outer_is_the_full_envelope_from_plateau_ends(self, seed, sampled, decay):
+        rng = np.random.default_rng(seed)
+        if sampled:
+            beta = random_sampled(rng)[0]
+            r_grid, t_grid = beta.r_grid, beta.t_grid
+        else:
+            beta = random_separable(rng, depth=2)
+            r_grid, t_grid = DEFAULT_R_GRID, DEFAULT_T_GRID
+        dec = kl_decompose(beta, decay)
+        cloud_s = dec.inner.eval(r_grid)[:, None] * decay ** t_grid[None, :]
+        xs, vs = _max_per_x(cloud_s.ravel(), beta.eval(r_grid[:, None], t_grid[None, :]).ravel())
+        top = np.maximum.accumulate(vs)
+        assert np.all(dec.outer.eval(xs) >= top)
+
+        full = strict_table(xs, top + 1e-9 * xs)
+        past = full.expr.x[-1] * np.array([1.001, 1.5, 10.0])
+        for q in (xs, 0.5 * (xs[1:] + xs[:-1]), past):
+            np.testing.assert_allclose(dec.outer.eval(q), full.eval(q), rtol=1e-13, atol=0.0)
+
+        knots = np.asarray(dec.outer.expr.x)
+        knots = knots[knots >= xs[0]]  # without an origin strict_table put in front
+        assert np.all(np.isin(knots, plateau_ends_loop(xs, vs)[0]))
+        assert knots.size <= 2 * np.count_nonzero(np.diff(top) > 0) + 2
+
 
 # ---------------------------------------------------------------------------
 # broadcast evaluation of decay bounds against per-point reference loops
@@ -450,6 +476,18 @@ def max_per_x_loop(xs, ys):
             keep_x.append(x)
             keep_y.append(y)
     return np.asarray(keep_x), np.asarray(keep_y)
+
+
+def plateau_ends_loop(xs, vs):
+    """Running maximum of vs, kept at the first and last x of each of its plateaus."""
+    tops, top = [], -np.inf
+    for v in vs:
+        top = max(top, v)
+        tops.append(top)
+    last = len(tops) - 1
+    keep = [i for i in range(len(tops))
+            if i in (0, last) or tops[i - 1] != tops[i] or tops[i + 1] != tops[i]]
+    return np.asarray(xs)[keep], np.asarray(tops)[keep]
 
 
 def query_points(rng, r_grid, t_grid):
@@ -689,7 +727,8 @@ class TestGridPathsMatchLoops:
         cloud_s = (inner_vals[:, None] * weights[None, :]).ravel()
         cloud_v = scalar_grid(beta, r_grid, t_grid).ravel()
         xs, vs = max_per_x_loop(cloud_s, cloud_v)
-        outer = strict_table(xs, np.maximum.accumulate(vs) + 1e-9 * xs)
+        ends_x, ends_top = plateau_ends_loop(xs, vs)
+        outer = strict_table(ends_x, ends_top + 1e-9 * ends_x)
         worst = -np.inf
         for i, r in enumerate(r_grid):
             lhs = np.array([point_value(beta, r, t) for t in t_grid])
