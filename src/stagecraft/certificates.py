@@ -63,14 +63,18 @@ TAIL_REPEAT = "repeat-last"
 class PolicyOracle:
     """Map from initial state to a control sequence.
 
-    ``prefix(x)`` returns a finite control prefix of up to ``length``
-    entries.  Requests beyond the prefix follow the tail rule:
-    ``"zero"`` pads with ``zero_input``, ``"repeat-last"`` repeats the
-    final prefix entry, and ``None`` makes over-long requests an
-    error.
+    ``prefix(x, n)`` returns at most the first ``n`` controls of a
+    finite prefix, and ``controls`` never asks it for more than
+    ``length``, so a policy builds only the controls it is asked for.
+    A prefix must be prefix-closed: the first ``k`` controls of
+    ``prefix(x, n)`` are ``prefix(x, k)`` for every ``k <= n``.
+    Requests beyond ``length`` or beyond a shorter prefix follow the
+    tail rule: ``"zero"`` pads with ``zero_input``, ``"repeat-last"``
+    repeats the final prefix entry, and ``None`` makes over-long
+    requests an error.
     """
 
-    prefix: Callable[[Any], Sequence]
+    prefix: Callable[[Any, int], Sequence]
     length: int
     tail: Optional[str] = TAIL_ZERO
     zero_input: Any = 0.0
@@ -86,11 +90,10 @@ class PolicyOracle:
         """First ``n`` controls for initial state ``x``."""
         if n < 0:
             raise ParameterError(f"control count must be nonnegative, got {n}")
-        seq = list(self.prefix(x))
-        if len(seq) > self.length:
-            seq = seq[: self.length]
-        if len(seq) >= n:
-            return seq[:n]
+        asked = min(n, self.length)
+        seq = list(self.prefix(x, asked))[:asked]
+        if len(seq) == n:
+            return seq
         if self.tail is None:
             raise PolicyError(
                 f"policy prefix has {len(seq)} controls, {n} requested and no tail rule declared"

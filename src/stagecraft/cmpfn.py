@@ -288,8 +288,8 @@ class Table(Expr):
             raise MonotoneInputError("table knots must be finite")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise MonotoneInputError("table knots must be strictly increasing in both coordinates")
-        object.__setattr__(self, "x", tuple(float(v) for v in xs))
-        object.__setattr__(self, "y", tuple(float(v) for v in ys))
+        object.__setattr__(self, "x", tuple(xs.tolist()))
+        object.__setattr__(self, "y", tuple(ys.tolist()))
         object.__setattr__(self, "_xa", xs)
         object.__setattr__(self, "_ya", ys)
 
@@ -555,11 +555,16 @@ def strict_table(xs, ys):
     if keep_x.size == 0 or keep_x[0] > 0.0:
         keep_x = np.concatenate(([0.0], keep_x))
         keep_y = np.concatenate(([0.0], keep_y))
-    ys_out = np.maximum.accumulate(keep_y)
-    for i in range(1, ys_out.size):
-        if ys_out[i] <= ys_out[i - 1]:
-            ys_out[i] = np.nextafter(ys_out[i - 1], np.inf)
-    return KInfFn(Table(tuple(keep_x), tuple(float(v) for v in ys_out)))
+    # + 0.0 turns -0.0 into +0.0, the double whose int64 view is 0
+    ys = np.maximum.accumulate(keep_y + 0.0)
+    if ys[0] == 0.0 and np.isfinite(ys).all():
+        # the tie repair out[i] = max(ys[i], nextafter(out[i-1], inf)): doubles
+        # >= +0.0 order as their int64 views, adjacent ones one apart, so it is
+        # a running maximum of view - i, plus i; other input reaches Table
+        # unrepaired, and Table rejects it
+        steps = np.arange(ys.size)
+        ys = (np.maximum.accumulate(ys.view(np.int64) - steps) + steps).view(float)
+    return KInfFn(Table(keep_x, ys))
 
 
 def fn_from_json(obj):

@@ -52,7 +52,6 @@ __all__ = [
     "SettlingSchedule",
     "settling_schedule",
     "stitched_policy",
-    "NuCurve",
     "StateBoundBuild",
     "assemble_state_bound",
     "ConverseResult",
@@ -190,6 +189,13 @@ class SettlingSchedule:
     ``eps_targets[m-1]`` within ``round_horizons[m-1]`` further
     steps; after ``cum_horizons[m-1]`` total steps the measure stays
     below ``eps_levels[m-1]``.
+
+    The schedule is also a smoothed settling-time curve.
+    ``count(eps)`` is the scheduled step count after which the state
+    measure stays below ``eps``; it is a nonincreasing step function
+    of ``eps``.  ``value(eps)`` averages the count over
+    ``[eps/2, eps]`` and adds ``radius / eps``, which makes it
+    strictly decreasing and continuous, hence invertible.
     """
 
     radius: float
@@ -201,68 +207,6 @@ class SettlingSchedule:
     @property
     def depth(self) -> int:
         return len(self.eps_levels)
-
-
-def settling_schedule(
-    ucc: UCCCert,
-    radius: float,
-    depth: int = DEFAULT_DEPTH,
-    eps_levels: Optional[Sequence[float]] = None,
-    eps_tilde_factor: float = 0.5,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> SettlingSchedule:
-    """Target sequence for settling from the given radius.
-
-    Levels default to ``1/m``.  The round-``m`` target is clipped
-    three ways: below the relay preimage of the level's stage cost,
-    below the relay preimage of a geometrically shrinking share of
-    the starting cost budget, and below the radius itself.  The
-    clipping makes both the per-round costs and the final measures
-    summable.
-
-    Rounds whose horizon would blow the step cap are dropped: the
-    schedule truncates at the last computable round.  At least the
-    first round must fit under the cap.
-    """
-    return _Settler(ucc, eps_tilde_factor, step_cap).schedules([radius], depth, eps_levels)[0][0]
-
-
-def stitched_policy(
-    ucc: UCCCert,
-    sys: ControlSystem,
-    depth: int = DEFAULT_DEPTH,
-    eps_tilde_factor: float = 0.5,
-    length: int = DEFAULT_POLICY_LENGTH,
-) -> PolicyOracle:
-    """Concatenate stitched prefixes through the settling schedule.
-
-    Per starting state, round ``m`` runs the stitched control for the
-    round's target, truncated to the round's horizon; the prefix is
-    capped at ``length`` controls and states with zero measure fall
-    back to the certificate's own policy.
-    """
-    return _Settler(ucc, eps_tilde_factor).policy(sys, depth, length)
-
-
-# ---------------------------------------------------------------------------
-# settling-time curve and its inverse
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NuCurve:
-    """Smoothed settling-time curve for one starting radius.
-
-    ``count(eps)`` is the scheduled step count after which the state
-    measure stays below ``eps``; it is a nonincreasing step function
-    of ``eps``.  ``value(eps)`` averages the count over
-    ``[eps/2, eps]`` and adds ``radius / eps``, which makes it
-    strictly decreasing and continuous, hence invertible.
-    """
-
-    radius: float
-    eps_levels: Tuple[float, ...]
-    cum_horizons: Tuple[int, ...]
 
     @property
     def floor(self) -> float:
@@ -319,13 +263,56 @@ class NuCurve:
         return 0.5 * (lo + hi)
 
 
+def settling_schedule(
+    ucc: UCCCert,
+    radius: float,
+    depth: int = DEFAULT_DEPTH,
+    eps_levels: Optional[Sequence[float]] = None,
+    eps_tilde_factor: float = 0.5,
+    step_cap: int = DEFAULT_STEP_CAP,
+) -> SettlingSchedule:
+    """Target sequence for settling from the given radius.
+
+    Levels default to ``1/m``.  The round-``m`` target is clipped
+    three ways: below the relay preimage of the level's stage cost,
+    below the relay preimage of a geometrically shrinking share of
+    the starting cost budget, and below the radius itself.  The
+    clipping makes both the per-round costs and the final measures
+    summable.
+
+    Rounds whose horizon would blow the step cap are dropped: the
+    schedule truncates at the last computable round.  At least the
+    first round must fit under the cap.
+    """
+    return _Settler(ucc, eps_tilde_factor, step_cap).schedules([radius], depth, eps_levels)[0][0]
+
+
+def stitched_policy(
+    ucc: UCCCert,
+    sys: ControlSystem,
+    depth: int = DEFAULT_DEPTH,
+    eps_tilde_factor: float = 0.5,
+    length: int = DEFAULT_POLICY_LENGTH,
+) -> PolicyOracle:
+    """Concatenate stitched prefixes through the settling schedule.
+
+    Per starting state, round ``m`` runs the stitched control for the
+    round's target, truncated to the round's horizon, and states with
+    zero measure fall back to the certificate's own policy.  Controls
+    are built on demand: a request for ``n`` controls runs only the
+    rounds that fill them, so a round's scan checks for its dip only
+    when its whole window lies inside the request.  ``length`` only
+    sets where the zero tail starts.
+    """
+    return _Settler(ucc, eps_tilde_factor).policy(sys, depth, length)
+
+
 @dataclass(frozen=True)
 class StateBoundBuild:
     """Assembled decay bound plus the data it came from."""
 
     bound: SampledKL
     schedules: Tuple[SettlingSchedule, ...]
-    curves: Tuple[NuCurve, ...]
 
 
 class _Settler:
@@ -471,6 +458,12 @@ class _Settler:
     def policy(self, sys: ControlSystem, depth: int, length: int) -> PolicyOracle:
         """``stitched_policy``; sample radii reuse the schedules of ``assemble``.
 
+        ``prefix(x, n)`` fills ``n`` controls round by round and stops
+        there: a round cut short by ``n`` scans only the controls it
+        returns, so it raises ``CertificateInvalidError`` only when its
+        whole horizon fits in the request.  ``length`` is where the
+        zero tail starts.
+
         With the default ``1/m`` levels a schedule of depth ``d`` is
         the first ``d`` rounds of a deeper one, step-cap truncation
         included, so any depth up to the assembled one can reuse it.
@@ -479,16 +472,16 @@ class _Settler:
             raise ParameterError(f"length must be positive, got {length}")
         built = self._built if 1 <= depth <= self._built_depth else {}
 
-        def prefix(x):
+        def prefix(x, n):
             start = sys.sigma(x)
             if start <= 0.0:
-                return self.ucc.policy.controls(x, length)
+                return self.ucc.policy.controls(x, n)
             known = built.get(float(start))
             schedule, thresholds = known if known else self.schedules([start], depth)[0]
             controls = []
             state = x
             for m in range(min(depth, schedule.depth)):
-                room = length - len(controls)
+                room = n - len(controls)
                 if room <= 0:
                     break
                 _within(sys, state, start)
@@ -496,9 +489,9 @@ class _Settler:
                 block, _ = self.scan(sys, state, thresholds[m], horizon, min(horizon, room))
                 controls.extend(block)
                 state = rollout(sys, state, block).states[-1]
-            if len(controls) < length:
-                controls.extend(self.ucc.policy.controls(state, length - len(controls)))
-            return controls[:length]
+            if len(controls) < n:
+                controls.extend(self.ucc.policy.controls(state, n - len(controls)))
+            return controls
 
         return PolicyOracle(prefix=prefix, length=length, tail=TAIL_ZERO, ref="stitched")
 
@@ -508,31 +501,23 @@ class _Settler:
         if radii.size < 2 or np.any(radii <= 0):
             raise ParameterError("need at least two distinct positive radii")
 
-        built, curves, rows = {}, [], []
+        built, rows = {}, []
         schedules = self.schedules(radii, depth)
         ceilings = self.excursion.eval(radii).tolist()
-        for radius, ceiling, (schedule, thresholds) in zip(radii, ceilings, schedules):
-            curve = NuCurve(
-                radius=radius,
-                eps_levels=schedule.eps_levels,
-                cum_horizons=schedule.cum_horizons,
-            )
+        for ceiling, (schedule, thresholds) in zip(ceilings, schedules):
             row = []
             for t in DEFAULT_T_GRID:
-                settled = curve.inverse(float(t))
+                settled = schedule.inverse(float(t))
                 value = ceiling if settled is None else min(ceiling, settled)
                 row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
             built[schedule.radius] = (schedule, thresholds)
-            curves.append(curve)
             rows.append(row)
 
         values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
         bound = SampledKL(r_grid=radii, t_grid=DEFAULT_T_GRID, values=values)
         self._built, self._built_depth = built, depth
         return StateBoundBuild(
-            bound=bound,
-            schedules=tuple(schedule for schedule, _ in built.values()),
-            curves=tuple(curves),
+            bound=bound, schedules=tuple(schedule for schedule, _ in built.values())
         )
 
 
@@ -596,10 +581,10 @@ class ConverseResult:
 
     def nu_csv(self, fp) -> None:
         rows = []
-        for curve in self.build.curves:
-            lo = 2.0 * curve.floor * 1.05
+        for schedule in self.build.schedules:
+            lo = 2.0 * schedule.floor * 1.05
             for eps in np.geomspace(lo, max(4.0, 4.0 * lo), 9):
-                rows.append((curve.radius, eps, curve.value(eps)))
+                rows.append((schedule.radius, eps, schedule.value(eps)))
         _write_csv(fp, [("radius", "eps", "nu"), *rows])
 
 

@@ -9,6 +9,7 @@ end to end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,7 +43,7 @@ class BuiltinSystem:
 
 
 def _zero_policy() -> PolicyOracle:
-    return PolicyOracle(prefix=lambda x: [], length=0, tail="zero", ref="zero")
+    return PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero", ref="zero")
 
 
 def _signed_logspace(count: int, lo: float = -2.0, hi: float = 2.0) -> list:
@@ -76,13 +77,13 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
         if contraction >= 1.0:
             raise ParameterError(f"closed loop {a + b * gain!r} does not contract")
 
-        def prefix(x, _k=gain, _a=a, _b=b):
+        def prefix(x, n, _k=gain, _a=a, _b=b):
             # step with the same expression the plant uses so a replay
             # reproduces this exact float sequence; collapsing to the
             # closed-loop factor drifts once the open-loop drift is > 1
             controls = []
             state = float(x)
-            for _ in range(512):
+            for _ in range(n):
                 u = _k * state
                 controls.append(u)
                 state = _a * state + _b * u
@@ -119,11 +120,10 @@ def two_state_linear() -> BuiltinSystem:
         state_measure=lambda x: float(np.linalg.norm(np.asarray(x, dtype=float))),
         input_measure=abs,
     )
-    growth = 1.0
-    P = np.eye(2)
-    for n in range(1, 61):
-        P = P @ A
-        growth = max(growth, float(np.linalg.norm(P, 2)) / decay ** n)
+    powers = np.array(list(itertools.accumulate(itertools.repeat(A, 60), np.matmul)))
+    # Python's float pow, which numpy's array power need not match bitwise
+    rates = np.array([decay ** n for n in range(1, 61)])
+    growth = max(1.0, float(np.max(np.linalg.norm(powers, 2, axis=(1, 2)) / rates)))
     bound = SeparableKL(outer=identity(), decay=decay, inner=linear(growth))
     uvc = UVCCert(state_bound=bound, control_bound=bound, policy=_zero_policy())
 
@@ -169,9 +169,8 @@ def finite_chain(length: int = 10) -> BuiltinSystem:
     )
     sys = finite.to_control_system()
 
-    def prefix(x):
-        steps = int(x)
-        return [1] * steps
+    def prefix(x, n):
+        return [1] * min(int(x), n)
 
     policy = PolicyOracle(prefix=prefix, length=length - 1, tail="zero", zero_input=0, ref="countdown")
 
@@ -215,7 +214,7 @@ def saturating_scalar() -> BuiltinSystem:
         input_measure=abs,
     )
     policy = PolicyOracle(
-        prefix=lambda x: [-drift(x)], length=1, tail="zero", ref="deadbeat"
+        prefix=lambda x, n: [-drift(x)][:n], length=1, tail="zero", ref="deadbeat"
     )
     bound = SeparableKL(outer=identity(), decay=0.5, inner=identity())
     uvc = UVCCert(state_bound=bound, control_bound=bound, policy=policy)

@@ -288,10 +288,10 @@ def greedy_policy(vt: ValueTable, fsys: FiniteSystem, prefix_len: int = 512) -> 
     """Follow the greedy input table from a starting state index."""
     succ, greedy = fsys.successor.tolist(), vt.greedy.tolist()
 
-    def prefix(x):
+    def prefix(x, n):
         state = int(x)
         controls = []
-        for _ in range(prefix_len):
+        for _ in range(n):
             u = greedy[state]
             controls.append(u)
             state = succ[state][u]

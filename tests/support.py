@@ -104,3 +104,17 @@ def random_sampled(rng, r_points=24, t_points=24):
     r_grid = np.logspace(rng.uniform(-3.0, -1.0), rng.uniform(1.0, 3.0), r_points)
     t_grid = np.arange(t_points, dtype=float)
     return sample_kl(base.eval, r_grid=r_grid, t_grid=t_grid), base
+
+
+def _control_key(u):
+    """A control's type and exact value: a float by its bits."""
+    return (type(u), float(u).hex() if isinstance(u, float) else u)
+
+
+def assert_prefix_closed(policy, x, counts):
+    """``policy.controls(x, n)`` is the first ``n`` of ``controls(x, m)``,
+    control by control and bit for bit, for every ``n`` in ``counts`` up to
+    the largest count ``m``."""
+    longest = [_control_key(u) for u in policy.controls(x, max(counts))]
+    for n in counts:
+        assert [_control_key(u) for u in policy.controls(x, n)] == longest[:n]

@@ -295,7 +295,7 @@ def test_criterion_9_settling_spot_values(capsys):
     cert = UCCCert(
         stage_cost=UNIT_COST,
         cost_bound=linear(2.0),
-        policy=PolicyOracle(prefix=lambda x: [], length=0, tail="zero"),
+        policy=PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero"),
     )
     horizon = settle_horizon(cert, 1.0, 0.2)
     schedule = settling_schedule(cert, 1.0, depth=1)

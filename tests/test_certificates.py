@@ -48,7 +48,7 @@ def scalar_system(a=0.5):
 
 
 def zero_policy():
-    return PolicyOracle(prefix=lambda x: [], length=0, tail="zero", ref="zero")
+    return PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero", ref="zero")
 
 
 def geometric_bound(rate=0.5):
@@ -57,25 +57,25 @@ def geometric_bound(rate=0.5):
 
 class TestPolicyOracle:
     def test_zero_tail_pads(self):
-        pol = PolicyOracle(prefix=lambda x: [1.0, 2.0], length=2, tail="zero")
+        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0][:n], length=2, tail="zero")
         assert pol.controls(0.0, 4) == [1.0, 2.0, 0.0, 0.0]
 
     def test_repeat_tail_repeats(self):
-        pol = PolicyOracle(prefix=lambda x: [1.0, 2.0], length=2, tail="repeat-last")
+        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0][:n], length=2, tail="repeat-last")
         assert pol.controls(0.0, 4) == [1.0, 2.0, 2.0, 2.0]
 
     def test_no_tail_raises_when_short(self):
-        pol = PolicyOracle(prefix=lambda x: [1.0], length=1, tail=None)
+        pol = PolicyOracle(prefix=lambda x, n: [1.0][:n], length=1, tail=None)
         with pytest.raises(PolicyError):
             pol.controls(0.0, 2)
 
     def test_overlong_prefix_is_truncated(self):
-        pol = PolicyOracle(prefix=lambda x: [1.0, 2.0, 3.0], length=2, tail="zero")
+        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0, 3.0], length=2, tail="zero")
         assert pol.controls(0.0, 3) == [1.0, 2.0, 0.0]
 
     def test_unknown_tail_rejected(self):
         with pytest.raises(ParameterError):
-            PolicyOracle(prefix=lambda x: [], length=0, tail="mirror")
+            PolicyOracle(prefix=lambda x, n: [], length=0, tail="mirror")
 
 
 class TestConstruction:
@@ -346,7 +346,7 @@ class TestReports:
 
 def kind_certs():
     """One certificate of each kind on ``scalar_system()``."""
-    policy = PolicyOracle(prefix=lambda x: [-0.25 * x, 0.1 * x], length=2, ref="two-step")
+    policy = PolicyOracle(prefix=lambda x, n: [-0.25 * x, 0.1 * x][:n], length=2, ref="two-step")
     tight = SeparableKL(outer=identity(), decay=0.4, inner=linear(1.1))
     return {
         "uac": UACCert(state_bound=tight, policy=policy),
@@ -363,7 +363,7 @@ def kind_certs():
             stage_cost=StageCost(state_cost=identity(), input_cost=power(2.0)),
             cost_bound=linear(4.0),
             domain=lambda x: abs(x) <= 1.5,
-            policy=PolicyOracle(prefix=lambda x: [x], length=1, ref="push"),
+            policy=PolicyOracle(prefix=lambda x, n: [x][:n], length=1, ref="push"),
             forward_invariant=True,
         ),
     }
@@ -545,7 +545,7 @@ class TestGridPathsMatchLoops:
         rng = np.random.default_rng(seed)
         state_bound = random_sampled(rng, 12, 10)[0]
         control_bound = SeparableKL(outer=power(2.0), decay=0.6, inner=linear(3.0))
-        policy = PolicyOracle(prefix=lambda x: [-0.25 * x, 0.1 * x], length=2, tail="zero")
+        policy = PolicyOracle(prefix=lambda x, n: [-0.25 * x, 0.1 * x][:n], length=2, tail="zero")
         cert = UVCCert(state_bound=state_bound, control_bound=control_bound, policy=policy)
         system = scalar_system(0.9)
         samples = [0.0, 0.3, -2.0, 50.0]

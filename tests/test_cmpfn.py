@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stagecraft import (
     DomainError,
     KInfFn,
     KLValidityError,
+    MonotoneInputError,
     NonnegFn,
     ParameterError,
     SampledKL,
@@ -33,7 +35,7 @@ from stagecraft import (
     strict_table,
     table_fn,
 )
-from stagecraft.cmpfn import _NODES, Scale, _max_per_x
+from stagecraft.cmpfn import _NODES, Scale, Table, _max_per_x
 from support import LOG_GRID, random_kinf, random_sampled, random_separable, sample_kl
 
 
@@ -478,6 +480,19 @@ def max_per_x_loop(xs, ys):
     return np.asarray(keep_x), np.asarray(keep_y)
 
 
+def strict_table_loop(xs, ys):
+    """Per-knot tie repair: each ordinate at least one ulp above the one before."""
+    keep_x, keep_y = _max_per_x(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    if keep_x.size == 0 or keep_x[0] > 0.0:
+        keep_x = np.concatenate(([0.0], keep_x))
+        keep_y = np.concatenate(([0.0], keep_y))
+    ys_out = np.maximum.accumulate(keep_y)
+    for i in range(1, ys_out.size):
+        if ys_out[i] <= ys_out[i - 1]:
+            ys_out[i] = np.nextafter(ys_out[i - 1], np.inf)
+    return Table(tuple(keep_x), tuple(float(v) for v in ys_out))
+
+
 def plateau_ends_loop(xs, vs):
     """Running maximum of vs, kept at the first and last x of each of its plateaus."""
     tops, top = [], -np.inf
@@ -691,6 +706,36 @@ class TestGridPathsMatchLoops:
         ref_x, ref_y = max_per_x_loop(xs, ys)
         np.testing.assert_array_equal(bits(got_x), bits(ref_x))
         np.testing.assert_array_equal(bits(got_y), bits(ref_y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5]),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.7976931348623157e308]),
+                    st.sampled_from([math.inf, math.nan, -math.nan, -1.0]),
+                    st.floats(0.0, 4.0),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_strict_table_is_the_tie_repair_loop(self, points):
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        try:
+            # the loop steps past the largest double to inf, and says so
+            with np.errstate(over="ignore"):
+                ref = strict_table_loop(xs, ys)
+        except MonotoneInputError as exc:
+            with pytest.raises(MonotoneInputError, match=f"^{re.escape(str(exc))}$"):
+                strict_table(xs, ys)
+            return
+        got = strict_table(xs, ys).expr
+        np.testing.assert_array_equal(bits(got.x), bits(ref.x))
+        # the loop keeps a -0.0 at the origin, which the repair reads as +0.0
+        np.testing.assert_array_equal(bits(got.y), bits(np.asarray(ref.y) + 0.0))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())

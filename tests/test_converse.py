@@ -1,5 +1,6 @@
 """Settling schedules, stitched controls, and the rebuilt energy certificate."""
 
+import dataclasses
 import functools
 import io
 import math
@@ -12,10 +13,10 @@ from stagecraft import (
     BudgetError,
     CertificateInvalidError,
     ControlSystem,
-    NuCurve,
     ParameterError,
     PolicyOracle,
     SampledKL,
+    SettlingSchedule,
     SimulationError,
     StageCost,
     UBgECCert,
@@ -43,10 +44,11 @@ from stagecraft import (
 )
 from stagecraft import cmpfn
 from stagecraft.converse import DEFAULT_STEP_CAP, _Settler
+from support import assert_prefix_closed
 
 
 def _dummy_policy():
-    return PolicyOracle(prefix=lambda x: [], length=0, tail="zero", ref="unused")
+    return PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero", ref="unused")
 
 
 def doubling_cert():
@@ -68,10 +70,10 @@ def halving_fixture():
         input_measure=abs,
     )
 
-    def prefix(x):
+    def prefix(x, n):
         controls = []
         state = float(x)
-        for _ in range(256):
+        for _ in range(n):
             u = -0.5 * state
             controls.append(u)
             state = state + u
@@ -102,9 +104,9 @@ def stepping_fixture():
     """
     sys, base = halving_fixture()
 
-    def prefix(x):
+    def prefix(x, n):
         x = float(x)
-        return [x / 198.0 - x] if abs(x) > 0.01 else [x / np.sqrt(2.0) - x]
+        return ([x / 198.0 - x] if abs(x) > 0.01 else [x / np.sqrt(2.0) - x])[:n]
 
     ucc = UCCCert(
         stage_cost=base.stage_cost,
@@ -269,10 +271,14 @@ class TestScheduleDepth:
 
 
 class TestNuCurve:
+    """The settling-time curve nu of a schedule: its count, value and inverse."""
+
     def curve(self):
-        return NuCurve(
+        return SettlingSchedule(
             radius=1.0,
             eps_levels=(1.0, 0.5, 1.0 / 3.0),
+            eps_targets=(1.0 / 6.0, 1.0 / 12.0, 1.0 / 24.0),
+            round_horizons=(47, 95, 191),
             cum_horizons=(47, 142, 333),
         )
 
@@ -286,7 +292,13 @@ class TestNuCurve:
     def test_count_matches_a_linear_scan(self):
         rng = np.random.default_rng(3)
         levels = tuple(sorted(rng.uniform(0.01, 10.0, size=40), reverse=True))
-        curve = NuCurve(radius=1.0, eps_levels=levels, cum_horizons=tuple(range(1, 41)))
+        curve = SettlingSchedule(
+            radius=1.0,
+            eps_levels=levels,
+            eps_targets=levels,
+            round_horizons=(1,) * 40,
+            cum_horizons=tuple(range(1, 41)),
+        )
         for eps in rng.uniform(levels[-1], 12.0, size=500).tolist() + list(levels[:-1]):
             first_inside = next(i for i, level in enumerate(levels) if level < eps)
             assert curve.count(eps) == curve.cum_horizons[first_inside]
@@ -374,7 +386,7 @@ class TestStitchControls:
         ucc = UCCCert(
             stage_cost=cost,
             cost_bound=linear(3.0),
-            policy=PolicyOracle(prefix=lambda x: [], length=0, tail="zero"),
+            policy=PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero"),
             forward_invariant=True,
         )
         with pytest.raises(CertificateInvalidError, match="cost bound cannot hold"):
@@ -416,26 +428,32 @@ class TestStitchedPolicy:
         ucc = UCCCert(
             stage_cost=cost,
             cost_bound=linear(3.0),
-            policy=PolicyOracle(prefix=lambda x: [], length=0, tail="zero"),
+            policy=PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero"),
             forward_invariant=True,
         )
-        # the first round's horizon (215 steps) fits in the prefix, so
-        # the scan runs to its end without a dip
+        # the first round's horizon (215 steps) fits in a request for 256
+        # controls, so the scan runs to its end without a dip
         pol = stitched_policy(ucc, frozen, depth=2, length=256)
         with pytest.raises(CertificateInvalidError, match="cost bound cannot hold"):
             pol.controls(1.0, 256)
+        # only a round whose whole window lies inside the request is
+        # checked, whatever the policy length: 214 controls end short of
+        # the window and come back, 215 hold it
+        assert pol.controls(1.0, 214) == [0.0] * 214
+        with pytest.raises(CertificateInvalidError, match="within 215 steps"):
+            pol.controls(1.0, 215)
 
     def test_non_finite_state_after_the_switch_raises(self):
         sys, ucc = halving_fixture()
 
-        def prefix(x):
+        def prefix(x, n):
             # halve for 20 steps, then blow up: the scan dips below the
             # threshold first, the rest of the block overflows
             state, controls = float(x), []
             for _ in range(20):
                 controls.append(-0.5 * state)
                 state *= 0.5
-            return controls + [1e308] * 236
+            return (controls + [1e308] * 236)[:n]
 
         ucc = UCCCert(
             stage_cost=ucc.stage_cost,
@@ -655,13 +673,45 @@ class TestPipelinePolicyReuse:
             )
 
 
+class TestControlsOnDemand:
+    """Stitched controls are built only as far as they are asked for."""
+
+    @pytest.mark.parametrize("case", [_stepping_case, _chain_case, _synthesized_case])
+    def test_controls_are_prefix_closed(self, case):
+        ucc, sys, _, starts, _ = case()
+        pol = stitched_policy(ucc, sys, depth=5, length=64)
+        for x in starts:
+            assert_prefix_closed(pol, x, range(73))
+
+    @pytest.mark.parametrize("case", [_chain_case, _synthesized_case])
+    def test_no_prefix_is_asked_past_the_horizon(self, monkeypatch, case):
+        ucc, sys, samples, _, _ = case()
+        asked = []
+        controls = PolicyOracle.controls
+
+        def spy(policy, x, n):
+            def prefix(x, k):
+                out = policy.prefix(x, k)
+                asked.append((policy.ref, k, len(out)))
+                return out
+
+            return controls(dataclasses.replace(policy, prefix=prefix), x, n)
+
+        monkeypatch.setattr(PolicyOracle, "controls", spy)
+        # the default policy length, 4096, is far past the horizon
+        result = converse_pipeline(ucc, sys, samples, horizon=24)
+        assert result.report.passed
+        assert {ref for ref, _, _ in asked} == {"stitched", ucc.policy.ref}
+        assert max(k for _, k, _ in asked) == 24
+        assert all(size <= k for _, k, size in asked)
+
+
 class TestAssembleStateBound:
     def test_grid_shape_and_strictifier(self):
         sys, ucc = halving_fixture()
         build = assemble_state_bound(ucc, [0.5, 1.0, 2.0, 4.0])
         assert isinstance(build.bound, SampledKL)
         assert len(build.schedules) == 4
-        assert len(build.curves) == 4
         # at t=0 the settling curve says nothing yet, so the cell is the
         # excursion ceiling 3r plus the strictly-decreasing repair term
         assert build.bound.eval(1.0, 0.0) == pytest.approx(3.003, rel=1e-9)
@@ -769,7 +819,7 @@ class TestConversePipeline:
         result.nu_csv(buf)
         lines = [ln for ln in buf.getvalue().split("\r\n") if ln]
         assert lines[0] == "radius,eps,nu"
-        assert len(lines) - 1 == 9 * len(result.build.curves)
+        assert len(lines) - 1 == 9 * len(result.build.schedules)
         for ln in lines[1:]:
             radius, eps, nu = (float(v) for v in ln.split(","))
             assert nu > 0.0

@@ -9,6 +9,7 @@ from stagecraft import (
     build_builtin,
     verify,
 )
+from support import assert_prefix_closed
 
 ALL_NAMES = sorted(BUILTIN_FACTORIES)
 
@@ -60,6 +61,20 @@ class TestShippedCertificates:
         assert builtin.policy is builtin.uvc.policy
 
 
+class TestPoliciesArePrefixClosed:
+    @pytest.mark.parametrize(
+        "name, params",
+        [(name, None) for name in ALL_NAMES]
+        + [("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7})],
+    )
+    def test_controls_are_the_first_of_longer_requests(self, name, params):
+        builtin = build_builtin(name, params)
+        length = builtin.policy.length
+        counts = sorted({0, 1, 2, length // 2, max(length - 1, 0), length, length + 1, length + 9})
+        for x in builtin.samples(6):
+            assert_prefix_closed(builtin.policy, x, counts)
+
+
 class TestScalarLinear:
     def test_open_loop_needs_contraction(self):
         with pytest.raises(ParameterError, match="does not contract"):
@@ -94,6 +109,15 @@ class TestTwoState:
         samples = build_builtin("two_state_linear").samples(6)
         assert len(samples) == 6
         assert all(np.asarray(s).shape == (2,) for s in samples)
+
+    def test_growth_is_the_per_power_loop(self):
+        A = np.array([[0.5, 0.25], [0.0, 0.5]])
+        growth, P = 1.0, np.eye(2)
+        for n in range(1, 61):
+            P = P @ A
+            growth = max(growth, float(np.linalg.norm(P, 2)) / 0.7 ** n)
+        inner = build_builtin("two_state_linear").uvc.state_bound.inner
+        assert inner.eval(1.0) == growth
 
     def test_declared_rate_absorbs_the_jordan_bump(self):
         builtin = build_builtin("two_state_linear")

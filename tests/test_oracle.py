@@ -32,6 +32,7 @@ from stagecraft import (
     zero_cost_core,
 )
 from stagecraft.oracle import _cost_table
+from support import assert_prefix_closed
 
 SIGMA_RHO = StageCost(state_cost=identity(), input_cost=identity())
 
@@ -427,6 +428,14 @@ class TestGreedyPolicy:
             controls = policy.controls(x0, 24)
             assert list(controls) == expected
             assert all(type(u) is int for u in controls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_controls_are_prefix_closed(self, seed):
+        fsys = random_system(np.random.default_rng(seed))
+        policy = greedy_policy(value_iterate(fsys, SIGMA_RHO), fsys, prefix_len=24)
+        for x0 in range(fsys.num_states):
+            assert_prefix_closed(policy, x0, range(33))
 
 
 class TestExtractUcc:

@@ -16,7 +16,7 @@ EXPORTS = [
     "DEFAULT_STEP_CAP", "DEFAULT_T_GRID", "DecompositionError", "DomainError", "EnvelopeError",
     "FiniteSystem", "InteractionRejectedError", "InteractionSpec", "InvariantViolation",
     "InversionError", "KInfFn", "KLFn", "KLValidityError", "MarginRow", "MonotoneInputError",
-    "NonContractionError", "NonnegFn", "NuCurve", "ParameterError", "PolicyError",
+    "NonContractionError", "NonnegFn", "ParameterError", "PolicyError",
     "PolicyOracle", "SampledKL", "SeparableKL", "SettlingSchedule", "SimulationError",
     "StageCost", "StagecraftError", "StateBoundBuild", "StitchResult", "SynthesisResult",
     "Trajectory", "TransientData", "TransientPartition", "TransientSplit", "UACCert",
