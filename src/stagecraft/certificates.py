@@ -10,8 +10,10 @@ worst violation margin of every inequality the certificate declares.
 Certificates are immutable and verification is pure.  Each kind
 declares its own inequalities: its ``rows`` turn one replayed
 trajectory into one worst-margin row per inequality, and its
-``to_json`` records its fields.  Each decay bound is evaluated once per
-sample, over the whole horizon in one broadcast call.
+``to_json`` records its fields.  The rows read the state and input
+measures the rollout recorded, so each sample is stepped and measured
+once.  Each decay bound is evaluated once per sample, over the whole
+horizon in one broadcast call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .cmpfn import (
     scale_kl,
 )
 from .errors import ParameterError, PolicyError
-from .system import ControlSystem, StageCost, _write_csv, rollout, stage_costs
+from .system import ControlSystem, StageCost, Trajectory, _write_csv, rollout, stage_costs
 
 __all__ = [
     "PolicyOracle",
@@ -135,9 +137,9 @@ class _Certificate:
         if self.policy is None:
             raise ParameterError("a certificate needs a policy oracle")
 
-    def rows(self, sys: ControlSystem, traj, sig: np.ndarray, sample: int):
-        """Worst margin of each declared inequality along one replayed
-        trajectory ``traj`` whose state measures are ``sig``."""
+    def rows(self, traj: Trajectory, sample: int):
+        """Worst margin of each declared inequality along one replayed trajectory."""
+        sig = traj.sigma
         bound = self.state_bound.eval(float(sig[0]), np.arange(len(sig), dtype=float))
         yield _worst_row(sample, "state_bound", sig, bound)
 
@@ -173,12 +175,11 @@ class UVCCert(_Certificate):
     domain: Callable[[Any], bool] = _always
     policy: PolicyOracle = None
 
-    def rows(self, sys, traj, sig, sample):
-        yield from super().rows(sys, traj, sig, sample)
+    def rows(self, traj, sample):
+        yield from super().rows(traj, sample)
         if len(traj):
-            rho = np.array([sys.rho(u) for u in traj.inputs])
-            bound = self.control_bound.eval(float(sig[0]), np.arange(len(traj), dtype=float))
-            yield _worst_row(sample, "control_bound", rho, bound)
+            bound = self.control_bound.eval(float(traj.sigma[0]), np.arange(len(traj), dtype=float))
+            yield _worst_row(sample, "control_bound", traj.rho, bound)
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,11 @@ class UBgECCert(_Certificate):
         """Whether the energy gauge is strictly increasing and unbounded."""
         return isinstance(self.energy, KInfFn)
 
-    def rows(self, sys, traj, sig, sample):
-        yield from super().rows(sys, traj, sig, sample)
+    def rows(self, traj, sample):
+        yield from super().rows(traj, sample)
         if len(traj):
-            rho = np.array([sys.rho(u) for u in traj.inputs])
-            sums = np.cumsum(self.energy.eval(rho))
-            budget = np.full(len(traj), self.energy_budget.eval(float(sig[0])))
+            sums = np.cumsum(self.energy.eval(traj.rho))
+            budget = np.full(len(traj), self.energy_budget.eval(float(traj.sigma[0])))
             yield _worst_row(sample, "energy_budget", sums, budget, n0=1)
 
     def to_json(self) -> dict:
@@ -232,10 +232,10 @@ class UCCCert(_Certificate):
     policy: PolicyOracle = None
     forward_invariant: bool = False
 
-    def rows(self, sys, traj, sig, sample):
+    def rows(self, traj, sample):
         if len(traj):
-            sums = np.cumsum(stage_costs(sys, self.stage_cost, traj))
-            bound = np.full(len(traj), self.cost_bound.eval(float(sig[0])))
+            sums = np.cumsum(stage_costs(self.stage_cost, traj))
+            bound = np.full(len(traj), self.cost_bound.eval(float(traj.sigma[0])))
             yield _worst_row(sample, "total_cost", sums, bound, n0=1)
         if self.forward_invariant:
             inside = np.array([bool(self.domain(s)) for s in traj.states])
@@ -307,12 +307,6 @@ def _worst_row(sample: int, name: str, lhs, rhs, n0: int = 0) -> MarginRow:
     return MarginRow(sample, name, n0 + k, float(lhs[k]), float(rhs[k]), float(margins[k]))
 
 
-def _sample_rows(cert: Certificate, sys: ControlSystem, sample: int, x, horizon: int):
-    traj = rollout(sys, x, cert.policy.controls(x, horizon))
-    sig = np.array([sys.sigma(s) for s in traj.states])
-    return cert.rows(sys, traj, sig, sample)
-
-
 def verify(
     cert: Certificate,
     sys: ControlSystem,
@@ -334,9 +328,8 @@ def verify(
     for x in samples:
         if not cert.domain(x):
             raise ParameterError(f"sample {x!r} is outside the certificate domain")
-    rows = tuple(
-        row for i, x in enumerate(samples) for row in _sample_rows(cert, sys, i, x, horizon)
-    )
+    trajs = (rollout(sys, x, cert.policy.controls(x, horizon)) for x in samples)
+    rows = tuple(row for i, traj in enumerate(trajs) for row in cert.rows(traj, i))
     return VerificationReport(
         kind=type(cert).__name__, horizon=horizon, slack=slack, rows=rows
     )

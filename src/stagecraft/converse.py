@@ -38,8 +38,7 @@ from .certificates import (
     verify,
 )
 from .errors import BudgetError, CertificateInvalidError, ParameterError
-from .system import ControlSystem, rollout
-from .system import _write_csv
+from .system import ControlSystem, _step, _write_csv, rollout
 
 __all__ = [
     "DEFAULT_STEP_CAP",
@@ -171,7 +170,7 @@ def stitch_controls(
     out_len = horizon + ucc.policy.length if length is None else int(length)
     if out_len < 0:
         raise ParameterError(f"length must be nonnegative, got {length!r}")
-    stitched, switch = settler.scan(sys, x, threshold, horizon, out_len)
+    stitched, switch, _ = settler.scan(sys, x, threshold, horizon, out_len)
     return StitchResult(
         controls=tuple(stitched),
         switch_step=switch,
@@ -432,12 +431,16 @@ class _Settler:
 
     def scan(
         self, sys: ControlSystem, x, threshold: float, horizon: int, length: int
-    ) -> Tuple[list, Optional[int]]:
-        """Controls of one stitched prefix, unpriced, and its switch step.
+    ) -> Tuple[list, Optional[int], object]:
+        """Controls of one stitched prefix, unpriced, its switch step and
+        the state the controls reach.
 
         Follows the certified policy from ``x`` for at most
         ``min(horizon, length)`` steps until the state measure dips
         below the threshold, then restarts it from the state reached.
+        Each control is applied once: the lead is stepped here, with the
+        non-finite-state check of ``rollout``, and only the restarted
+        tail is rolled out.
         """
         scan_cap = min(horizon, length)
         lead = self.ucc.policy.controls(x, scan_cap)
@@ -445,15 +448,16 @@ class _Settler:
         tolerance = threshold * (1.0 + 1e-12)
         for n in range(scan_cap + 1):
             if sys.sigma(state) <= tolerance:
-                return list(lead[:n]) + self.ucc.policy.controls(state, length - n), n
+                tail = rollout(sys, state, self.ucc.policy.controls(state, length - n))
+                return list(lead[:n]) + list(tail.inputs), n, tail.states[-1]
             if n < scan_cap:
-                state = sys.transition(state, lead[n])
+                state = _step(sys, state, lead[n], n)
         if scan_cap >= horizon:
             raise CertificateInvalidError(
                 f"no certified state dipped below {threshold:g} within {horizon} steps "
                 f"from state measure {sys.sigma(x):g}; the cost bound cannot hold"
             )
-        return list(lead[:length]), None
+        return list(lead), None, state
 
     def policy(self, sys: ControlSystem, depth: int, length: int) -> PolicyOracle:
         """``stitched_policy``; sample radii reuse the schedules of ``assemble``.
@@ -486,9 +490,8 @@ class _Settler:
                     break
                 _within(sys, state, start)
                 horizon = schedule.round_horizons[m]
-                block, _ = self.scan(sys, state, thresholds[m], horizon, min(horizon, room))
+                block, _, state = self.scan(sys, state, thresholds[m], horizon, min(horizon, room))
                 controls.extend(block)
-                state = rollout(sys, state, block).states[-1]
             if len(controls) < n:
                 controls.extend(self.ucc.policy.controls(state, n - len(controls)))
             return controls
@@ -618,7 +621,7 @@ def converse_pipeline(
             f"({worst.inequality} margin {worst.margin:g} at sample {worst.sample})"
         )
 
-    measures = sorted({sys.sigma(x) for x in samples if sys.sigma(x) > 0.0})
+    measures = sorted({m for m in map(sys.sigma, samples) if m > 0.0})
     if not measures:
         radii = [1.0, 2.0]
     elif len(measures) == 1:

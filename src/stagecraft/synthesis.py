@@ -551,14 +551,11 @@ def transient_partition(
     """Split one certified rollout's cross costs at the transient radius."""
     if spec.transient is None:
         raise ParameterError("partitioning needs an InteractionSpec with transient data")
-    controls = cert.policy.controls(x, horizon)
-    traj = rollout(sys, x, controls)
+    traj = rollout(sys, x, cert.policy.controls(x, horizon))
     radius = spec.transient.radius
     hot, cold = [], []
     hot_cost = cold_cost = 0.0
-    for n in range(horizon):
-        sig = sys.sigma(traj.states[n])
-        rho = sys.rho(traj.inputs[n])
+    for n, (sig, rho) in enumerate(zip(traj.sigma[:-1].tolist(), traj.rho.tolist())):
         cost = float(spec.cross(sig, rho))
         if sig >= radius:
             hot.append(n)

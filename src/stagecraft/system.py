@@ -7,6 +7,11 @@ cost accounting) sees states and inputs only through these gauges, so
 state and input types are opaque: scalars, tuples, numpy vectors all
 work as long as the transition map accepts them.
 
+``rollout`` is the one place a trajectory is stepped and measured: it
+records the measure of every state and input as it steps, and
+everything that reads a trajectory (certificate rows, stage costs)
+reads those measures instead of calling the gauges again.
+
 Costs are accumulated per stage.
 """
 
@@ -27,7 +32,6 @@ __all__ = [
     "StageCost",
     "rollout",
     "stage_costs",
-    "total_cost",
 ]
 
 
@@ -49,6 +53,14 @@ def _isfinite_state(x):
         return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
     except (TypeError, ValueError):
         return False
+
+
+def _step(sys, x, u, k: int):
+    """State after applying ``u``, input ``k``, to ``x``; SimulationError if it is not finite."""
+    x = sys.transition(x, u)
+    if not _isfinite_state(x):
+        raise SimulationError(f"state became non-finite after applying input {k}", step=k)
+    return x
 
 
 @dataclass(frozen=True)
@@ -74,41 +86,42 @@ class ControlSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A rollout: n+1 states and the n inputs that produced them."""
+    """A rollout: n+1 states, the n inputs that produced them, and the
+    float arrays ``sigma`` and ``rho`` of their measures."""
 
     states: tuple
     inputs: tuple
+    sigma: np.ndarray
+    rho: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) != len(self.inputs) + 1:
+        counts = tuple(map(len, (self.states, self.sigma, self.inputs, self.rho)))
+        if not counts[0] == counts[1] == counts[2] + 1 == counts[3] + 1:
             raise ParameterError(
-                f"a trajectory needs one more state than inputs, got {len(self.states)} states and {len(self.inputs)} inputs"
+                "a trajectory needs one more state than inputs and one measure per state and "
+                "per input, got %d states, %d state measures, %d inputs and %d input measures" % counts
             )
 
     def __len__(self):
         return len(self.inputs)
 
 
-def rollout(sys: ControlSystem, x0, controls: Sequence, n: Optional[int] = None) -> Trajectory:
-    """Apply ``n`` controls starting from ``x0``.
+def rollout(sys: ControlSystem, x0, controls: Sequence) -> Trajectory:
+    """Apply every control starting from ``x0``, measuring each state and input.
 
     Raises SimulationError (carrying the offending step) as soon as the
-    state leaves the finite range, rather than propagating NaNs.
+    state leaves the finite range, rather than propagating NaNs, and
+    when a measure is negative or not finite.
     """
-    if n is None:
-        n = len(controls)
-    if n > len(controls):
-        raise ParameterError(f"asked for {n} steps but only {len(controls)} controls are available")
     if not _isfinite_state(x0):
         raise SimulationError("initial state is not finite", step=0)
-    states = [x0]
-    x = x0
-    for k in range(n):
-        x = sys.transition(x, controls[k])
-        if not _isfinite_state(x):
-            raise SimulationError(f"state became non-finite after applying input {k}", step=k)
-        states.append(x)
-    return Trajectory(states=tuple(states), inputs=tuple(controls[:n]))
+    states, sigma, rho = [x0], [sys.sigma(x0)], []
+    for k, u in enumerate(controls):
+        states.append(_step(sys, states[-1], u, k))
+        sigma.append(sys.sigma(states[-1]))
+        rho.append(sys.rho(u))
+    sigma, rho = np.array(sigma, dtype=float), np.array(rho, dtype=float)
+    return Trajectory(tuple(states), tuple(controls), sigma, rho)
 
 
 @dataclass(frozen=True)
@@ -167,12 +180,6 @@ class StageCost:
         }
 
 
-def stage_costs(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> np.ndarray:
-    """Cost of each stage, from the measures of the state an input acts on and of the input."""
-    sigma = np.array([sys.sigma(x) for x in traj.states[:-1]], dtype=float)
-    rho = np.array([sys.rho(u) for u in traj.inputs], dtype=float)
-    return cost.of_measures(sigma, rho)
-
-
-def total_cost(sys: ControlSystem, cost: StageCost, traj: Trajectory) -> float:
-    return float(np.sum(stage_costs(sys, cost, traj)))
+def stage_costs(cost: StageCost, traj: Trajectory) -> np.ndarray:
+    """Cost of each stage, from the recorded measures of its state and its input."""
+    return cost.of_measures(traj.sigma[:-1], traj.rho)

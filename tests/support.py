@@ -18,6 +18,7 @@ from stagecraft import (
     pointwise_min,
     power,
     scale,
+    stage_costs,
     strict_table,
 )
 
@@ -118,3 +119,8 @@ def assert_prefix_closed(policy, x, counts):
     longest = [_control_key(u) for u in policy.controls(x, max(counts))]
     for n in counts:
         assert [_control_key(u) for u in policy.controls(x, n)] == longest[:n]
+
+
+def total_cost(cost, traj):
+    """Sum of the stage costs along a rollout."""
+    return float(np.sum(stage_costs(cost, traj)))

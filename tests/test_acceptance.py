@@ -42,14 +42,13 @@ from stagecraft import (
     settling_schedule,
     synthesize,
     to_ucc_cert,
-    total_cost,
     transient_partition,
     transient_split,
     uvc_to_ubgec,
     value_iterate,
     verify,
 )
-from support import LOG_GRID, random_kinf, random_sampled, random_separable
+from support import LOG_GRID, random_kinf, random_sampled, random_separable, total_cost
 
 VI_TOL = 1e-10
 UNIT_COST = StageCost(state_cost=identity(), input_cost=identity())
@@ -272,7 +271,7 @@ def test_criterion_8_oracle_fidelity(capsys):
     worst_gap = 0.0
     for x0 in range(chain.finite.num_states):
         traj = rollout(sys_view, x0, policy.controls(x0, 64))
-        achieved = total_cost(sys_view, UNIT_COST, traj)
+        achieved = total_cost(UNIT_COST, traj)
         worst_gap = max(worst_gap, abs(achieved - float(table.values[x0])))
 
     small = FiniteSystem(

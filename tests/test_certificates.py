@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 from dataclasses import astuple
 
@@ -16,6 +17,7 @@ from stagecraft import (
     PolicyOracle,
     SampledKL,
     SeparableKL,
+    SimulationError,
     StageCost,
     UACCert,
     UBgECCert,
@@ -500,6 +502,52 @@ class TestKindForms:
         assert [list(row.items()) for row in rows] == [
             list(zip(keys, row)) for row in PINNED_ROWS[kind][horizon]
         ]
+
+
+class TestEachStepMeasuredOnce:
+    """``verify`` steps and measures each sample once, in its rollout."""
+
+    @staticmethod
+    def spied_system(measured, input_measure=abs):
+        def state_measure(x):
+            measured["state"].append(x)
+            return abs(x)
+
+        def counted_input_measure(u):
+            measured["input"].append(u)
+            return input_measure(u)
+
+        return ControlSystem(
+            transition=scalar_system().transition,
+            state_measure=state_measure,
+            input_measure=counted_input_measure,
+        )
+
+    @pytest.mark.parametrize("horizon", [5, 0])
+    @pytest.mark.parametrize("kind", ["uac", "uvc", "ubgec", "ucc"])
+    def test_each_state_and_input_is_measured_once(self, kind, horizon):
+        cert = kind_certs()[kind]
+        samples = [1.0, -1.2, 0.0]
+        measured = {"state": [], "input": []}
+        report = verify(cert, self.spied_system(measured), samples, horizon=horizon)
+        assert report.rows == verify(cert, scalar_system(), samples, horizon=horizon).rows
+        states, inputs = [], []
+        for x in samples:
+            controls = cert.policy.controls(x, horizon)
+            inputs += controls
+            states.append(x)
+            for u in controls:
+                states.append(scalar_system().transition(states[-1], u))
+        assert measured == {"state": states, "input": inputs}
+
+    def test_state_certificate_measures_its_inputs(self):
+        # the rollout measures every input, so a bad input measure fails
+        # even a certificate without control rows, with exit code 3
+        cert = kind_certs()["uac"]
+        sys = self.spied_system({"state": [], "input": []}, input_measure=lambda u: math.nan)
+        with pytest.raises(SimulationError, match="input measure returned nan"):
+            verify(cert, sys, [1.0], horizon=3)
+        assert not issubclass(SimulationError, ParameterError)
 
 
 # ---------------------------------------------------------------------------

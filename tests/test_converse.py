@@ -38,13 +38,12 @@ from stagecraft import (
     synthesize,
     to_ucc_cert,
     total_bound,
-    total_cost,
     value_iterate,
     verify,
 )
 from stagecraft import cmpfn
 from stagecraft.converse import DEFAULT_STEP_CAP, _Settler
-from support import assert_prefix_closed
+from support import assert_prefix_closed, total_cost
 
 
 def _dummy_policy():
@@ -351,7 +350,7 @@ class TestStitchControls:
         assert res.switch_step == 5
         assert len(res.controls) == 89 + 256
         assert res.bound == 12.0
-        cost = total_cost(sys, ucc.stage_cost, rollout(sys, 1.0, res.controls))
+        cost = total_cost(ucc.stage_cost, rollout(sys, 1.0, res.controls))
         assert cost == pytest.approx(3.0, rel=1e-9)
         assert cost <= res.bound
 
@@ -406,7 +405,7 @@ class TestStitchedPolicy:
         sys, ucc = halving_fixture()
         pol = stitched_policy(ucc, sys, depth=3, length=40)
         traj = rollout(sys, 1.0, pol.controls(1.0, 40))
-        assert total_cost(sys, ucc.stage_cost, traj) <= total_bound(ucc).eval(1.0)
+        assert total_cost(ucc.stage_cost, traj) <= total_bound(ucc).eval(1.0)
 
     def test_zero_measure_start_uses_base_policy(self):
         sys, ucc = halving_fixture()
@@ -467,6 +466,22 @@ class TestStitchedPolicy:
             pol.controls(1.0, 256)
 
 
+class TestScanWalk:
+    def test_non_finite_state_before_the_dip_raises_with_its_step(self):
+        sys, ucc = halving_fixture()
+        ucc = UCCCert(
+            stage_cost=ucc.stage_cost,
+            cost_bound=ucc.cost_bound,
+            # 1 + 1e308 is finite, one more push overflows: no dip comes first
+            policy=PolicyOracle(prefix=lambda x, n: [1e308] * n, length=256, tail="zero"),
+            forward_invariant=True,
+        )
+        pol = stitched_policy(ucc, sys, depth=1, length=256)
+        with pytest.raises(SimulationError, match="non-finite after applying input 1") as err:
+            pol.controls(1.0, 256)
+        assert err.value.step == 1
+
+
 def _control_bits(controls):
     return np.asarray(controls, dtype=float).view(np.uint64)
 
@@ -477,6 +492,11 @@ def _chain_case():
     ucc = extract_ucc(value_iterate(chain.finite, cost), chain.finite, margin=1.5)
     # 2 and 9 are not sample measures
     return ucc, chain.system, [1, 3, 5, 0], [1, 3, 5, 0, 2, 9], 256
+
+
+def _halving_case():
+    sys, ucc = halving_fixture()
+    return ucc, sys, [1.0], [1.0, -2.0], 2048
 
 
 def _stepping_case():
@@ -704,6 +724,29 @@ class TestControlsOnDemand:
         assert {ref for ref, _, _ in asked} == {"stitched", ucc.policy.ref}
         assert max(k for _, k, _ in asked) == 24
         assert all(size <= k for _, k, size in asked)
+
+
+class TestEachControlAppliedOnce:
+    """A stitched prefix steps each of its controls once, lead and tail alike."""
+
+    @pytest.mark.parametrize("case", [_halving_case, _stepping_case, _synthesized_case])
+    def test_controls_call_transition_n_times(self, case):
+        ucc, sys, _, starts, _ = case()
+        steps = []
+
+        def transition(x, u):
+            steps.append(u)
+            return sys.transition(x, u)
+
+        spied = dataclasses.replace(sys, transition=transition)
+        pol = stitched_policy(ucc, spied, depth=3, length=2048)
+        # 1,100 controls run past the first round from every halving and stepping start
+        for x in (x for x in starts if sys.sigma(x) > 0.0):
+            for n in (0, 1, 24, 300, 1100):
+                steps.clear()
+                controls = pol.controls(x, n)
+                assert len(steps) == n
+                assert _control_bits(steps).tolist() == _control_bits(controls).tolist()
 
 
 class TestAssembleStateBound:

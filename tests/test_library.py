@@ -1,5 +1,7 @@
 """The bundled benchmark systems and their shipped certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,17 @@ class TestTwoState:
         assert all(np.asarray(s).shape == (2,) for s in samples)
 
     def test_growth_is_the_per_power_loop(self):
-        A = np.array([[0.5, 0.25], [0.0, 0.5]])
-        growth, P = 1.0, np.eye(2)
-        for n in range(1, 61):
-            P = P @ A
-            growth = max(growth, float(np.linalg.norm(P, 2)) / 0.7 ** n)
+        # the envelope constant 1 bounds every ratio of a matrix-power norm
+        # to the declared rate, and the norms follow the docstring's closed form
         inner = build_builtin("two_state_linear").uvc.state_bound.inner
-        assert inner.eval(1.0) == growth
+        assert inner.eval(1.0) == 1.0
+        A = np.array([[0.5, 0.25], [0.0, 0.5]])
+        P = np.eye(2)
+        for n in range(1, 1001):
+            P = P @ A
+            norm = float(np.linalg.norm(P, 2))
+            assert norm == pytest.approx(0.5 ** n * (n / 2 + math.sqrt(n * n / 4 + 4)) / 2, rel=1e-12)
+            assert norm / 0.7 ** n <= 1.0
 
     def test_declared_rate_absorbs_the_jordan_bump(self):
         builtin = build_builtin("two_state_linear")

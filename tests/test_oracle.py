@@ -27,12 +27,11 @@ from stagecraft import (
     rollout,
     strict_table,
     table_fn,
-    total_cost,
     value_iterate,
     zero_cost_core,
 )
 from stagecraft.oracle import _cost_table
-from support import assert_prefix_closed
+from support import assert_prefix_closed, total_cost
 
 SIGMA_RHO = StageCost(state_cost=identity(), input_cost=identity())
 
@@ -410,7 +409,7 @@ class TestGreedyPolicy:
         policy = greedy_policy(table, fsys, prefix_len=32)
         for x0 in (1, 4, 9):
             traj = rollout(sys, x0, policy.controls(x0, 32))
-            achieved = total_cost(sys, SIGMA_RHO, traj)
+            achieved = total_cost(SIGMA_RHO, traj)
             assert abs(achieved - table.values[x0]) <= 10 * 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -598,4 +597,4 @@ class TestAgainstBuiltinChain:
         sys = chain.system
         for x0 in range(10):
             traj = rollout(sys, x0, ucc.policy.controls(x0, 16))
-            assert total_cost(sys, SIGMA_RHO, traj) <= ucc.cost_bound.eval(sys.sigma(x0))
+            assert total_cost(SIGMA_RHO, traj) <= ucc.cost_bound.eval(sys.sigma(x0))

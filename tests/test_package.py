@@ -29,7 +29,7 @@ EXPORTS = [
     "pointwise_min", "power", "reaches_core", "relay_bound", "rollout", "saturating_scalar",
     "scalar_linear", "scale", "scale_kl", "settle_horizon", "settling_schedule", "stage_costs",
     "stitch_controls", "stitched_policy", "strict_table", "synthesize", "table_fn",
-    "to_ucc_cert", "total_bound", "total_cost", "transient_partition", "transient_split",
+    "to_ucc_cert", "total_bound", "transient_partition", "transient_split",
     "two_state_linear", "uvc_to_ubgec", "value_iterate", "verify", "zero_cost_core",
 ]
 

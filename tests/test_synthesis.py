@@ -116,7 +116,7 @@ class TestCertify:
         ucc = to_ucc_cert(result, damped.ubgec)
         controls = ucc.policy.controls(x, 40)
         traj = rollout(damped.system, x, controls)
-        total = float(np.sum(stage_costs(damped.system, ucc.stage_cost, traj)))
+        total = float(np.sum(stage_costs(ucc.stage_cost, traj)))
         assert total == pytest.approx(3.4 * x, rel=1e-9)
         assert ucc.cost_bound.eval(x) == pytest.approx(3.4 * x, rel=1e-9)
 

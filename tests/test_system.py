@@ -16,9 +16,9 @@ from stagecraft import (
     power,
     rollout,
     stage_costs,
-    total_cost,
 )
 from stagecraft.system import _write_csv
+from support import total_cost
 
 
 def scalar_system(a=0.5):
@@ -35,13 +35,23 @@ class TestRollout:
         assert traj.states == (1.0, 0.5, 0.25, 0.125)
         assert traj.inputs == (0.0, 0.0, 0.0)
 
-    def test_explicit_horizon_prefix(self):
-        traj = rollout(scalar_system(), 1.0, [0.0, 0.0, 0.0], n=2)
-        assert len(traj) == 2
+    def test_measures_are_recorded_as_the_states_are_stepped(self):
+        traj = rollout(scalar_system(), -1.0, [0.25, -0.5, 0.0])
+        assert traj.states == (-1.0, -0.25, -0.625, -0.3125)
+        assert traj.sigma.dtype == np.float64 and traj.rho.dtype == np.float64
+        assert traj.sigma.tolist() == [1.0, 0.25, 0.625, 0.3125]
+        assert traj.rho.tolist() == [0.25, 0.5, 0.0]
+        empty = rollout(scalar_system(), 2.0, [])
+        assert empty.sigma.tolist() == [2.0] and empty.rho.shape == (0,)
 
-    def test_horizon_beyond_controls_rejected(self):
-        with pytest.raises(ParameterError):
-            rollout(scalar_system(), 1.0, [0.0], n=5)
+    def test_bad_measure_raises_during_the_rollout(self):
+        sys = ControlSystem(
+            transition=lambda x, u: x + u,
+            state_measure=abs,
+            input_measure=lambda u: math.nan if u else 0.0,
+        )
+        with pytest.raises(SimulationError, match="input measure returned nan"):
+            rollout(sys, 1.0, [0.0, 1.0, 0.0])
 
     def test_divergence_raises_with_step(self):
         bad = ControlSystem(
@@ -74,7 +84,13 @@ class TestRollout:
 
     def test_state_count_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            Trajectory(states=(1.0, 0.5), inputs=(0.0, 0.0))
+            Trajectory(states=(1.0, 0.5), inputs=(0.0, 0.0), sigma=np.ones(2), rho=np.zeros(2))
+
+    @pytest.mark.parametrize("sigma, rho", [(1, 1), (3, 1), (2, 0), (2, 2)])
+    def test_measure_count_mismatch_rejected(self, sigma, rho):
+        Trajectory(states=(1.0, 0.5), inputs=(0.0,), sigma=np.ones(2), rho=np.zeros(1))
+        with pytest.raises(ParameterError, match="one measure per state and per input"):
+            Trajectory(states=(1.0, 0.5), inputs=(0.0,), sigma=np.ones(sigma), rho=np.zeros(rho))
 
 
 class TestStageCost:
@@ -130,13 +146,13 @@ class TestTotals:
         sys = scalar_system()
         traj = rollout(sys, 1.0, [0.0, 0.0, 0.0])
         cost = StageCost(state_cost=identity())
-        np.testing.assert_allclose(stage_costs(sys, cost, traj), [1.0, 0.5, 0.25])
-        assert total_cost(sys, cost, traj) == pytest.approx(1.75)
+        np.testing.assert_allclose(stage_costs(cost, traj), [1.0, 0.5, 0.25])
+        assert total_cost(cost, traj) == pytest.approx(1.75)
 
     def test_empty_trajectory_has_no_costs(self):
-        costs = stage_costs(scalar_system(), StageCost(state_cost=identity()), rollout(scalar_system(), 1.0, []))
+        costs = stage_costs(StageCost(state_cost=identity()), rollout(scalar_system(), 1.0, []))
         assert costs.shape == (0,) and costs.dtype == np.float64
-        assert total_cost(scalar_system(), StageCost(state_cost=identity()), rollout(scalar_system(), 1.0, [])) == 0.0
+        assert total_cost(StageCost(state_cost=identity()), rollout(scalar_system(), 1.0, [])) == 0.0
 
     def test_prefix_additivity(self):
         sys = scalar_system()
@@ -145,8 +161,8 @@ class TestTotals:
         full = rollout(sys, 1.0, controls)
         head = rollout(sys, 1.0, controls[:3])
         tail = rollout(sys, head.states[-1], controls[3:])
-        assert total_cost(sys, cost, full) == pytest.approx(
-            total_cost(sys, cost, head) + total_cost(sys, cost, tail)
+        assert total_cost(cost, full) == pytest.approx(
+            total_cost(cost, head) + total_cost(cost, tail)
         )
 
 
