@@ -340,7 +340,7 @@ def verify(
 # ---------------------------------------------------------------------------
 
 
-def uvc_to_ubgec(cert: UVCCert, decay: float = 0.5, r_grid=None, t_grid=None) -> UBgECCert:
+def uvc_to_ubgec(cert: UVCCert, decay: float = 0.5) -> UBgECCert:
     """Trade the control decay bound for an energy budget.
 
     The control bound is dominated by a separable bound with the
@@ -352,7 +352,7 @@ def uvc_to_ubgec(cert: UVCCert, decay: float = 0.5, r_grid=None, t_grid=None) ->
     """
     if not isinstance(cert, UVCCert):
         raise ParameterError("uvc_to_ubgec expects a control-decay certificate")
-    decomp = kl_decompose(cert.control_bound, decay=decay, r_grid=r_grid, t_grid=t_grid)
+    decomp = kl_decompose(cert.control_bound, decay=decay)
     return UBgECCert(
         state_bound=cert.state_bound,
         energy=decomp.outer.inverse(),

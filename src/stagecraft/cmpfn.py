@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     DecompositionError,
     DomainError,
-    InvariantViolation,
     InversionError,
     KLValidityError,
     MonotoneInputError,
@@ -396,19 +395,6 @@ class NonnegFn:
 
     __call__ = eval
 
-    def selfcheck(self, grid=None):
-        """Verify declared properties on a grid; raise on violation."""
-        grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
-        vals = self.eval(grid)
-        if np.any(vals < 0):
-            raise InvariantViolation("negative value on the check grid")
-        if self.positive_definite:
-            if abs(self.eval(0.0)) > 1e-12:
-                raise InvariantViolation("positive-definite function must vanish at zero")
-            if np.any(vals[grid > 0] <= 0):
-                raise InvariantViolation("positive-definite function must be positive off zero")
-        return self
-
     def to_json(self):
         return {
             "kind": "nonneg",
@@ -435,29 +421,8 @@ class KInfFn(NonnegFn):
     def inverse(self):
         return KInfFn(InverseOf(self.expr))
 
-    def selfcheck(self, grid=None):
-        grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
-        if abs(self.eval(0.0)) > 1e-12:
-            raise InvariantViolation("value at zero exceeds 1e-12")
-        vals = self.eval(grid)
-        if np.any(np.diff(vals) <= 0):
-            raise InvariantViolation("not strictly increasing on the check grid")
-        _assert_unbounded(self, start=float(grid[-1]))
-        return self
-
     def to_json(self):
         return {"kind": "kinf", "expr": self.expr.to_obj()}
-
-
-def _assert_unbounded(f, start=1.0, factor=4.0, doublings=400):
-    """Check that eval passes an expanding sequence of targets."""
-    probe = max(1.0, start)
-    target = factor * max(1.0, f.eval(probe))
-    for _ in range(doublings):
-        probe *= 2.0
-        if f.eval(probe) >= target:
-            return
-    raise InvariantViolation("function failed to pass an expanding growth target")
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +624,12 @@ class SampledKL(KLFn):
     covered; past the last time column every row decays
     geometrically with one common ratio, the largest ratio of a row's
     final two columns, so rows stay strictly increasing in ``r``.
+
+    ``eval`` is one array kernel for scalar and array queries alike: it
+    blends each query's two time columns at its two ``r`` neighbours
+    only.  The tail power is a scalar ``**`` once per distinct time past
+    the grid, not an array ``**``, which numpy may round through another
+    kernel; so a float call equals its entry in any array bitwise.
     """
 
     r_grid: np.ndarray
@@ -698,44 +669,37 @@ class SampledKL(KLFn):
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
 
-    def _column(self, t):
-        """Values over r_grid at time t."""
-        tg, v = self.t_grid, self.values
-        if t <= tg[-1]:
-            j = np.searchsorted(tg, t)
-            if j < tg.size and tg[j] == t:
-                return v[:, j]
-            w = (t - tg[j - 1]) / (tg[j] - tg[j - 1])
-            return (1.0 - w) * v[:, j - 1] + w * v[:, j]
-        last, prev = v[:, -1], v[:, -2]
-        with _errstate():
-            ratio = np.where(prev > 0, last / prev, 0.0)
-        # one common ratio, the slowest row's, keeps the rows from crossing
-        ratio = min(max(float(ratio.max()), 0.0), 1.0 - 1e-12)
-        return last * ratio ** (t - tg[-1])
-
-    def _at_time(self, r, t):
-        """Interpolate in r the column at the single time t."""
-        col = self._column(t)
-        rg = self.r_grid
+    def eval(self, r, t):
+        r, t = np.broadcast_arrays(*_kl_domain(r, t))
+        shape = r.shape
+        r, t = r.reshape(-1), t.reshape(-1)
+        rg, tg, v = self.r_grid, self.t_grid, self.values
         if rg[0] > 0.0:
             rg = np.concatenate(([0.0], rg))
-            col = np.concatenate(([0.0], col))
-        return _interp_extend(r, rg, col)
-
-    def eval(self, r, t):
-        r, t = _kl_domain(r, t)
-        if t.ndim == 0:
-            out = self._at_time(r, float(t))
-            return float(out) if r.ndim == 0 else out
-        r, t = np.broadcast_arrays(r, t)
-        times, which = np.unique(t, return_inverse=True)
-        which = which.reshape(t.shape)
-        out = np.empty(t.shape)
-        for k, tk in enumerate(times):
-            at = which == k
-            out[at] = self._at_time(r[at], float(tk))
-        return out
+            v = np.concatenate((np.zeros((1, tg.size)), v))
+        # t-blend weights; a time past the grid, +inf too, blends to exactly
+        # the last column (w = 1), which the tail factor then decays
+        inside = np.minimum(t, tg[-1])
+        j = np.maximum(np.searchsorted(tg, inside), 1)
+        w = (inside - tg[j - 1]) / (tg[j] - tg[j - 1])
+        tail = np.ones(t.shape)
+        past = t > tg[-1]
+        if past.any():
+            with _errstate():
+                ratio = np.where(v[:, -2] > 0, v[:, -1] / v[:, -2], 0.0)
+            # one common ratio, the slowest row's, keeps the rows from crossing
+            ratio = min(max(float(ratio.max()), 0.0), 1.0 - 1e-12)
+            times, which = np.unique(t[past], return_inverse=True)
+            tail[past] = np.array([ratio ** (tk - tg[-1]) for tk in times.tolist()])[which]
+        # np.interp's formula from the last node at or below r; at and above
+        # the last node, the last segment's slope continues from that node
+        at = np.searchsorted(rg, r, side="right") - 1
+        seg = np.minimum(at, rg.size - 2)
+        rows = seg + np.array([[0], [1]])
+        lo, hi = ((1.0 - w) * v[rows, j - 1] + w * v[rows, j]) * tail
+        slope = (hi - lo) / np.diff(rg)[seg]
+        out = slope * (r - rg[at]) + np.where(at > seg, hi, lo)
+        return float(out[0]) if shape == () else out.reshape(shape)
 
     __call__ = eval
 

@@ -38,7 +38,7 @@ from .certificates import (
     verify,
 )
 from .errors import BudgetError, CertificateInvalidError, ParameterError
-from .system import ControlSystem, _step, _write_csv, rollout
+from .system import ControlSystem, _step, _write_csv
 
 __all__ = [
     "DEFAULT_STEP_CAP",
@@ -438,9 +438,9 @@ class _Settler:
         Follows the certified policy from ``x`` for at most
         ``min(horizon, length)`` steps until the state measure dips
         below the threshold, then restarts it from the state reached.
-        Each control is applied once: the lead is stepped here, with the
-        non-finite-state check of ``rollout``, and only the restarted
-        tail is rolled out.
+        Each control is applied once, with the non-finite-state check of
+        ``rollout``; only the lead's states are measured, since only they
+        are checked against the threshold.
         """
         scan_cap = min(horizon, length)
         lead = self.ucc.policy.controls(x, scan_cap)
@@ -448,8 +448,10 @@ class _Settler:
         tolerance = threshold * (1.0 + 1e-12)
         for n in range(scan_cap + 1):
             if sys.sigma(state) <= tolerance:
-                tail = rollout(sys, state, self.ucc.policy.controls(state, length - n))
-                return list(lead[:n]) + list(tail.inputs), n, tail.states[-1]
+                tail = self.ucc.policy.controls(state, length - n)
+                for k, u in enumerate(tail):
+                    state = _step(sys, state, u, k)
+                return list(lead[:n]) + list(tail), n, state
             if n < scan_cap:
                 state = _step(sys, state, lead[n], n)
         if scan_cap >= horizon:

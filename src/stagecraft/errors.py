@@ -9,7 +9,7 @@ than an exception.
 
 __all__ = [
     "StagecraftError", "DomainError", "ParameterError", "ConfigError",
-    "MonotoneInputError", "InvariantViolation", "InversionError", "DecompositionError",
+    "MonotoneInputError", "InversionError", "DecompositionError",
     "KLValidityError", "SimulationError", "PolicyError", "ChoiceRejectedError",
     "InteractionRejectedError", "NonContractionError", "BudgetError",
     "CertificateInvalidError", "EnvelopeError",
@@ -34,10 +34,6 @@ class ConfigError(ParameterError):
 
 class MonotoneInputError(ParameterError):
     """Table data rejected because it is not strictly monotone."""
-
-
-class InvariantViolation(StagecraftError):
-    """A function failed its class-membership self check."""
 
 
 class InversionError(StagecraftError):

@@ -174,14 +174,15 @@ def _weighted_sum(terms) -> NonnegFn:
     return total
 
 
-def _check_dominates(candidate, reference, coeff, grid, slack, what):
+def _check_dominates(candidate, reference, coeff, what):
+    grid = DEFAULT_R_GRID
     cv = np.asarray(candidate.eval(grid), dtype=float)
     rv = coeff * np.asarray(reference.eval(grid), dtype=float)
     gap = cv - rv
     k = int(np.argmax(gap))
-    if gap[k] > slack:
+    if gap[k] > DEFAULT_SLACK:
         raise ChoiceRejectedError(
-            f"{what} exceeds its ceiling at r={grid[k]:g}: {cv[k]:g} > {rv[k]:g} + {slack:g}"
+            f"{what} exceeds its ceiling at r={grid[k]:g}: {cv[k]:g} > {rv[k]:g} + {DEFAULT_SLACK:g}"
         )
 
 
@@ -192,9 +193,6 @@ def synthesize(
     input_coeff: float = 1.0,
     state_cost: Optional[KInfFn] = None,
     input_cost: Optional[NonnegFn] = None,
-    r_grid=None,
-    t_grid=None,
-    slack: float = DEFAULT_SLACK,
 ) -> SynthesisResult:
     """Build a stage cost whose truncated totals the certificate can pay for.
 
@@ -202,7 +200,7 @@ def synthesize(
     given rate.  The default state gauge is the inverse of the outer
     warp; the default input gauge is the certificate's energy.
     Either may be replaced by a candidate that stays below
-    ``coeff * default`` on the grid, and the total-cost bound
+    ``coeff * default`` on ``DEFAULT_R_GRID``, and the total-cost bound
 
         (state_coeff / (1 - decay)) * inner + input_coeff * budget
 
@@ -212,9 +210,7 @@ def synthesize(
         raise ParameterError("synthesize expects an energy-budget certificate")
     _finite_positive(state_coeff, "state_coeff")
     _finite_positive(input_coeff, "input_coeff")
-    grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
-
-    decomp = kl_decompose(cert.state_bound, decay=decay, r_grid=r_grid, t_grid=t_grid)
+    decomp = kl_decompose(cert.state_bound, decay=decay)
     inv_outer = decomp.outer.inverse()
 
     if state_cost is None:
@@ -222,14 +218,14 @@ def synthesize(
     else:
         if not isinstance(state_cost, KInfFn):
             raise ParameterError("a state gauge must be strictly increasing and unbounded")
-        _check_dominates(state_cost, inv_outer, state_coeff, grid, slack, "state gauge")
+        _check_dominates(state_cost, inv_outer, state_coeff, "state gauge")
 
     if input_cost is None:
         input_cost = cert.energy
     else:
         if not isinstance(input_cost, NonnegFn):
             raise ParameterError("an input gauge must be a nonnegative function")
-        _check_dominates(input_cost, cert.energy, input_coeff, grid, slack, "input gauge")
+        _check_dominates(input_cost, cert.energy, input_coeff, "input gauge")
 
     cost_bound = combine(
         decomp.inner,
@@ -277,11 +273,8 @@ def certify_ucc(
 # ---------------------------------------------------------------------------
 
 
-def _measure_grid(grid) -> np.ndarray:
-    grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
-    if grid[0] > 0.0:
-        grid = np.concatenate(([0.0], grid))
-    return grid
+# state and input measures of the interaction checks: the origin, then DEFAULT_R_GRID
+_MEASURE_GRID = np.concatenate(([0.0], DEFAULT_R_GRID))
 
 
 def _envelope_values(spec: InteractionSpec, inv_outer, energy, sig, rho) -> np.ndarray:
@@ -295,22 +288,21 @@ def _envelope_values(spec: InteractionSpec, inv_outer, energy, sig, rho) -> np.n
     return total
 
 
-def _reject_gap(gap, sig, rho, slack, envelope: str) -> None:
-    """Raise at the worst (sigma, rho) grid point if ``gap`` exceeds ``slack``."""
-    if np.max(gap) > slack:
+def _reject_gap(gap, sig, rho, envelope: str) -> None:
+    """Raise at the worst (sigma, rho) grid point if ``gap`` exceeds ``DEFAULT_SLACK``."""
+    if np.max(gap) > DEFAULT_SLACK:
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
         raise InteractionRejectedError(
             f"cross term breaks {envelope} at sigma={sig[i]:g}, rho={rho[j]:g} by {gap[i, j]:g}"
         )
 
 
-def _check_regimes(spec, inv_outer, energy, grid, slack):
+def _check_regimes(spec, inv_outer, energy):
     """Grid falsification of the declared envelopes; raises on violation.
 
     Sampling cannot prove the envelope, only fail to falsify it.
     """
-    sig = _measure_grid(grid)
-    rho = _measure_grid(grid)
+    sig = rho = _MEASURE_GRID
     cross = np.array([[float(spec.cross(s, p)) for p in rho] for s in sig])
     if np.any(cross < 0) or not np.all(np.isfinite(cross)):
         raise InteractionRejectedError("cross term must be finite and nonnegative")
@@ -324,10 +316,10 @@ def _check_regimes(spec, inv_outer, energy, grid, slack):
                 np.asarray(spec.transient.state_rate.eval(sig[large]), dtype=float)[:, None]
                 + np.asarray(spec.transient.input_rate.eval(rho), dtype=float)[None, :]
             )
-            _reject_gap(cross[large] - bound, sig[large], rho, slack, "the excursion envelope")
+            _reject_gap(cross[large] - bound, sig[large], rho, "the excursion envelope")
     if np.any(small):
         bound = _envelope_values(spec, inv_outer, energy, sig[small], rho)
-        _reject_gap(cross[small] - bound, sig[small], rho, slack, "its declared envelope")
+        _reject_gap(cross[small] - bound, sig[small], rho, "its declared envelope")
 
 
 def _cross_product_term(spec: InteractionSpec, decomp: SeparableKL, cert: UBgECCert):
@@ -341,8 +333,6 @@ def admit_interaction(
     spec: InteractionSpec,
     base: SynthesisResult,
     cert: UBgECCert,
-    r_grid=None,
-    slack: float = DEFAULT_SLACK,
 ) -> SynthesisResult:
     """Extend a synthesized stage cost by an admissible cross term.
 
@@ -365,7 +355,7 @@ def admit_interaction(
         )
     decomp = base.decomposition
     inv_outer = decomp.outer.inverse()
-    _check_regimes(spec, inv_outer, cert.energy, r_grid, slack)
+    _check_regimes(spec, inv_outer, cert.energy)
 
     terms = [
         (
@@ -474,9 +464,6 @@ def transient_split(
     spec: InteractionSpec,
     cert: UBgECCert,
     decay: float = 0.5,
-    r_grid=None,
-    t_grid=None,
-    slack: float = DEFAULT_SLACK,
 ) -> TransientSplit:
     """Budget a radius-gated cross term by splitting rollouts at the radius.
 
@@ -492,9 +479,9 @@ def transient_split(
             "transient budgeting needs a strictly increasing, unbounded energy gauge"
         )
     data = spec.transient
-    decomp = kl_decompose(cert.state_bound, decay=decay, r_grid=r_grid, t_grid=t_grid)
+    decomp = kl_decompose(cert.state_bound, decay=decay)
     inv_outer = decomp.outer.inverse()
-    _check_regimes(spec, inv_outer, cert.energy, r_grid, slack)
+    _check_regimes(spec, inv_outer, cert.energy)
 
     beta = cert.state_bound
     inv_energy = inverse_of(cert.energy)
@@ -523,14 +510,13 @@ def transient_split(
         else:
             settled = extra
 
-    grid = _measure_grid(r_grid)
-    positive = grid[grid > 0]
-    joint = np.array([burst_bound(r) + settled.eval(r) for r in positive])
+    grid = DEFAULT_R_GRID
+    joint = np.array([burst_bound(r) + settled.eval(r) for r in grid])
     shifted = np.empty_like(joint)
     shifted[:-1] = joint[1:]
     shifted[-1] = joint[-1]
-    shifted = np.maximum.accumulate(shifted) + 1e-9 * positive
-    total = strict_table(positive, shifted)
+    shifted = np.maximum.accumulate(shifted) + 1e-9 * grid
+    total = strict_table(grid, shifted)
 
     return TransientSplit(
         total_bound=total,

@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators, checks and reference loops for the test suite.
 
 Trees are built valid by construction so structural rejection stays
 rare; generation is seeded by the caller for reproducibility.
@@ -7,9 +7,11 @@ rare; generation is seeded by the caller for reproducibility.
 import numpy as np
 
 from stagecraft import (
+    DEFAULT_R_GRID,
     KInfFn,
     SampledKL,
     SeparableKL,
+    StagecraftError,
     combine,
     compose,
     identity,
@@ -23,6 +25,47 @@ from stagecraft import (
 )
 
 LOG_GRID = np.logspace(-6.0, 6.0, 64)
+
+
+class InvariantViolation(StagecraftError):
+    """A function failed its class-membership self check."""
+
+
+def selfcheck(fn, grid=None):
+    """Check a function's declared class on a grid; raise on violation.
+
+    A ``KInfFn`` must vanish at zero, strictly increase and pass an
+    expanding growth target; a ``NonnegFn`` must be nonnegative and, if
+    positive definite, vanish only at zero.
+    """
+    grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
+    if isinstance(fn, KInfFn):
+        if abs(fn.eval(0.0)) > 1e-12:
+            raise InvariantViolation("value at zero exceeds 1e-12")
+        if np.any(np.diff(fn.eval(grid)) <= 0):
+            raise InvariantViolation("not strictly increasing on the check grid")
+        _assert_unbounded(fn, start=float(grid[-1]))
+        return fn
+    vals = fn.eval(grid)
+    if np.any(vals < 0):
+        raise InvariantViolation("negative value on the check grid")
+    if fn.positive_definite:
+        if abs(fn.eval(0.0)) > 1e-12:
+            raise InvariantViolation("positive-definite function must vanish at zero")
+        if np.any(vals[grid > 0] <= 0):
+            raise InvariantViolation("positive-definite function must be positive off zero")
+    return fn
+
+
+def _assert_unbounded(f, start=1.0, factor=4.0, doublings=400):
+    """Check that eval passes an expanding sequence of targets."""
+    probe = max(1.0, start)
+    target = factor * max(1.0, f.eval(probe))
+    for _ in range(doublings):
+        probe *= 2.0
+        if f.eval(probe) >= target:
+            return
+    raise InvariantViolation("function failed to pass an expanding growth target")
 
 
 def random_kinf(rng, depth=6, stretch=8.0):
@@ -124,3 +167,32 @@ def assert_prefix_closed(policy, x, counts):
 def total_cost(cost, traj):
     """Sum of the stage costs along a rollout."""
     return float(np.sum(stage_costs(cost, traj)))
+
+
+def sampled_eval_loop(beta, r, t):
+    """``SampledKL.eval`` as a loop over distinct times: one full column per
+    time, interpolated in r by ``np.interp`` and continued above the grid."""
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    rg, tg, v = beta.r_grid, beta.t_grid, beta.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(v[:, -2] > 0, v[:, -1] / v[:, -2], 0.0)
+    ratio = min(max(float(ratio.max()), 0.0), 1.0 - 1e-12)
+    out = np.empty(t.shape)
+    for time in np.unique(t).tolist():
+        if time <= tg[-1]:
+            j = np.searchsorted(tg, time)
+            if tg[j] == time:
+                col = v[:, j]
+            else:
+                w = (time - tg[j - 1]) / (tg[j] - tg[j - 1])
+                col = (1.0 - w) * v[:, j - 1] + w * v[:, j]
+        else:
+            col = v[:, -1] * ratio ** (time - tg[-1])
+        xs, ys = rg, col
+        if xs[0] > 0.0:
+            xs, ys = np.concatenate(([0.0], xs)), np.concatenate(([0.0], ys))
+        at = t == time
+        q = r[at]
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        out[at] = np.where(q > xs[-1], ys[-1] + slope * (q - xs[-1]), np.interp(q, xs, ys))
+    return float(out) if out.ndim == 0 else out

@@ -48,7 +48,7 @@ from stagecraft import (
     value_iterate,
     verify,
 )
-from support import LOG_GRID, random_kinf, random_sampled, random_separable, total_cost
+from support import LOG_GRID, random_kinf, random_sampled, random_separable, selfcheck, total_cost
 
 VI_TOL = 1e-10
 UNIT_COST = StageCost(state_cost=identity(), input_cost=identity())
@@ -67,7 +67,7 @@ def test_criterion_1_function_algebra_round_trip(capsys):
     worst = 0.0
     for _ in range(1000):
         fn = random_kinf(rng, depth=6)
-        fn.selfcheck()
+        selfcheck(fn)
         forward = fn.eval(LOG_GRID)
         back = fn.invert(forward)
         worst = max(worst, float(np.max(np.abs(back - LOG_GRID) / LOG_GRID)))

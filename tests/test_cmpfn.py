@@ -36,7 +36,15 @@ from stagecraft import (
     table_fn,
 )
 from stagecraft.cmpfn import _NODES, Scale, Table, _max_per_x
-from support import LOG_GRID, random_kinf, random_sampled, random_separable, sample_kl
+from support import (
+    LOG_GRID,
+    random_kinf,
+    random_sampled,
+    random_separable,
+    sample_kl,
+    sampled_eval_loop,
+    selfcheck,
+)
 
 
 class TestBasicEval:
@@ -206,7 +214,7 @@ class TestSerialization:
 
 class TestInvariantChecks:
     def test_selfcheck_passes_for_valid_tree(self):
-        combine(power(2.0), linear(0.5), "sum").selfcheck()
+        selfcheck(combine(power(2.0), linear(0.5), "sum"))
 
     def test_kinf_rejects_constant_node(self):
         with pytest.raises(ParameterError):
@@ -226,7 +234,7 @@ class TestInvariantChecks:
     def test_random_trees_satisfy_kinf_contract(self, seed):
         rng = np.random.default_rng(seed)
         f = random_kinf(rng, 5)
-        f.selfcheck()
+        selfcheck(f)
         assert f.eval(0.0) <= 1e-12
         y = f.eval(LOG_GRID)
         assert np.all(np.diff(y) > 0)
@@ -515,6 +523,20 @@ def query_points(rng, r_grid, t_grid):
     return rs, ts
 
 
+def sampled_queries(rng, beta):
+    """r below, on, between and above the nodes; t on the nodes, between
+    them, just and far past the grid, and at +inf."""
+    rg, tg = beta.r_grid, beta.t_grid
+    below = [0.0] if rg[0] == 0.0 else [0.0, rg[0] * rng.uniform(0.01, 0.99)]
+    between = rg[:-1] + np.diff(rg) * rng.uniform(0.01, 0.99, rg.size - 1)
+    above = rg[-1] * np.array([1.0 + 1e-12, rng.uniform(1.0, 3.0), 1e3])
+    rs = np.concatenate((below, rg, between, above))
+    t_between = tg[:-1] + np.diff(tg) * rng.uniform(0.01, 0.99, tg.size - 1)
+    past = tg[-1] + np.array([1e-9, rng.uniform(0.0, 5.0), 0.5, 40.0, 1e4])
+    ts = np.concatenate((tg, t_between, past, [np.inf]))
+    return rs, ts
+
+
 def sampled_from_zero(rng):
     """A tabulated bound whose r grid starts at the origin."""
     beta, base = random_sampled(rng, r_points=12, t_points=10)
@@ -593,6 +615,19 @@ class TestFloatCallsAreArrayEntries:
         ts = np.concatenate(([0.0], rng.uniform(0.0, 40.0, 23)))
         floats = np.array([beta.eval(float(r), float(t)) for r, t in zip(rs, ts)])
         np.testing.assert_array_equal(bits(floats), bits(beta.eval(rs, ts)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_sampled_eval(self, seed, from_zero):
+        rng = np.random.default_rng(seed)
+        beta = sampled_from_zero(rng) if from_zero else random_sampled(rng, 12, 10)[0]
+        rs, ts = sampled_queries(rng, beta)
+        rs, ts = rng.choice(rs, 24), rng.choice(ts, 24)
+        floats = np.array([beta.eval(float(r), float(t)) for r, t in zip(rs, ts)])
+        np.testing.assert_array_equal(bits(floats), bits(beta.eval(rs, ts)))
+        # and against a whole grid, where each time's tail power is shared
+        grid = beta.eval(rs[:, None], ts[None, :])
+        np.testing.assert_array_equal(bits(floats), bits(np.diagonal(grid)))
 
 
 # one tree over all eleven node kinds, and its JSON as the format writes it
@@ -693,6 +728,25 @@ class TestKLDomain:
 
 
 class TestGridPathsMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_sampled_eval_is_the_per_time_loop(self, seed, from_zero):
+        rng = np.random.default_rng(seed)
+        beta = sampled_from_zero(rng) if from_zero else random_sampled(rng, 12, 10)[0]
+        rs, ts = sampled_queries(rng, beta)
+        for r, t in (
+            (rs[:, None], ts[None, :]),
+            (rs, ts[rng.integers(ts.size)]),
+            (rs[rng.integers(rs.size)], ts),
+            (rng.choice(rs, 30), rng.choice(ts, 30)),
+        ):
+            got, ref = beta.eval(r, t), sampled_eval_loop(beta, r, t)
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(bits(got), bits(ref))
+        for r, t in zip(rng.choice(rs, 8).tolist(), rng.choice(ts, 8).tolist()):
+            got, ref = beta.eval(r, t), sampled_eval_loop(beta, r, t)
+            assert type(got) is float and got.hex() == ref.hex()
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), max_size=12),

@@ -749,6 +749,43 @@ class TestEachControlAppliedOnce:
                 assert _control_bits(steps).tolist() == _control_bits(controls).tolist()
 
 
+class TestTailsAreNotMeasured:
+    """A stitched prefix measures the states of its walks to each dip, and
+    only those: the controls after a dip are stepped but never measured."""
+
+    @staticmethod
+    def _spied(sys, counts):
+        def counted(name, measure):
+            def spy(v):
+                counts[name] += 1
+                return measure(v)
+            return spy
+
+        return dataclasses.replace(
+            sys,
+            state_measure=counted("state", sys.state_measure),
+            input_measure=counted("input", sys.input_measure),
+        )
+
+    def test_stitch_measures_the_walk_to_the_dip(self):
+        sys, ucc = halving_fixture()
+        counts = {"state": 0, "input": 0}
+        result = stitch_controls(ucc, self._spied(sys, counts), 1.0, eps=0.2)
+        assert len(result.controls) > 300
+        # the start, for its radius, then every state up to the dip
+        assert counts == {"state": 1 + result.switch_step + 1, "input": 0}
+
+    def test_stitched_policy_measures_no_tail(self):
+        sys, ucc = halving_fixture()
+        counts = {"state": 0, "input": 0}
+        controls = stitched_policy(ucc, self._spied(sys, counts), depth=3).controls(1.0, 1100)
+        assert len(controls) == 1100
+        # the start, then each round's radius check and the states of its walk:
+        # round 1 dips at step 7, and rounds 2 and 3 start below their targets;
+        # measuring the tails took 1,110 state and 1,093 input measures
+        assert counts == {"state": 1 + 3 + (7 + 1) + 1 + 1, "input": 0}
+
+
 class TestAssembleStateBound:
     def test_grid_shape_and_strictifier(self):
         sys, ucc = halving_fixture()

@@ -14,8 +14,8 @@ EXPORTS = [
     "BUILTIN_FACTORIES", "BudgetError", "BuiltinSystem", "CertificateInvalidError",
     "ChoiceRejectedError", "ConfigError", "ControlSystem", "ConverseResult", "DEFAULT_R_GRID",
     "DEFAULT_STEP_CAP", "DEFAULT_T_GRID", "DecompositionError", "DomainError", "EnvelopeError",
-    "FiniteSystem", "InteractionRejectedError", "InteractionSpec", "InvariantViolation",
-    "InversionError", "KInfFn", "KLFn", "KLValidityError", "MarginRow", "MonotoneInputError",
+    "FiniteSystem", "InteractionRejectedError", "InteractionSpec", "InversionError", "KInfFn",
+    "KLFn", "KLValidityError", "MarginRow", "MonotoneInputError",
     "NonContractionError", "NonnegFn", "ParameterError", "PolicyError",
     "PolicyOracle", "SampledKL", "SeparableKL", "SettlingSchedule", "SimulationError",
     "StageCost", "StagecraftError", "StateBoundBuild", "StitchResult", "SynthesisResult",
