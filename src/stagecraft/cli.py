@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -332,7 +333,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="stagecraft",
         description="certificate verification, stage-cost synthesis, and converse runs",
@@ -343,7 +346,11 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="path to the experiment JSON")
         cmd.add_argument("--out", default="stagecraft-out", help="output directory")
         cmd.add_argument("--seed", type=int, default=0, help="RNG seed for random samples")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = _load_config(args.config)

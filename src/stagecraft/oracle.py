@@ -7,23 +7,25 @@ them as a total-cost certificate with forward invariance, and the
 brute-force enumerator re-derives the same costs from scratch on
 systems small enough to enumerate.
 
-States with no finite-cost future are detected structurally before
-iterating: a total cost can only stay finite by eventually riding
-zero-cost edges forever, so finite values exist exactly on states
-that can reach the zero-cost core.
+A total cost can only stay finite by eventually riding zero-cost
+edges forever, so finite values exist exactly on states that can
+reach the zero-cost core, and they are the shortest-path distances
+to it: a search outward from the core finds them and leaves every
+other state infinite.
 
 Cost of each step, for S states, U inputs and E = S * U edges: the
 cost table is one array ``eval`` per cost part (plus one call per
-entry for a cross term); the zero-cost core and the states reaching
-it each sort the edges once into predecessor lists (in numpy) and then
-visit every edge at most once, by a worklist and a reverse search;
-value iteration stays O(sweeps * S * U), and a chain needs one sweep
-per link.
+entry for a cross term); the zero-cost core sorts the edges once into
+predecessor lists (in numpy) and visits every edge at most once by a
+worklist; the values are shortest-path distances to the core, found
+in O(E log S) by Dijkstra's method over the same predecessor lists,
+and one O(S * U) Bellman sweep confirms them as the fixed point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product
 from typing import Optional, Tuple
 
@@ -47,10 +49,9 @@ __all__ = [
 ]
 
 MAX_STATES = 10 ** 4
-# a chain of n states settles in n sweeps plus one to confirm the fixed point
+# a generous sweep budget: the shortest-path warm start needs one
 DEFAULT_MAX_ITER = MAX_STATES + 1
 MAX_INPUTS = 10 ** 2
-DIVERGENCE_FACTOR = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +152,23 @@ def _cost_table(fsys: FiniteSystem, cost: StageCost) -> np.ndarray:
 def _predecessors(successor: np.ndarray, edges: Optional[np.ndarray] = None):
     """CSR predecessor lists of the edges ``x -> successor[x, u]``.
 
-    Returns ``(start, preds)`` as Python lists: the sources of the edges
-    into ``y`` are ``preds[start[y]:start[y + 1]]``, one entry per edge.
-    ``edges`` optionally masks which (state, input) edges to keep.
+    Returns ``(start, preds, ids)``: the sources of the edges into ``y``
+    are ``preds[start[y]:start[y + 1]]``, one entry per edge, as Python
+    lists, and ``ids`` is the array of the same edges' flat indices
+    ``x * U + u`` into the (state, input) tables.  ``edges`` optionally
+    masks which (state, input) edges to keep.
     """
     states, inputs = successor.shape
-    src = np.repeat(np.arange(states), inputs)
     dst = successor.ravel()
-    if edges is not None:
-        keep = edges.ravel()
-        src, dst = src[keep], dst[keep]
+    if edges is None:
+        ids = np.arange(dst.size)
+    else:
+        ids = np.flatnonzero(edges)
+        dst = dst[ids]
     start = np.zeros(states + 1, dtype=int)
     np.cumsum(np.bincount(dst, minlength=states), out=start[1:])
-    return start.tolist(), src[np.argsort(dst, kind="stable")].tolist()
+    ids = ids[np.argsort(dst, kind="stable")]
+    return start.tolist(), (ids // inputs).tolist(), ids
 
 
 def zero_cost_core(
@@ -182,7 +187,7 @@ def zero_cost_core(
         table = _cost_table(fsys, cost)
     free = table == 0.0
     live = np.count_nonzero(free, axis=1)
-    start, preds = _predecessors(fsys.successor, free)
+    start, preds, _ = _predecessors(fsys.successor, free)
     dropped = np.flatnonzero(live == 0).tolist()
     live = live.tolist()
     while dropped:
@@ -200,7 +205,7 @@ def reaches_core(fsys: FiniteSystem, core: np.ndarray) -> np.ndarray:
     Reverse search from the core over the predecessor lists, visiting
     every edge at most once, so the cost is linear in the edge count.
     """
-    start, preds = _predecessors(fsys.successor)
+    start, preds, _ = _predecessors(fsys.successor)
     reach = np.array(core, dtype=bool).tolist()
     frontier = np.flatnonzero(core).tolist()
     while frontier:
@@ -234,27 +239,53 @@ class ValueTable:
         _write_csv(fp, [("state", "sigma", "value", "greedy"), *rows])
 
 
+def _core_distances(fsys: FiniteSystem, table: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Shortest-path distance of every state to the core; infinite where none exists.
+
+    Dijkstra's method over the reversed edges, relaxing ``x`` by
+    ``table[x, u] + dist[y]`` for each edge ``x -> y``: the same float
+    sum a Bellman sweep makes.  Costs are nonnegative and float addition
+    is monotone, so each state settles once, at its smallest such sum
+    over its edges, and the distances are a fixed point of the sweep.
+    """
+    start, preds, ids = _predecessors(fsys.successor)
+    costs = table.ravel()[ids].tolist()
+    dist = np.where(core, 0.0, np.inf).tolist()
+    # all zeros in index order: already a heap
+    heap = [(0.0, y) for y in np.flatnonzero(core).tolist()]
+    while heap:
+        d, y = heappop(heap)
+        if d > dist[y]:
+            continue
+        for k in range(start[y], start[y + 1]):
+            x, total = preds[k], costs[k] + d
+            if total < dist[x]:
+                dist[x] = total
+                heappush(heap, (total, x))
+    return np.array(dist)
+
+
 def value_iterate(
     fsys: FiniteSystem,
     cost: StageCost,
     tol: float = 1e-10,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ValueTable:
-    """Synchronous value iteration from below.
+    """Synchronous value iteration, warm-started at the exact values.
 
-    Values start at zero and rise monotonically, so iteration is
-    restricted to states that can reach the zero-cost core; all
-    others are infinite outright.  Stops when one sweep moves no
-    finite value by more than ``tol``; hitting ``max_iter`` first is
-    reported through the ``converged`` flag, not an exception.
+    Values start at the shortest-path distances to the zero-cost core,
+    which are infinite exactly on the states that cannot reach it, and
+    the finite ones are swept until one sweep moves none by more than
+    ``tol``.  The distances are a fixed point of the sweep, so the first
+    sweep stops it with residual 0.  Hitting ``max_iter`` first (only
+    ``max_iter=0`` does) is reported through the ``converged`` flag, not
+    an exception.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ParameterError(f"tolerance must be finite and nonnegative, got {tol!r}")
     table = _cost_table(fsys, cost)
-    finite_mask = reaches_core(fsys, zero_cost_core(fsys, cost, table=table))
-
-    values = np.where(finite_mask, 0.0, np.inf)
-    live = np.flatnonzero(finite_mask)
+    values = _core_distances(fsys, table, zero_cost_core(fsys, cost, table=table))
+    live = np.flatnonzero(np.isfinite(values))
     # sweep only the finite states, one row per input, so the minimum over
     # inputs runs elementwise across contiguous rows
     live_costs = np.ascontiguousarray(table[live].T)
@@ -271,8 +302,6 @@ def value_iterate(
             converged = True
             break
 
-    cap = DIVERGENCE_FACTOR * max(float(np.max(table)), 1.0)
-    values = np.where(values > cap, np.inf, values)
     greedy = np.argmin(table + values[fsys.successor], axis=1)
     return ValueTable(
         values=values,

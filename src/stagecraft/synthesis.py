@@ -412,25 +412,19 @@ def admissible_wrapper(
 
 
 def _excursion_count(beta, radius: float, r: float) -> int:
-    """Smallest n with beta(r, n) < radius, by forward search."""
-    if beta.eval(r, 0.0) < radius:
-        return 0
-    hi = 1
-    while beta.eval(r, float(hi)) >= radius:
-        hi *= 2
-        if hi > COUNT_SEARCH_CAP:
-            raise NonContractionError(
-                f"decay bound never drops below {radius:g} at r={r:g} "
-                f"within {COUNT_SEARCH_CAP} steps"
-            )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if beta.eval(r, float(mid)) < radius:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """Smallest n with beta(r, n) < radius, by one array ``eval`` per doubling block."""
+    # an array eval of 64 steps costs about what one step does
+    lo, hi = 0, 64
+    while lo <= COUNT_SEARCH_CAP:
+        steps = np.arange(lo, min(hi, COUNT_SEARCH_CAP + 1), dtype=float)
+        below = np.flatnonzero(beta.eval(r, steps) < radius)
+        if below.size:
+            return lo + int(below[0])
+        lo, hi = hi, 2 * hi
+    raise NonContractionError(
+        f"decay bound never drops below {radius:g} at r={r:g} "
+        f"within {COUNT_SEARCH_CAP} steps"
+    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 from stagecraft import (
     DEFAULT_R_GRID,
     KInfFn,
+    NonContractionError,
     SampledKL,
     SeparableKL,
     StagecraftError,
@@ -23,6 +24,7 @@ from stagecraft import (
     stage_costs,
     strict_table,
 )
+from stagecraft.synthesis import COUNT_SEARCH_CAP
 
 LOG_GRID = np.logspace(-6.0, 6.0, 64)
 
@@ -196,3 +198,25 @@ def sampled_eval_loop(beta, r, t):
         slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         out[at] = np.where(q > xs[-1], ys[-1] + slope * (q - xs[-1]), np.interp(q, xs, ys))
     return float(out) if out.ndim == 0 else out
+
+
+def excursion_count_loop(beta, radius, r, cap=COUNT_SEARCH_CAP):
+    """Smallest n with beta(r, n) < radius: doubling to the first power of
+    two below the radius, then bisection, one float ``eval`` per step."""
+    if beta.eval(r, 0.0) < radius:
+        return 0
+    hi = 1
+    while beta.eval(r, float(hi)) >= radius:
+        hi *= 2
+        if hi > cap:
+            raise NonContractionError(
+                f"decay bound never drops below {radius:g} at r={r:g} within {cap} steps"
+            )
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if beta.eval(r, float(mid)) < radius:
+            hi = mid
+        else:
+            lo = mid
+    return hi

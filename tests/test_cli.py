@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from stagecraft import fn_from_json, linear
-from stagecraft.cli import main
+from stagecraft.cli import _parser, main
 
 
 def write_config(tmp_path, payload):
@@ -410,17 +410,24 @@ class TestOracleCommand:
         assert meta["states"] == 10
 
     def test_chain_at_the_state_limit_converges_by_default(self, tmp_path, capsys):
-        # a chain of n states needs n sweeps plus one that confirms the fixed point
+        # the shortest-path warm start is the fixed point, so one sweep confirms it
         payload = {"system": {"builtin": "finite_chain", "params": {"length": 10000}}}
         rc, out = run(tmp_path, "oracle", payload)
         assert rc == 0
-        assert capsys.readouterr().out == "PASS value iteration converged in 10001 sweeps\n"
+        assert capsys.readouterr().out == "PASS value iteration converged in 1 sweeps\n"
         meta = json.loads((out / "oracle.json").read_text(encoding="utf-8"))
         assert meta["converged"] is True
-        assert meta["iterations"] == 10001
+        assert meta["iterations"] == 1
+        rows = (out / "value_table.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 10000
+        for row in rows:
+            state, _, value, _ = row.split(",")
+            x = int(state)
+            # stepping down from x pays k + 1 at every level k = x..1
+            assert float(value) == x * (x + 1) / 2 + x
 
     def test_iteration_budget_exhaustion_exits_three(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "oracle", self.chain_config(oracle={"max_iter": 2}))
+        rc, _ = run(tmp_path, "oracle", self.chain_config(oracle={"max_iter": 0}))
         assert rc == 3
         assert "FAIL" in capsys.readouterr().out
 
@@ -472,6 +479,40 @@ class TestDeterminism:
             },
             seed=11,
         )
+        assert rc == 0
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert _parser() is _parser()
+
+    def test_back_to_back_commands_keep_their_own_arguments(self, tmp_path, capsys):
+        cfg = str(tmp_path / "random.json")
+        with open(cfg, "w", encoding="utf-8") as fp:
+            json.dump(TestDeterminism.RANDOM, fp)
+
+        def verify(name, *seed):
+            out = tmp_path / name
+            assert main(["verify", "--config", cfg, "--out", str(out), *seed]) == 0
+            return (out / "report.csv").read_bytes()
+
+        seeded = verify("a", "--seed", "7")
+        rc, out = run(tmp_path, "oracle", {"system": {"builtin": "finite_chain"}})
+        assert rc == 0 and (out / "oracle.json").exists()
+        # the default seed is 0 again after a call that set it
+        assert verify("b") == verify("c", "--seed", "0") != seeded
+        assert verify("d", "--seed", "7") == seeded
+        assert capsys.readouterr().out.splitlines()[1] == "PASS value iteration converged in 1 sweeps"
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["nope"], ["verify"], ["oracle", "--config", "c.json", "--seed", "x"]]
+    )
+    def test_bad_argv_exits_two(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: stagecraft" in capsys.readouterr().err
+        rc, _ = run(tmp_path, "oracle", {"system": {"builtin": "finite_chain"}})
         assert rc == 0
 
 

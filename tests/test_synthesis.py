@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
     ChoiceRejectedError,
     InteractionRejectedError,
     InteractionSpec,
+    NonContractionError,
     ParameterError,
     SeparableKL,
     TransientData,
@@ -29,6 +31,9 @@ from stagecraft import (
     transient_split,
     verify,
 )
+from stagecraft import synthesis
+from stagecraft.synthesis import _excursion_count
+from support import excursion_count_loop, random_sampled, random_separable
 
 
 @pytest.fixture
@@ -247,6 +252,34 @@ def all_id_transient_spec():
             input_rate=combine(identity(), power(2.0), "sum"),
         ),
     )
+
+
+class TestExcursionCount:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_block_search_is_the_bisection_loop(self, seed, sampled):
+        rng = np.random.default_rng(seed)
+        beta = random_sampled(rng)[0] if sampled else random_separable(rng)
+        r = float(10 ** rng.uniform(-2, 2))
+        radius = float(beta.eval(r, 0.0)) * 10 ** rng.uniform(-6, 0.5)
+        assert _excursion_count(beta, radius, r) == excursion_count_loop(beta, radius, r)
+
+    # the loop reaches the largest power of two within its cap; so does
+    # COUNT_SEARCH_CAP itself, a power of two
+    @pytest.mark.parametrize("cap", [1, 2, 64, 128])
+    def test_search_cap_is_the_loop_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(synthesis, "COUNT_SEARCH_CAP", cap)
+        beta = SeparableKL(outer=identity(), decay=0.5, inner=identity())
+        # beta(1, n) = 2^-n drops below 2^-k + tiny at step k
+        for k in (0, 1, 2, 5, 6, 63, 64, 65, 100, 101, 128, 129):
+            radius = 2.0 ** -k * (1.0 + 1e-9)
+            try:
+                expect = excursion_count_loop(beta, radius, 1.0, cap=cap)
+            except NonContractionError:
+                with pytest.raises(NonContractionError, match=f"within {cap} steps"):
+                    _excursion_count(beta, radius, 1.0)
+            else:
+                assert _excursion_count(beta, radius, 1.0) == expect == k
 
 
 class TestTransientSplit:
