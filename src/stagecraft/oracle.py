@@ -1,7 +1,7 @@
 """Ground-truth costs and policies for small finite systems.
 
-Value iteration over an explicit transition table yields, per state,
-the cheapest achievable total cost and a greedy policy attaining it.
+Shortest paths over an explicit transition table give, per state, the
+cheapest achievable total cost and a greedy policy attaining it.
 Both serve as an independent reference: ``extract_ucc`` packages
 them as a total-cost certificate with forward invariance, and the
 brute-force enumerator re-derives the same costs from scratch on
@@ -19,7 +19,7 @@ entry for a cross term); the zero-cost core sorts the edges once into
 predecessor lists (in numpy) and visits every edge at most once by a
 worklist; the values are shortest-path distances to the core, found
 in O(E log S) by Dijkstra's method over the same predecessor lists,
-and one O(S * U) Bellman sweep confirms them as the fixed point.
+and one O(S * U) Bellman sweep confirms them and picks the greedy inputs.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from .cmpfn import _max_per_x, identity, strict_table
 from .certificates import TAIL_REPEAT, PolicyOracle, UCCCert
-from .errors import EnvelopeError, ParameterError
+from .errors import EnvelopeError, ParameterError, StagecraftError
 from .system import ControlSystem, StageCost, _write_csv
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 MAX_STATES = 10 ** 4
-# a generous sweep budget: the shortest-path warm start needs one
-DEFAULT_MAX_ITER = MAX_STATES + 1
 MAX_INPUTS = 10 ** 2
 
 
@@ -219,19 +217,18 @@ def reaches_core(fsys: FiniteSystem, core: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Converged cheapest total costs with a greedy policy.
+    """Exact cheapest total costs with a greedy policy.
 
     ``values`` is infinite on states that cannot keep their total
     cost finite.  ``greedy[x]`` is the lowest input index minimizing
-    stage cost plus successor value.
+    stage cost plus successor value.  ``iterations`` counts the one
+    Bellman sweep that confirmed the values.
     """
 
     values: np.ndarray
     greedy: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
     cost: StageCost
+    iterations: ClassVar[int] = 1
 
     def to_csv(self, fsys: FiniteSystem, fp) -> None:
         rows = zip(range(fsys.num_states), fsys.state_measure.tolist(), self.values.tolist(),
@@ -265,52 +262,26 @@ def _core_distances(fsys: FiniteSystem, table: np.ndarray, core: np.ndarray) -> 
     return np.array(dist)
 
 
-def value_iterate(
-    fsys: FiniteSystem,
-    cost: StageCost,
-    tol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ValueTable:
-    """Synchronous value iteration, warm-started at the exact values.
+def value_iterate(fsys: FiniteSystem, cost: StageCost) -> ValueTable:
+    """Exact values and greedy inputs, confirmed by one Bellman sweep.
 
-    Values start at the shortest-path distances to the zero-cost core,
-    which are infinite exactly on the states that cannot reach it, and
-    the finite ones are swept until one sweep moves none by more than
-    ``tol``.  The distances are a fixed point of the sweep, so the first
-    sweep stops it with residual 0.  Hitting ``max_iter`` first (only
-    ``max_iter=0`` does) is reported through the ``converged`` flag, not
-    an exception.
+    The values are the shortest-path distances to the zero-cost core,
+    infinite exactly on the states that cannot reach it.  One sweep of
+    the full table takes each state's greedy input and checks that its
+    minimum is the distance itself; a state it moves raises
+    StagecraftError.  The name is that of the value iteration this
+    replaced, kept because the benchmark's tracer resolves it by name.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ParameterError(f"tolerance must be finite and nonnegative, got {tol!r}")
     table = _cost_table(fsys, cost)
     values = _core_distances(fsys, table, zero_cost_core(fsys, cost, table=table))
-    live = np.flatnonzero(np.isfinite(values))
-    # sweep only the finite states, one row per input, so the minimum over
-    # inputs runs elementwise across contiguous rows
-    live_costs = np.ascontiguousarray(table[live].T)
-    live_succ = np.ascontiguousarray(fsys.successor[live].T)
-    iterations = 0
-    residual = np.inf
-    converged = False
-    while iterations < max_iter:
-        new_live = np.min(live_costs + values[live_succ], axis=0)
-        iterations += 1
-        residual = float(np.max(np.abs(new_live - values[live]))) if live.size else 0.0
-        values[live] = new_live
-        if residual <= tol:
-            converged = True
-            break
-
-    greedy = np.argmin(table + values[fsys.successor], axis=1)
-    return ValueTable(
-        values=values,
-        greedy=np.asarray(greedy, dtype=int),
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        cost=cost,
-    )
+    q = table + values[fsys.successor]
+    greedy = np.argmin(q, axis=1)
+    swept = q[np.arange(fsys.num_states), greedy]
+    moved = np.flatnonzero(swept != values)
+    if moved.size:
+        x = int(moved[0])
+        raise StagecraftError(f"a Bellman sweep moves state {x} from {values[x]!r} to {swept[x]!r}")
+    return ValueTable(values=values, greedy=greedy, cost=cost)
 
 
 def greedy_policy(vt: ValueTable, fsys: FiniteSystem, prefix_len: int = 512) -> PolicyOracle:
@@ -335,7 +306,7 @@ def extract_ucc(
     margin: float = 1.5,
     prefix_len: int = 512,
 ) -> UCCCert:
-    """Package a converged value table as a total-cost certificate.
+    """Package a value table as a total-cost certificate.
 
     The cost bound is a strictly increasing envelope over the
     per-measure-level maxima of ``margin * value``; states sharing a
@@ -343,10 +314,8 @@ def extract_ucc(
     everywhere and zero values on zero-measure states, otherwise the
     envelope cannot both vanish at zero and dominate.
     """
-    if not vt.converged:
-        raise ParameterError("value table did not converge; refusing to certify")
-    if margin < 1.0:
-        raise ParameterError(f"margin must be at least 1, got {margin!r}")
+    if not (np.isfinite(margin) and margin >= 1.0):
+        raise ParameterError(f"margin must be finite and at least 1, got {margin!r}")
     sig = fsys.state_measure
     values = vt.values
     bad = np.flatnonzero(~np.isfinite(values))

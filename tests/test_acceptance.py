@@ -232,7 +232,7 @@ def test_criterion_7_converse_round_trip(capsys):
     started = time.perf_counter()
 
     chain = build_builtin("finite_chain")
-    table = value_iterate(chain.finite, UNIT_COST, tol=VI_TOL)
+    table = value_iterate(chain.finite, UNIT_COST)
     chain_ucc = extract_ucc(table, chain.finite, margin=1.5)
     chain_result = converse_pipeline(
         chain_ucc, chain.system, list(range(10)), horizon=64, slack=1e-9
@@ -265,7 +265,7 @@ def test_criterion_7_converse_round_trip(capsys):
 
 def test_criterion_8_oracle_fidelity(capsys):
     chain = build_builtin("finite_chain")
-    table = value_iterate(chain.finite, UNIT_COST, tol=VI_TOL)
+    table = value_iterate(chain.finite, UNIT_COST)
     sys_view = chain.finite.to_control_system()
     policy = greedy_policy(table, chain.finite, prefix_len=64)
     worst_gap = 0.0
@@ -279,7 +279,7 @@ def test_criterion_8_oracle_fidelity(capsys):
         state_measure=np.arange(5, dtype=float),
         input_measure=np.array([0.0, 1.0, 1.5]),
     )
-    small_table = value_iterate(small, UNIT_COST, tol=VI_TOL)
+    small_table = value_iterate(small, UNIT_COST)
     brute = brute_force_values(small, UNIT_COST, depth=8)
     brute_match = bool(np.allclose(brute, small_table.values, rtol=0, atol=1e-9))
 

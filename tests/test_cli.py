@@ -175,10 +175,9 @@ class TestConfigErrors:
             ("verify", {"system": SCALAR, "samples": {"count": True}}, "'samples.count'"),
             ("converse", {**CHAIN_ORACLE, "converse": {"policy_length": "64"}},
              "'converse.policy_length'"),
-            ("oracle", {**CHAIN_ORACLE, "oracle": {"max_iter": 1e400}}, "'oracle.max_iter'"),
             ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'scalar_linear'"),
-            ("oracle", {**CHAIN_ORACLE, "oracle": {"tol": math.inf}}, "tolerance must be finite"),
-            ("oracle", {**CHAIN_ORACLE, "oracle": {"tol": math.nan}}, "tolerance must be finite"),
+            ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.nan}}, "margin"),
+            ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.inf}}, "margin"),
             (
                 "oracle",
                 {
@@ -209,10 +208,9 @@ class TestConfigErrors:
             "horizon_infinite",
             "count_bool",
             "policy_length_string",
-            "max_iter_infinite",
             "builtin_param_not_float",
-            "tol_infinite",
-            "tol_nan",
+            "margin_nan",
+            "margin_infinite",
             "successor_fractional",
         ],
     )
@@ -426,11 +424,6 @@ class TestOracleCommand:
             # stepping down from x pays k + 1 at every level k = x..1
             assert float(value) == x * (x + 1) / 2 + x
 
-    def test_iteration_budget_exhaustion_exits_three(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "oracle", self.chain_config(oracle={"max_iter": 0}))
-        assert rc == 3
-        assert "FAIL" in capsys.readouterr().out
-
     def test_discretized_builtin(self, tmp_path):
         rc, _ = run(
             tmp_path,
@@ -450,6 +443,36 @@ class TestOracleCommand:
     def test_non_finite_system_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "oracle", {"system": {"builtin": "scalar_linear"}})
         assert rc == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_json_artifacts_are_strict_json(tmp_path):
+    stranded = {"successor": [[0, 0], [1, 1]], "state_measure": [0.0, 1.0],
+                "input_measure": [0.0, 1.0]}
+    readme_chain = {
+        "system": {"builtin": "finite_chain", "params": {"length": 10}},
+        "certificate": {"kind": "oracle"},
+        "samples": {"count": 10},
+        "converse": {"depth": 8, "nu_depth": 12},
+    }
+    runs = [
+        ("verify", {"system": {"builtin": "scalar_linear"}, "samples": {"count": 4}},
+         "certificate.json"),
+        ("synthesize", {"system": {"builtin": "scalar_linear"}, "samples": {"count": 4}},
+         "synthesis.json"),
+        ("converse", readme_chain, "converse.json"),
+        ("oracle", {"system": {"finite": stranded}}, "oracle.json"),
+    ]
+    for command, payload, name in runs:
+        rc, out = run(tmp_path, command, payload, outname=command)
+        assert rc == 0, command
+        json.loads((out / name).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    # the stranded state's infinite value stays in the CSV, out of oracle.json
+    rows = (tmp_path / "oracle" / "value_table.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[2].split(",")[2] == "inf"
 
 
 class TestDeterminism:
