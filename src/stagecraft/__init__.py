@@ -4,8 +4,8 @@ The package is organized around four certificate shapes (state decay,
 control decay, energy budget, total cost), grid-checked conversions
 between them, stage-cost synthesis from an energy budget, and a
 constructive converse that rebuilds an energy budget from a total-cost
-certificate.  A small value-iteration oracle and a library of builtin
-benchmark systems support end-to-end checks.
+certificate.  A small shortest-path oracle for finite systems and a
+library of builtin benchmark systems support end-to-end checks.
 """
 
 from . import certificates, cmpfn, converse, errors, library, oracle, synthesis, system

@@ -52,13 +52,11 @@ __all__ = [
     "joint_bound_merge",
     "joint_bound_split",
     "as_state_certificate",
-    "cert_to_json",
 ]
 
 DEFAULT_SLACK = 1e-9
 
 TAIL_ZERO = "zero"
-TAIL_REPEAT = "repeat-last"
 
 
 @dataclass(frozen=True)
@@ -71,9 +69,8 @@ class PolicyOracle:
     A prefix must be prefix-closed: the first ``k`` controls of
     ``prefix(x, n)`` are ``prefix(x, k)`` for every ``k <= n``.
     Requests beyond ``length`` or beyond a shorter prefix follow the
-    tail rule: ``"zero"`` pads with ``zero_input``, ``"repeat-last"``
-    repeats the final prefix entry, and ``None`` makes over-long
-    requests an error.
+    tail rule: ``"zero"`` pads with ``zero_input``, and ``None`` makes
+    over-long requests an error.
     """
 
     prefix: Callable[[Any, int], Sequence]
@@ -85,7 +82,7 @@ class PolicyOracle:
     def __post_init__(self):
         if self.length < 0:
             raise ParameterError(f"prefix length must be nonnegative, got {self.length}")
-        if self.tail not in (TAIL_ZERO, TAIL_REPEAT, None):
+        if self.tail not in (TAIL_ZERO, None):
             raise ParameterError(f"unknown tail rule {self.tail!r}")
 
     def controls(self, x, n: int) -> list:
@@ -100,11 +97,7 @@ class PolicyOracle:
             raise PolicyError(
                 f"policy prefix has {len(seq)} controls, {n} requested and no tail rule declared"
             )
-        if self.tail == TAIL_REPEAT and seq:
-            pad = seq[-1]
-        else:
-            pad = self.zero_input
-        return seq + [pad] * (n - len(seq))
+        return seq + [self.zero_input] * (n - len(seq))
 
 
 def _always(_x) -> bool:
@@ -394,19 +387,3 @@ def joint_bound_split(beta: KLFn, w1: float, w2: float) -> Tuple[KLFn, KLFn]:
         raise ParameterError("split weights must be positive")
     c = max(1.0 / float(w1), 1.0 / float(w2))
     return scale_kl(beta, c), scale_kl(beta, c)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def cert_to_json(cert: Certificate) -> dict:
-    """Serialize the mathematical content of a certificate.
-
-    Policies and domain predicates are opaque callables; only their
-    metadata is recorded.
-    """
-    if not isinstance(cert, _Certificate):
-        raise ParameterError(f"unknown certificate type {type(cert).__name__}")
-    return cert.to_json()

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .cmpfn import fn_from_json, identity, scale, scale_kl
-from .certificates import UVCCert, as_state_certificate, cert_to_json, uvc_to_ubgec, verify
+from .certificates import UVCCert, as_state_certificate, uvc_to_ubgec, verify
 from .converse import converse_pipeline
 from .errors import (
     ChoiceRejectedError,
@@ -255,7 +255,7 @@ def cmd_verify(config: dict, out_dir: str, seed: int) -> int:
         cert = dataclasses.replace(cert, state_bound=scale_kl(cert.state_bound, scale_factor))
     samples = _draw_samples(builtin, finite, config, seed)
     report = verify(cert, sys_, samples, **_replay(config))
-    _write_json(cert_to_json(cert), out_dir, "certificate.json")
+    _write_json(cert.to_json(), out_dir, "certificate.json")
     return _finish(report, out_dir)
 
 

@@ -63,7 +63,6 @@ __all__ = [
     "pointwise_min",
     "inverse_of",
     "kl_decompose",
-    "kl_grid_violations",
     "strict_table",
     "scale_kl",
     "fn_from_json",
@@ -737,27 +736,6 @@ def scale_kl(beta, c):
     if isinstance(beta, SampledKL):
         return SampledKL(r_grid=beta.r_grid, t_grid=beta.t_grid, values=c * beta.values)
     raise ParameterError(f"unknown decay-bound type {type(beta).__name__}")
-
-
-def kl_grid_violations(beta, r_grid=None, t_grid=None):
-    """Grid report of shape violations; empty means the bound looks valid.
-
-    ``beta.eval`` must broadcast: the whole grid is one call.
-    """
-    r_grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    vals = beta.eval(r_grid[:, None], t_grid[None, :])
-    bad = []
-    if np.any(np.diff(vals, axis=0) <= 0):
-        bad.append("not strictly increasing in r")
-    rows = vals[r_grid > 0]
-    if np.any(np.diff(rows, axis=1) >= 0):
-        bad.append("not strictly decreasing in t for r > 0")
-    tail = rows[:, -1]
-    head = rows[:, 0]
-    if np.any(tail >= head):
-        bad.append("no decay over the horizon")
-    return bad
 
 
 # ---------------------------------------------------------------------------

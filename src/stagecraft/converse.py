@@ -41,7 +41,6 @@ from .errors import BudgetError, CertificateInvalidError, ParameterError
 from .system import ControlSystem, _step, _write_csv
 
 __all__ = [
-    "DEFAULT_STEP_CAP",
     "excursion_bound",
     "relay_bound",
     "total_bound",
@@ -50,19 +49,17 @@ __all__ = [
     "stitch_controls",
     "SettlingSchedule",
     "settling_schedule",
-    "stitched_policy",
-    "StateBoundBuild",
     "assemble_state_bound",
     "ConverseResult",
     "converse_pipeline",
 ]
 
-DEFAULT_STEP_CAP = 10 ** 9
 DEFAULT_DEPTH = 16
 DEFAULT_NU_DEPTH = 48
 DEFAULT_POLICY_LENGTH = 4096
 
 _STRICTIFIER = 1e-3
+_STEP_CAP = 10 ** 9
 
 
 def _gauges(ucc: UCCCert) -> Tuple[KInfFn, NonnegFn]:
@@ -122,7 +119,6 @@ def settle_horizon(
     radius: float,
     eps: float,
     eps_tilde_factor: float = 0.5,
-    step_cap: int = DEFAULT_STEP_CAP,
 ) -> int:
     """Steps within which a certified rollout must dip below a threshold.
 
@@ -132,7 +128,7 @@ def settle_horizon(
     more than the returned number of steps: the smallest positive
     integer at least ``cost_bound(radius) / state_gauge(threshold) - 1``.
     """
-    return _Settler(ucc, eps_tilde_factor, step_cap).settle(radius, eps)
+    return _Settler(ucc, eps_tilde_factor).settle(radius, eps)
 
 
 @dataclass(frozen=True)
@@ -266,52 +262,21 @@ def settling_schedule(
     ucc: UCCCert,
     radius: float,
     depth: int = DEFAULT_DEPTH,
-    eps_levels: Optional[Sequence[float]] = None,
     eps_tilde_factor: float = 0.5,
-    step_cap: int = DEFAULT_STEP_CAP,
 ) -> SettlingSchedule:
     """Target sequence for settling from the given radius.
 
-    Levels default to ``1/m``.  The round-``m`` target is clipped
-    three ways: below the relay preimage of the level's stage cost,
-    below the relay preimage of a geometrically shrinking share of
-    the starting cost budget, and below the radius itself.  The
-    clipping makes both the per-round costs and the final measures
-    summable.
+    Round ``m`` has level ``1/m``.  Its target is clipped three ways:
+    below the relay preimage of the level's stage cost, below the
+    relay preimage of a geometrically shrinking share of the starting
+    cost budget, and below the radius itself.  The clipping makes both
+    the per-round costs and the final measures summable.
 
     Rounds whose horizon would blow the step cap are dropped: the
     schedule truncates at the last computable round.  At least the
     first round must fit under the cap.
     """
-    return _Settler(ucc, eps_tilde_factor, step_cap).schedules([radius], depth, eps_levels)[0][0]
-
-
-def stitched_policy(
-    ucc: UCCCert,
-    sys: ControlSystem,
-    depth: int = DEFAULT_DEPTH,
-    eps_tilde_factor: float = 0.5,
-    length: int = DEFAULT_POLICY_LENGTH,
-) -> PolicyOracle:
-    """Concatenate stitched prefixes through the settling schedule.
-
-    Per starting state, round ``m`` runs the stitched control for the
-    round's target, truncated to the round's horizon, and states with
-    zero measure fall back to the certificate's own policy.  Controls
-    are built on demand: a request for ``n`` controls runs only the
-    rounds that fill them, so a round's scan checks for its dip only
-    when its whole window lies inside the request.  ``length`` only
-    sets where the zero tail starts.
-    """
-    return _Settler(ucc, eps_tilde_factor).policy(sys, depth, length)
-
-
-@dataclass(frozen=True)
-class StateBoundBuild:
-    """Assembled decay bound plus the data it came from."""
-
-    bound: SampledKL
-    schedules: Tuple[SettlingSchedule, ...]
+    return _Settler(ucc, eps_tilde_factor).schedules([radius], depth)[0][0]
 
 
 class _Settler:
@@ -327,7 +292,7 @@ class _Settler:
     redo each sample radius's inversions for every verified sample.
     """
 
-    def __init__(self, ucc: UCCCert, eps_tilde_factor: float, step_cap: int = DEFAULT_STEP_CAP):
+    def __init__(self, ucc: UCCCert, eps_tilde_factor: float):
         if not 0.0 < eps_tilde_factor < 1.0:
             raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
         self.ucc = ucc
@@ -335,7 +300,6 @@ class _Settler:
         self.excursion = excursion_bound(ucc)
         self.relay = relay_bound(ucc)
         self.eps_tilde_factor = eps_tilde_factor
-        self.step_cap = step_cap
         # radius -> (schedule, round thresholds) of the last assemble
         self._built = {}
         self._built_depth = 0
@@ -362,10 +326,10 @@ class _Settler:
                 return 1
             raise BudgetError(f"threshold {threshold:g} carries no stage cost; cannot bound steps")
         ratio = top / floor_cost
-        if ratio > self.step_cap:
+        if ratio > _STEP_CAP:
             raise BudgetError(
                 f"settling from radius {radius:g} to target {eps:g} needs about "
-                f"{ratio:.3g} steps, above the cap {self.step_cap:g}"
+                f"{ratio:.3g} steps, above the cap {_STEP_CAP:g}"
             )
         value = ratio - 1.0
         nearest = round(value)
@@ -373,7 +337,7 @@ class _Settler:
             value = nearest
         return max(1, math.ceil(value))
 
-    def schedules(self, radii: Sequence[float], depth: int, eps_levels: Optional[Sequence[float]] = None):
+    def schedules(self, radii: Sequence[float], depth: int):
         """``settling_schedule`` of every radius, with the threshold of each round.
 
         The level costs and all budget shares go through one relay
@@ -385,16 +349,7 @@ class _Settler:
                 raise ParameterError(f"radius must be finite and positive, got {radius!r}")
         if depth < 1:
             raise ParameterError(f"depth must be at least 1, got {depth}")
-        if eps_levels is None:
-            levels = [1.0 / m for m in range(1, depth + 1)]
-        else:
-            levels = [float(e) for e in eps_levels]
-            if len(levels) != depth:
-                raise ParameterError(f"expected {depth} levels, got {len(levels)}")
-            if any(not (0.0 < e <= 1.0) for e in levels):
-                raise ParameterError("levels must lie in (0, 1]")
-            if any(b >= a for a, b in zip(levels, levels[1:])):
-                raise ParameterError("levels must be strictly decreasing")
+        levels = [1.0 / m for m in range(1, depth + 1)]
 
         radii = np.asarray(radii, dtype=float)
         tops = self.ucc.cost_bound.eval(radii)
@@ -462,17 +417,21 @@ class _Settler:
         return list(lead), None, state
 
     def policy(self, sys: ControlSystem, depth: int, length: int) -> PolicyOracle:
-        """``stitched_policy``; sample radii reuse the schedules of ``assemble``.
+        """Concatenate stitched prefixes through the settling schedule.
 
+        Per starting state, round ``m`` runs the stitched control for the
+        round's target, truncated to the round's horizon, and states with
+        zero measure fall back to the certificate's own policy.
         ``prefix(x, n)`` fills ``n`` controls round by round and stops
         there: a round cut short by ``n`` scans only the controls it
         returns, so it raises ``CertificateInvalidError`` only when its
-        whole horizon fits in the request.  ``length`` is where the
-        zero tail starts.
+        whole horizon fits in the request.  ``length`` only sets where
+        the zero tail starts.
 
-        With the default ``1/m`` levels a schedule of depth ``d`` is
-        the first ``d`` rounds of a deeper one, step-cap truncation
-        included, so any depth up to the assembled one can reuse it.
+        Sample radii reuse the schedules of ``assemble``: a schedule of
+        depth ``d`` is the first ``d`` rounds of a deeper one, step-cap
+        truncation included, so any depth up to the assembled one can
+        reuse it.
         """
         if length < 1:
             raise ParameterError(f"length must be positive, got {length}")
@@ -500,7 +459,9 @@ class _Settler:
 
         return PolicyOracle(prefix=prefix, length=length, tail=TAIL_ZERO, ref="stitched")
 
-    def assemble(self, r_values: Sequence[float], depth: int) -> StateBoundBuild:
+    def assemble(
+        self, r_values: Sequence[float], depth: int
+    ) -> Tuple[SampledKL, Tuple[SettlingSchedule, ...]]:
         """``assemble_state_bound``; keeps the schedules for ``policy``."""
         radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
         if radii.size < 2 or np.any(radii <= 0):
@@ -521,9 +482,7 @@ class _Settler:
         values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
         bound = SampledKL(r_grid=radii, t_grid=DEFAULT_T_GRID, values=values)
         self._built, self._built_depth = built, depth
-        return StateBoundBuild(
-            bound=bound, schedules=tuple(schedule for schedule, _ in built.values())
-        )
+        return bound, tuple(schedule for schedule, _ in built.values())
 
 
 def assemble_state_bound(
@@ -531,8 +490,9 @@ def assemble_state_bound(
     r_values: Sequence[float],
     depth: int = DEFAULT_NU_DEPTH,
     eps_tilde_factor: float = 0.5,
-) -> StateBoundBuild:
-    """Decay bound on the state measure for the stitched policy.
+) -> Tuple[SampledKL, Tuple[SettlingSchedule, ...]]:
+    """Decay bound on the state measure for the stitched policy, and the
+    settling schedule of each radius.
 
     Rows are the given radii and columns the steps of ``DEFAULT_T_GRID``.
     Each cell takes the smaller of the excursion bound (valid at every
@@ -559,7 +519,7 @@ class ConverseResult:
     excursion: KInfFn
     relay: KInfFn
     total: KInfFn
-    build: StateBoundBuild
+    schedules: Tuple[SettlingSchedule, ...]
     report: VerificationReport
 
     def to_json(self) -> dict:
@@ -578,7 +538,7 @@ class ConverseResult:
         rows = [
             (s.radius, m + 1, s.eps_levels[m], s.eps_targets[m], s.round_horizons[m],
              s.cum_horizons[m])
-            for s in self.build.schedules
+            for s in self.schedules
             for m in range(s.depth)
         ]
         header = ("radius", "round", "eps_level", "eps_target", "round_horizon", "cum_horizon")
@@ -586,7 +546,7 @@ class ConverseResult:
 
     def nu_csv(self, fp) -> None:
         rows = []
-        for schedule in self.build.schedules:
+        for schedule in self.schedules:
             lo = 2.0 * schedule.floor * 1.05
             for eps in np.geomspace(lo, max(4.0, 4.0 * lo), 9):
                 rows.append((schedule.radius, eps, schedule.value(eps)))
@@ -632,11 +592,11 @@ def converse_pipeline(
         radii = measures
 
     settler = _Settler(ucc, eps_tilde_factor)
-    build = settler.assemble(radii, nu_depth)
+    bound, schedules = settler.assemble(radii, nu_depth)
     policy = settler.policy(sys, depth, policy_length)
     total = total_bound(ucc)
     cert = UBgECCert(
-        state_bound=build.bound,
+        state_bound=bound,
         energy=ucc.stage_cost.input_cost,
         energy_budget=total,
         domain=ucc.domain,
@@ -648,6 +608,6 @@ def converse_pipeline(
         excursion=settler.excursion,
         relay=settler.relay,
         total=total,
-        build=build,
+        schedules=schedules,
         report=report,
     )

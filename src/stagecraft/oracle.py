@@ -3,9 +3,7 @@
 Shortest paths over an explicit transition table give, per state, the
 cheapest achievable total cost and a greedy policy attaining it.
 Both serve as an independent reference: ``extract_ucc`` packages
-them as a total-cost certificate with forward invariance, and the
-brute-force enumerator re-derives the same costs from scratch on
-systems small enough to enumerate.
+them as a total-cost certificate with forward invariance.
 
 A total cost can only stay finite by eventually riding zero-cost
 edges forever, so finite values exist exactly on states that can
@@ -24,15 +22,15 @@ and one O(S * U) Bellman sweep confirms them and picks the greedy inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import product
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .cmpfn import _max_per_x, identity, strict_table
-from .certificates import TAIL_REPEAT, PolicyOracle, UCCCert
+from .certificates import PolicyOracle, UCCCert
 from .errors import EnvelopeError, ParameterError, StagecraftError
 from .system import ControlSystem, StageCost, _write_csv
 
@@ -44,7 +42,6 @@ __all__ = [
     "greedy_policy",
     "zero_cost_core",
     "reaches_core",
-    "brute_force_values",
     "discretize_scalar",
 ]
 
@@ -284,8 +281,13 @@ def value_iterate(fsys: FiniteSystem, cost: StageCost) -> ValueTable:
     return ValueTable(values=values, greedy=greedy, cost=cost)
 
 
-def greedy_policy(vt: ValueTable, fsys: FiniteSystem, prefix_len: int = 512) -> PolicyOracle:
-    """Follow the greedy input table from a starting state index."""
+def greedy_policy(vt: ValueTable, fsys: FiniteSystem) -> PolicyOracle:
+    """Follow the greedy input table from a starting state index.
+
+    The table is a feedback law, so the policy has no prefix length
+    and no tail: every control is the table's input at the state
+    reached.
+    """
     succ, greedy = fsys.successor.tolist(), vt.greedy.tolist()
 
     def prefix(x, n):
@@ -297,14 +299,13 @@ def greedy_policy(vt: ValueTable, fsys: FiniteSystem, prefix_len: int = 512) -> 
             state = succ[state][u]
         return controls
 
-    return PolicyOracle(prefix=prefix, length=prefix_len, tail=TAIL_REPEAT, ref="greedy")
+    return PolicyOracle(prefix=prefix, length=sys.maxsize, tail=None, ref="greedy")
 
 
 def extract_ucc(
     vt: ValueTable,
     fsys: FiniteSystem,
     margin: float = 1.5,
-    prefix_len: int = 512,
 ) -> UCCCert:
     """Package a value table as a total-cost certificate.
 
@@ -345,48 +346,18 @@ def extract_ucc(
         stage_cost=vt.cost,
         cost_bound=bound,
         domain=lambda x: 0 <= int(x) < states,
-        policy=greedy_policy(vt, fsys, prefix_len),
+        policy=greedy_policy(vt, fsys),
         forward_invariant=True,
     )
 
 
-def brute_force_values(fsys: FiniteSystem, cost: StageCost, depth: int = 8) -> np.ndarray:
-    """Cheapest cost over all input sequences of the given depth.
-
-    Sequences must end inside the zero-cost core so the remaining
-    infinite tail is free; all others count as infinite.  Exponential
-    in ``depth``, intended only as an independent check on tiny
-    systems.
-    """
-    if fsys.num_inputs ** depth > 2 ** 20:
-        raise ParameterError("enumeration would be too large; shrink depth or the system")
-    table = _cost_table(fsys, cost)
-    core = zero_cost_core(fsys, cost, table=table)
-    best = np.full(fsys.num_states, np.inf)
-    for seq in product(range(fsys.num_inputs), repeat=depth):
-        for x0 in range(fsys.num_states):
-            state = x0
-            total = 0.0
-            for u in seq:
-                total += table[state, u]
-                state = int(fsys.successor[state, u])
-            if core[state]:
-                best[x0] = min(best[x0], total)
-    return best
-
-
-def discretize_scalar(
-    step,
-    state_points,
-    input_points,
-    state_measure=abs,
-    input_measure=abs,
-) -> FiniteSystem:
+def discretize_scalar(step, state_points, input_points) -> FiniteSystem:
     """Snap a scalar map onto finite grids by nearest neighbor.
 
     ``step(x, u)`` is evaluated on the grid cross product and its
     result snapped to the nearest state grid point (clamped at the
-    ends).  The state grid must contain a zero-measure point.
+    ends).  Both measures are the absolute value, and the state grid
+    must contain a zero.
     """
     xs = np.asarray(state_points, dtype=float)
     us = np.asarray(input_points, dtype=float)
@@ -402,6 +373,6 @@ def discretize_scalar(
     succ = np.where(xs[hi] - targets <= targets - xs[lo], hi, lo)
     return FiniteSystem(
         successor=succ,
-        state_measure=np.array([float(state_measure(x)) for x in xs]),
-        input_measure=np.array([float(input_measure(u)) for u in us]),
+        state_measure=np.abs(xs),
+        input_measure=np.abs(us),
     )

@@ -13,7 +13,7 @@ above the radius with a separate burst budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     NonContractionError,
     ParameterError,
 )
-from .system import ControlSystem, StageCost, rollout
+from .system import ControlSystem, StageCost
 
 __all__ = [
     "TransientData",
@@ -52,9 +52,7 @@ __all__ = [
     "admit_interaction",
     "admissible_wrapper",
     "TransientSplit",
-    "TransientPartition",
     "transient_split",
-    "transient_partition",
 ]
 
 COUNT_SEARCH_CAP = 2 ** 20
@@ -444,16 +442,6 @@ class TransientSplit:
     radius: float
 
 
-@dataclass(frozen=True)
-class TransientPartition:
-    """Index split of one rollout at the transient radius."""
-
-    transient: Tuple[int, ...]
-    settled: Tuple[int, ...]
-    transient_cost: float
-    settled_cost: float
-
-
 def transient_split(
     spec: InteractionSpec,
     cert: UBgECCert,
@@ -518,34 +506,4 @@ def transient_split(
         burst_bound=burst_bound,
         count=count,
         radius=data.radius,
-    )
-
-
-def transient_partition(
-    spec: InteractionSpec,
-    cert: UBgECCert,
-    sys: ControlSystem,
-    x,
-    horizon: int,
-) -> TransientPartition:
-    """Split one certified rollout's cross costs at the transient radius."""
-    if spec.transient is None:
-        raise ParameterError("partitioning needs an InteractionSpec with transient data")
-    traj = rollout(sys, x, cert.policy.controls(x, horizon))
-    radius = spec.transient.radius
-    hot, cold = [], []
-    hot_cost = cold_cost = 0.0
-    for n, (sig, rho) in enumerate(zip(traj.sigma[:-1].tolist(), traj.rho.tolist())):
-        cost = float(spec.cross(sig, rho))
-        if sig >= radius:
-            hot.append(n)
-            hot_cost += cost
-        else:
-            cold.append(n)
-            cold_cost += cost
-    return TransientPartition(
-        transient=tuple(hot),
-        settled=tuple(cold),
-        transient_cost=hot_cost,
-        settled_cost=cold_cost,
     )

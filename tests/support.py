@@ -4,12 +4,18 @@ Trees are built valid by construction so structural rejection stays
 rare; generation is seeded by the caller for reproducibility.
 """
 
+from dataclasses import dataclass
+from itertools import product
+from typing import Tuple
+
 import numpy as np
 
 from stagecraft import (
     DEFAULT_R_GRID,
+    DEFAULT_T_GRID,
     KInfFn,
     NonContractionError,
+    ParameterError,
     SampledKL,
     SeparableKL,
     StagecraftError,
@@ -20,10 +26,14 @@ from stagecraft import (
     linear,
     pointwise_min,
     power,
+    rollout,
     scale,
     stage_costs,
     strict_table,
+    zero_cost_core,
 )
+from stagecraft.converse import DEFAULT_DEPTH, DEFAULT_POLICY_LENGTH, _Settler
+from stagecraft.oracle import _cost_table
 from stagecraft.synthesis import COUNT_SEARCH_CAP
 
 LOG_GRID = np.logspace(-6.0, 6.0, 64)
@@ -220,3 +230,87 @@ def excursion_count_loop(beta, radius, r, cap=COUNT_SEARCH_CAP):
         else:
             lo = mid
     return hi
+
+
+def stitched_policy(ucc, sys, depth=DEFAULT_DEPTH, eps_tilde_factor=0.5, length=DEFAULT_POLICY_LENGTH):
+    """The converse's stitched policy of ``ucc`` on ``sys``, built without an assembled bound."""
+    return _Settler(ucc, eps_tilde_factor).policy(sys, depth, length)
+
+
+def kl_grid_violations(beta, r_grid=None, t_grid=None):
+    """Grid report of shape violations; empty means the bound looks valid.
+
+    ``beta.eval`` must broadcast: the whole grid is one call.
+    """
+    r_grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
+    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
+    vals = beta.eval(r_grid[:, None], t_grid[None, :])
+    bad = []
+    if np.any(np.diff(vals, axis=0) <= 0):
+        bad.append("not strictly increasing in r")
+    rows = vals[r_grid > 0]
+    if np.any(np.diff(rows, axis=1) >= 0):
+        bad.append("not strictly decreasing in t for r > 0")
+    tail = rows[:, -1]
+    head = rows[:, 0]
+    if np.any(tail >= head):
+        bad.append("no decay over the horizon")
+    return bad
+
+
+def brute_force_values(fsys, cost, depth=8):
+    """Cheapest cost over all input sequences of the given depth.
+
+    Sequences must end inside the zero-cost core so the remaining
+    infinite tail is free; all others count as infinite.  Exponential
+    in ``depth``, an independent check on tiny systems only.
+    """
+    if fsys.num_inputs ** depth > 2 ** 20:
+        raise ParameterError("enumeration would be too large; shrink depth or the system")
+    table = _cost_table(fsys, cost)
+    core = zero_cost_core(fsys, cost, table=table)
+    best = np.full(fsys.num_states, np.inf)
+    for seq in product(range(fsys.num_inputs), repeat=depth):
+        for x0 in range(fsys.num_states):
+            state = x0
+            total = 0.0
+            for u in seq:
+                total += table[state, u]
+                state = int(fsys.successor[state, u])
+            if core[state]:
+                best[x0] = min(best[x0], total)
+    return best
+
+
+@dataclass(frozen=True)
+class TransientPartition:
+    """Index split of one rollout at the transient radius."""
+
+    transient: Tuple[int, ...]
+    settled: Tuple[int, ...]
+    transient_cost: float
+    settled_cost: float
+
+
+def transient_partition(spec, cert, sys, x, horizon):
+    """Split one certified rollout's cross costs at the transient radius."""
+    if spec.transient is None:
+        raise ParameterError("partitioning needs an InteractionSpec with transient data")
+    traj = rollout(sys, x, cert.policy.controls(x, horizon))
+    radius = spec.transient.radius
+    hot, cold = [], []
+    hot_cost = cold_cost = 0.0
+    for n, (sig, rho) in enumerate(zip(traj.sigma[:-1].tolist(), traj.rho.tolist())):
+        cost = float(spec.cross(sig, rho))
+        if sig >= radius:
+            hot.append(n)
+            hot_cost += cost
+        else:
+            cold.append(n)
+            cold_cost += cost
+    return TransientPartition(
+        transient=tuple(hot),
+        settled=tuple(cold),
+        transient_cost=hot_cost,
+        settled_cost=cold_cost,
+    )

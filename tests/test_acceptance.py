@@ -25,7 +25,6 @@ from stagecraft import (
     UCCCert,
     admissible_wrapper,
     admit_interaction,
-    brute_force_values,
     build_builtin,
     certify_ucc,
     combine,
@@ -42,13 +41,21 @@ from stagecraft import (
     settling_schedule,
     synthesize,
     to_ucc_cert,
-    transient_partition,
     transient_split,
     uvc_to_ubgec,
     value_iterate,
     verify,
 )
-from support import LOG_GRID, random_kinf, random_sampled, random_separable, selfcheck, total_cost
+from support import (
+    LOG_GRID,
+    brute_force_values,
+    random_kinf,
+    random_sampled,
+    random_separable,
+    selfcheck,
+    total_cost,
+    transient_partition,
+)
 
 VI_TOL = 1e-10
 UNIT_COST = StageCost(state_cost=identity(), input_cost=identity())
@@ -267,7 +274,7 @@ def test_criterion_8_oracle_fidelity(capsys):
     chain = build_builtin("finite_chain")
     table = value_iterate(chain.finite, UNIT_COST)
     sys_view = chain.finite.to_control_system()
-    policy = greedy_policy(table, chain.finite, prefix_len=64)
+    policy = greedy_policy(table, chain.finite)
     worst_gap = 0.0
     for x0 in range(chain.finite.num_states):
         traj = rollout(sys_view, x0, policy.controls(x0, 64))

@@ -25,7 +25,6 @@ from stagecraft import (
     UVCCert,
     as_state_certificate,
     build_builtin,
-    cert_to_json,
     const_fn,
     identity,
     joint_bound_merge,
@@ -61,10 +60,6 @@ class TestPolicyOracle:
     def test_zero_tail_pads(self):
         pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0][:n], length=2, tail="zero")
         assert pol.controls(0.0, 4) == [1.0, 2.0, 0.0, 0.0]
-
-    def test_repeat_tail_repeats(self):
-        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0][:n], length=2, tail="repeat-last")
-        assert pol.controls(0.0, 4) == [1.0, 2.0, 2.0, 2.0]
 
     def test_no_tail_raises_when_short(self):
         pol = PolicyOracle(prefix=lambda x, n: [1.0][:n], length=1, tail=None)
@@ -335,10 +330,10 @@ class TestReports:
 
     def test_cert_to_json_kinds(self):
         b = build_builtin("scalar_linear", None)
-        assert cert_to_json(b.uvc)["kind"] == "uvc"
-        assert cert_to_json(b.ubgec)["kind"] == "ubgec"
-        assert cert_to_json(as_state_certificate(b.uvc))["kind"] == "uac"
-        assert isinstance(cert_to_json(b.ubgec)["energy_budget"], dict)
+        assert b.uvc.to_json()["kind"] == "uvc"
+        assert b.ubgec.to_json()["kind"] == "ubgec"
+        assert as_state_certificate(b.uvc).to_json()["kind"] == "uac"
+        assert isinstance(b.ubgec.to_json()["energy_budget"], dict)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +469,11 @@ PINNED_ROWS = {
 class TestKindForms:
     @pytest.mark.parametrize("kind", sorted(PINNED_JSON))
     def test_cert_to_json_is_pinned(self, kind):
-        obj = cert_to_json(kind_certs()[kind])
+        obj = kind_certs()[kind].to_json()
         assert json.dumps(obj, sort_keys=True) == json.dumps(PINNED_JSON[kind], sort_keys=True)
 
     def test_builtin_energy_certificate_json_is_pinned(self):
-        obj = cert_to_json(build_builtin("scalar_linear", None).ubgec)
+        obj = build_builtin("scalar_linear", None).ubgec.to_json()
         assert json.dumps(obj, sort_keys=True) == (
             '{"energy": {"expr": {"inner": {"op": "identity"}, "op": "inverse_of"}, '
             '"kind": "kinf"}, "energy_budget": {"expr": {"c": 2.0, "inner": {"op": "identity"}, '
@@ -487,10 +482,6 @@ class TestKindForms:
             '{"decay": 0.5, "inner": {"expr": {"op": "identity"}, "kind": "kinf"}, '
             '"kind": "kl.separable", "outer": {"expr": {"op": "identity"}, "kind": "kinf"}}}'
         )
-
-    def test_cert_to_json_rejects_other_objects(self):
-        with pytest.raises(ParameterError, match="unknown certificate type"):
-            cert_to_json(geometric_bound())
 
     @pytest.mark.parametrize("horizon", [3, 0])
     @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))

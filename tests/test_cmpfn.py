@@ -26,7 +26,6 @@ from stagecraft import (
     inverse_of,
     kl_decompose,
     kl_from_json,
-    kl_grid_violations,
     linear,
     pointwise_min,
     power,
@@ -38,6 +37,7 @@ from stagecraft import (
 from stagecraft.cmpfn import _NODES, Scale, Table, _max_per_x
 from support import (
     LOG_GRID,
+    kl_grid_violations,
     random_kinf,
     random_sampled,
     random_separable,

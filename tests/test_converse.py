@@ -34,7 +34,6 @@ from stagecraft import (
     settle_horizon,
     settling_schedule,
     stitch_controls,
-    stitched_policy,
     synthesize,
     to_ucc_cert,
     total_bound,
@@ -42,8 +41,8 @@ from stagecraft import (
     verify,
 )
 from stagecraft import cmpfn
-from stagecraft.converse import DEFAULT_STEP_CAP, _Settler
-from support import assert_prefix_closed, total_cost
+from stagecraft.converse import _STEP_CAP, _Settler
+from support import assert_prefix_closed, stitched_policy, total_cost
 
 
 def _dummy_policy():
@@ -175,8 +174,9 @@ class TestSettleHorizon:
         assert settle_horizon(doubling_cert(), 0.0, 0.5) == 1
 
     def test_step_cap_enforced(self):
+        # the cost ratio is 8e9, above the cap of 1e9 steps
         with pytest.raises(BudgetError, match="cap"):
-            settle_horizon(doubling_cert(), 1.0, 1e-9, step_cap=10 ** 6)
+            settle_horizon(doubling_cert(), 1.0, 1e-9)
 
     def test_parameter_validation(self):
         cert = doubling_cert()
@@ -207,21 +207,6 @@ class TestSettlingSchedule:
         assert all(b > a for a, b in zip(schedule.cum_horizons, schedule.cum_horizons[1:]))
         assert schedule.cum_horizons == tuple(np.cumsum(schedule.round_horizons))
 
-    def test_custom_levels(self):
-        schedule = settling_schedule(doubling_cert(), 1.0, depth=2, eps_levels=[0.5, 0.25])
-        assert schedule.eps_targets[0] == pytest.approx(1 / 12, rel=1e-9)
-        assert schedule.eps_targets[1] == pytest.approx(1 / 24, rel=1e-9)
-        assert schedule.round_horizons == (95, 191)
-
-    def test_level_validation(self):
-        cert = doubling_cert()
-        with pytest.raises(ParameterError, match="expected 3 levels"):
-            settling_schedule(cert, 1.0, depth=3, eps_levels=[0.5])
-        with pytest.raises(ParameterError, match="lie in"):
-            settling_schedule(cert, 1.0, depth=2, eps_levels=[2.0, 0.5])
-        with pytest.raises(ParameterError, match="strictly decreasing"):
-            settling_schedule(cert, 1.0, depth=2, eps_levels=[0.5, 0.5])
-
     def test_radius_and_depth_validation(self):
         with pytest.raises(ParameterError, match="radius"):
             settling_schedule(doubling_cert(), 0.0)
@@ -229,14 +214,16 @@ class TestSettlingSchedule:
             settling_schedule(doubling_cert(), 1.0, depth=0)
 
     def test_truncates_at_last_computable_round(self):
-        schedule = settling_schedule(doubling_cert(), 1.0, depth=6, step_cap=150)
-        assert schedule.depth == 2
-        assert schedule.cum_horizons == (47, 142)
-        assert schedule.eps_levels == (1.0, 0.5)
+        # each round doubles the horizon, so round 26 would pass the cap of 1e9 steps
+        schedule = settling_schedule(doubling_cert(), 1.0, depth=40)
+        assert schedule.depth == 25
+        assert schedule.round_horizons[:3] == (47, 95, 191)
+        assert schedule.eps_levels == tuple(1.0 / m for m in range(1, 26))
 
     def test_first_round_over_cap_raises(self):
-        with pytest.raises(BudgetError):
-            settling_schedule(doubling_cert(), 1.0, depth=4, step_cap=10)
+        # round 1 from radius 1e8 needs about 4.8e9 steps
+        with pytest.raises(BudgetError, match="above the cap"):
+            settling_schedule(doubling_cert(), 1e8, depth=4)
 
 
 class TestScheduleDepth:
@@ -246,22 +233,22 @@ class TestScheduleDepth:
     @given(
         st.sampled_from(["doubling", "halving"]),
         st.floats(0.01, 100.0),
-        st.integers(1, 10),
+        st.integers(1, 30),
         st.integers(0, 6),
-        st.sampled_from([150, 2000, 10 ** 5, DEFAULT_STEP_CAP]),
     )
-    def test_shallow_schedule_is_the_first_rounds_of_a_deep_one(
-        self, fixture, radius, depth, extra, step_cap
-    ):
+    # step-cap truncation: the deep schedule stops after round 25, the shallow one at 24 or 25
+    @example("doubling", 1.0, 24, 6)
+    @example("doubling", 1.0, 30, 0)
+    def test_shallow_schedule_is_the_first_rounds_of_a_deep_one(self, fixture, radius, depth, extra):
         ucc = doubling_cert() if fixture == "doubling" else halving_fixture()[1]
         deep_depth = depth + extra
         try:
-            deep = settling_schedule(ucc, radius, depth=deep_depth, step_cap=step_cap)
+            deep = settling_schedule(ucc, radius, depth=deep_depth)
         except BudgetError:
             with pytest.raises(BudgetError):
-                settling_schedule(ucc, radius, depth=depth, step_cap=step_cap)
+                settling_schedule(ucc, radius, depth=depth)
             return
-        shallow = settling_schedule(ucc, radius, depth=depth, step_cap=step_cap)
+        shallow = settling_schedule(ucc, radius, depth=depth)
         rounds = min(depth, deep.depth)
         assert shallow.depth == rounds
         assert shallow.radius == deep.radius
@@ -536,7 +523,7 @@ def _stitched_prefix(ucc, sys, x, depth, length):
     return controls[:length]
 
 
-def _scalar_schedule(ucc, radius, levels, eps_tilde_factor, step_cap):
+def _scalar_schedule(ucc, radius, depth, eps_tilde_factor):
     """The per-round loop that batched schedules replaced, one float call at a time.
 
     Returns ``(level, target, horizon, threshold)`` per round, cut at the
@@ -545,7 +532,8 @@ def _scalar_schedule(ucc, radius, levels, eps_tilde_factor, step_cap):
     state_gauge = ucc.stage_cost.state_cost
     excursion, relay = excursion_bound(ucc), relay_bound(ucc)
     rounds = []
-    for m, level in enumerate(levels, start=1):
+    for m in range(1, depth + 1):
+        level = 1.0 / m
         top = ucc.cost_bound.eval(radius)
         target = min(
             relay.invert(state_gauge.eval(level)), relay.invert((2.0 ** -m) * top), radius
@@ -561,7 +549,7 @@ def _scalar_schedule(ucc, radius, levels, eps_tilde_factor, step_cap):
                 steps = 1
             else:
                 ratio = top / floor_cost
-                if ratio > step_cap:
+                if ratio > _STEP_CAP:
                     raise BudgetError("over the step cap")
                 value = ratio - 1.0
                 nearest = round(value)
@@ -600,32 +588,22 @@ class TestBatchedSchedule:
             min_size=1,
             max_size=4,
         ),
-        st.one_of(
-            st.integers(1, 12),
-            st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12, unique=True),
-        ),
+        st.integers(1, 30),
         st.sampled_from([0.25, 0.5, 0.9]),
-        st.sampled_from([150, 2000, 10 ** 5, DEFAULT_STEP_CAP]),
     )
-    # step-cap truncation: after rounds 2, 2 and 1 under a cap of 150, and
-    # with custom levels after rounds 4, 4 and 3 under a cap of 2000
-    @example("doubling", [0.5, 1.0, 2.0], 6, 0.5, 150)
-    @example("doubling", [0.5, 1.0, 3.0], [0.5, 0.2, 0.1, 0.05], 0.5, 2000)
-    def test_rounds_equal_the_scalar_loop(self, name, radii, depth, factor, step_cap):
+    # step-cap truncation: after round 25 from every radius, and after round 19
+    @example("doubling", [0.5, 1.0, 2.0], 30, 0.5)
+    @example("stepping", [0.5, 1.0, 3.0], 21, 0.25)
+    def test_rounds_equal_the_scalar_loop(self, name, radii, depth, factor):
         ucc = _schedule_cert(name)
-        if isinstance(depth, int):
-            eps_levels, levels = None, [1.0 / m for m in range(1, depth + 1)]
-        else:
-            eps_levels = levels = sorted(depth, reverse=True)
-            depth = len(levels)
-        settler = _Settler(ucc, factor, step_cap)
+        settler = _Settler(ucc, factor)
         try:
-            expected = [_scalar_schedule(ucc, r, levels, factor, step_cap) for r in radii]
+            expected = [_scalar_schedule(ucc, r, depth, factor) for r in radii]
         except BudgetError:
             with pytest.raises(BudgetError):
-                settler.schedules(radii, depth, eps_levels)
+                settler.schedules(radii, depth)
             return
-        batched = settler.schedules(radii, depth, eps_levels)
+        batched = settler.schedules(radii, depth)
         assert len(batched) == len(radii)
         for radius, rounds, (schedule, thresholds) in zip(radii, expected, batched):
             level, target, steps, threshold = (list(col) for col in zip(*rounds))
@@ -635,7 +613,7 @@ class TestBatchedSchedule:
             assert schedule.round_horizons == tuple(steps)
             assert schedule.cum_horizons == tuple(int(n) for n in np.cumsum(steps))
             assert _hex(thresholds) == _hex(threshold)
-            assert settling_schedule(ucc, radius, depth, eps_levels, factor, step_cap) == schedule
+            assert settling_schedule(ucc, radius, depth, factor) == schedule
 
     @pytest.mark.parametrize("count", [2, 4, 8])
     def test_assemble_makes_two_numeric_inversions(self, monkeypatch, count):
@@ -646,18 +624,16 @@ class TestBatchedSchedule:
         monkeypatch.setattr(
             cmpfn, "_invert_numeric", lambda expr, y: inversions.append(y.size) or numeric(expr, y)
         )
-        build = assemble_state_bound(ucc, [0.25 * k for k in range(1, count + 1)])
-        assert len(build.schedules) == count
+        _, schedules = assemble_state_bound(ucc, [0.25 * k for k in range(1, count + 1)])
+        assert len(schedules) == count
         assert len(inversions) == 2
 
     def test_round_one_budget_error_propagates_from_assemble(self):
-        # under a cap of 80 steps radius 1 settles in one round and radius 2 not at all
-        settler = _Settler(doubling_cert(), 0.5, step_cap=80)
-        assert settler.schedules([1.0], 4)[0][0].round_horizons == (47,)
-        with pytest.raises(BudgetError, match="radius 2 .* above the cap 80"):
-            settler.assemble([1.0, 2.0], 4)
-        with pytest.raises(BudgetError, match="radius 1 "):
-            _Settler(doubling_cert(), 0.5, step_cap=10).assemble([1.0, 2.0], 4)
+        # under the cap of 1e9 steps radius 1 settles in every round and radius 1e8 not at all
+        settler = _Settler(doubling_cert(), 0.5)
+        assert settler.schedules([1.0], 4)[0][0].round_horizons == (47, 95, 191, 383)
+        with pytest.raises(BudgetError, match=r"radius 1e\+08 .* above the cap 1e\+09"):
+            settler.assemble([1.0, 1e8], 4)
 
     def test_bad_eps_tilde_factor_is_rejected_at_construction(self):
         sys, ucc = halving_fixture()
@@ -789,22 +765,22 @@ class TestTailsAreNotMeasured:
 class TestAssembleStateBound:
     def test_grid_shape_and_strictifier(self):
         sys, ucc = halving_fixture()
-        build = assemble_state_bound(ucc, [0.5, 1.0, 2.0, 4.0])
-        assert isinstance(build.bound, SampledKL)
-        assert len(build.schedules) == 4
+        bound, schedules = assemble_state_bound(ucc, [0.5, 1.0, 2.0, 4.0])
+        assert isinstance(bound, SampledKL)
+        assert len(schedules) == 4
         # at t=0 the settling curve says nothing yet, so the cell is the
         # excursion ceiling 3r plus the strictly-decreasing repair term
-        assert build.bound.eval(1.0, 0.0) == pytest.approx(3.003, rel=1e-9)
-        assert build.bound.eval(1.0, 64.0) < build.bound.eval(1.0, 8.0)
+        assert bound.eval(1.0, 0.0) == pytest.approx(3.003, rel=1e-9)
+        assert bound.eval(1.0, 64.0) < bound.eval(1.0, 8.0)
 
     def test_dominates_certified_rollouts(self):
         sys, ucc = halving_fixture()
-        build = assemble_state_bound(ucc, [0.5, 1.0, 2.0, 4.0])
+        bound, _ = assemble_state_bound(ucc, [0.5, 1.0, 2.0, 4.0])
         pol = stitched_policy(ucc, sys, depth=8, length=64)
         for x0 in (0.5, 2.0):
             traj = rollout(sys, x0, pol.controls(x0, 64))
             for n, state in enumerate(traj.states):
-                assert sys.sigma(state) <= build.bound.eval(x0, float(n)) + 1e-9
+                assert sys.sigma(state) <= bound.eval(x0, float(n)) + 1e-9
 
     def test_needs_two_distinct_positive_radii(self):
         _, ucc = halving_fixture()
@@ -871,13 +847,13 @@ class TestConversePipeline:
     def test_zero_measure_samples_get_default_radii(self):
         sys, ucc = halving_fixture()
         result = converse_pipeline(ucc, sys, [0.0], horizon=16)
-        assert [s.radius for s in result.build.schedules] == [1.0, 2.0]
+        assert [s.radius for s in result.schedules] == [1.0, 2.0]
         assert result.report.passed
 
     def test_single_measure_padded_to_two_radii(self):
         sys, ucc = halving_fixture()
         result = converse_pipeline(ucc, sys, [1.0, -1.0], horizon=16)
-        assert [s.radius for s in result.build.schedules] == [1.0, 2.0]
+        assert [s.radius for s in result.schedules] == [1.0, 2.0]
 
     def test_schedule_csv_layout(self):
         sys, ucc = halving_fixture()
@@ -887,7 +863,7 @@ class TestConversePipeline:
         lines = buf.getvalue().split("\r\n")
         assert lines[0] == "radius,round,eps_level,eps_target,round_horizon,cum_horizon"
         rows = [ln for ln in lines[1:] if ln]
-        assert len(rows) == sum(s.depth for s in result.build.schedules)
+        assert len(rows) == sum(s.depth for s in result.schedules)
         first = rows[0].split(",")
         assert float(first[0]) == 1.0
         assert int(first[1]) == 1
@@ -899,7 +875,7 @@ class TestConversePipeline:
         result.nu_csv(buf)
         lines = [ln for ln in buf.getvalue().split("\r\n") if ln]
         assert lines[0] == "radius,eps,nu"
-        assert len(lines) - 1 == 9 * len(result.build.schedules)
+        assert len(lines) - 1 == 9 * len(result.schedules)
         for ln in lines[1:]:
             radius, eps, nu = (float(v) for v in ln.split(","))
             assert nu > 0.0

@@ -14,7 +14,6 @@ from stagecraft import (
     SimulationError,
     StageCost,
     StagecraftError,
-    brute_force_values,
     build_builtin,
     combine,
     discretize_scalar,
@@ -29,12 +28,13 @@ from stagecraft import (
     strict_table,
     table_fn,
     value_iterate,
+    verify,
     zero_cost_core,
 )
 from stagecraft import oracle
 from stagecraft.cli import main
 from stagecraft.oracle import _cost_table
-from support import assert_prefix_closed, total_cost
+from support import assert_prefix_closed, brute_force_values, total_cost
 
 SIGMA_RHO = StageCost(state_cost=identity(), input_cost=identity())
 
@@ -402,25 +402,32 @@ class TestGreedyPolicy:
     def test_countdown_controls(self):
         fsys = countdown(10)
         table = value_iterate(fsys, SIGMA_RHO)
-        policy = greedy_policy(table, fsys, prefix_len=16)
+        policy = greedy_policy(table, fsys)
         assert list(policy.controls(5, 10)) == [1] * 5 + [0] * 5
 
     def test_greedy_rollout_attains_the_value(self):
         fsys = countdown(10)
         table = value_iterate(fsys, SIGMA_RHO)
         sys = fsys.to_control_system()
-        policy = greedy_policy(table, fsys, prefix_len=32)
+        policy = greedy_policy(table, fsys)
         for x0 in (1, 4, 9):
             traj = rollout(sys, x0, policy.controls(x0, 32))
             achieved = total_cost(SIGMA_RHO, traj)
             assert abs(achieved - table.values[x0]) <= 10 * 1e-10
+
+    def test_controls_follow_the_table_at_every_step(self):
+        chain = build_builtin("finite_chain", {"length": 1000})
+        table = value_iterate(chain.finite, SIGMA_RHO)
+        controls = greedy_policy(table, chain.finite).controls(600, 700)
+        # 600 steps down to the resting state, where the table holds
+        assert controls == [1] * 600 + [0] * 100
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_controls_equal_a_numpy_indexed_walk(self, seed):
         fsys = random_system(np.random.default_rng(seed))
         table = value_iterate(fsys, SIGMA_RHO)
-        policy = greedy_policy(table, fsys, prefix_len=24)
+        policy = greedy_policy(table, fsys)
         for x0 in range(fsys.num_states):
             expected, state = [], x0
             for _ in range(24):
@@ -435,7 +442,7 @@ class TestGreedyPolicy:
     @given(st.integers(0, 2 ** 32 - 1))
     def test_controls_are_prefix_closed(self, seed):
         fsys = random_system(np.random.default_rng(seed))
-        policy = greedy_policy(value_iterate(fsys, SIGMA_RHO), fsys, prefix_len=24)
+        policy = greedy_policy(value_iterate(fsys, SIGMA_RHO), fsys)
         for x0 in range(fsys.num_states):
             assert_prefix_closed(policy, x0, range(33))
 
@@ -457,6 +464,11 @@ class TestExtractUcc:
         ucc = extract_ucc(table, fsys, margin=1.5)
         for x in range(10):
             assert ucc.cost_bound.eval(float(x)) >= table.values[x]
+
+    def test_certificate_verifies_at_a_long_horizon(self):
+        chain = build_builtin("finite_chain", {"length": 1000})
+        ucc = extract_ucc(value_iterate(chain.finite, SIGMA_RHO), chain.finite)
+        assert verify(ucc, chain.system, [600], horizon=100_000).passed
 
     def test_margin_validation(self):
         fsys = countdown(4)

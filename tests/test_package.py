@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,24 +14,22 @@ import stagecraft
 EXPORTS = [
     "BUILTIN_FACTORIES", "BudgetError", "BuiltinSystem", "CertificateInvalidError",
     "ChoiceRejectedError", "ConfigError", "ControlSystem", "ConverseResult", "DEFAULT_R_GRID",
-    "DEFAULT_STEP_CAP", "DEFAULT_T_GRID", "DecompositionError", "DomainError", "EnvelopeError",
-    "FiniteSystem", "InteractionRejectedError", "InteractionSpec", "InversionError", "KInfFn",
-    "KLFn", "KLValidityError", "MarginRow", "MonotoneInputError",
-    "NonContractionError", "NonnegFn", "ParameterError", "PolicyError",
-    "PolicyOracle", "SampledKL", "SeparableKL", "SettlingSchedule", "SimulationError",
-    "StageCost", "StagecraftError", "StateBoundBuild", "StitchResult", "SynthesisResult",
-    "Trajectory", "TransientData", "TransientPartition", "TransientSplit", "UACCert",
-    "UBgECCert", "UCCCert", "UVCCert", "ValueTable", "VerificationReport", "admissible_wrapper",
-    "admit_interaction", "as_state_certificate", "assemble_state_bound", "brute_force_values",
-    "build_builtin", "cert_to_json", "certify_ucc", "combine", "compose", "const_fn",
-    "converse_pipeline", "discretize_scalar", "excursion_bound", "extract_ucc", "finite_chain",
-    "fn_from_json", "greedy_policy", "identity", "inverse_of", "joint_bound_merge",
-    "joint_bound_split", "kl_decompose", "kl_from_json", "kl_grid_violations", "linear",
-    "pointwise_min", "power", "reaches_core", "relay_bound", "rollout", "saturating_scalar",
-    "scalar_linear", "scale", "scale_kl", "settle_horizon", "settling_schedule", "stage_costs",
-    "stitch_controls", "stitched_policy", "strict_table", "synthesize", "table_fn",
-    "to_ucc_cert", "total_bound", "transient_partition", "transient_split",
-    "two_state_linear", "uvc_to_ubgec", "value_iterate", "verify", "zero_cost_core",
+    "DEFAULT_T_GRID", "DecompositionError", "DomainError", "EnvelopeError", "FiniteSystem",
+    "InteractionRejectedError", "InteractionSpec", "InversionError", "KInfFn", "KLFn",
+    "KLValidityError", "MarginRow", "MonotoneInputError", "NonContractionError", "NonnegFn",
+    "ParameterError", "PolicyError", "PolicyOracle", "SampledKL", "SeparableKL",
+    "SettlingSchedule", "SimulationError", "StageCost", "StagecraftError", "StitchResult",
+    "SynthesisResult", "Trajectory", "TransientData", "TransientSplit", "UACCert", "UBgECCert",
+    "UCCCert", "UVCCert", "ValueTable", "VerificationReport", "admissible_wrapper",
+    "admit_interaction", "as_state_certificate", "assemble_state_bound", "build_builtin",
+    "certify_ucc", "combine", "compose", "const_fn", "converse_pipeline", "discretize_scalar",
+    "excursion_bound", "extract_ucc", "finite_chain", "fn_from_json", "greedy_policy", "identity",
+    "inverse_of", "joint_bound_merge", "joint_bound_split", "kl_decompose", "kl_from_json",
+    "linear", "pointwise_min", "power", "reaches_core", "relay_bound", "rollout",
+    "saturating_scalar", "scalar_linear", "scale", "scale_kl", "settle_horizon",
+    "settling_schedule", "stage_costs", "stitch_controls", "strict_table", "synthesize",
+    "table_fn", "to_ucc_cert", "total_bound", "transient_split", "two_state_linear",
+    "uvc_to_ubgec", "value_iterate", "verify", "zero_cost_core",
 ]
 
 MODULES = (
@@ -86,3 +85,25 @@ def test_traced_methods_resolve(span):
     cls = getattr(importlib.import_module(module_name), cls_name)
     # the tracer replaces each method in the class's own namespace
     assert [m for m in methods if not callable(vars(cls).get(m))] == []
+
+
+# the parameters that the tracer's hooks bind by name, per span
+BOUND_PARAMETERS = {
+    "converse.schedule": ("radius",),
+    "certificates.verify": ("samples", "horizon"),
+    "cmpfn.decompose": ("beta",),
+}
+
+
+def test_traced_hooks_find_what_they_bind():
+    for span, names in BOUND_PARAMETERS.items():
+        module_name, attr = TRACED["FUNCTIONS"][span]
+        function = getattr(importlib.import_module(module_name), attr)
+        missing = [name for name in names if name not in inspect.signature(function).parameters]
+        assert missing == [], span
+    # the "oracle.value_iterate" hook reads the returned table's sweep count and values
+    finite = stagecraft.finite_chain().finite
+    cost = stagecraft.StageCost(state_cost=stagecraft.identity(), input_cost=stagecraft.identity())
+    table = stagecraft.value_iterate(finite, cost)
+    assert isinstance(table.iterations, int)
+    assert table.values.shape == (finite.num_states,)

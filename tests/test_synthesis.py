@@ -27,13 +27,17 @@ from stagecraft import (
     stage_costs,
     synthesize,
     to_ucc_cert,
-    transient_partition,
     transient_split,
     verify,
 )
 from stagecraft import synthesis
 from stagecraft.synthesis import _excursion_count
-from support import excursion_count_loop, random_sampled, random_separable
+from support import (
+    excursion_count_loop,
+    random_sampled,
+    random_separable,
+    transient_partition,
+)
 
 
 @pytest.fixture
