@@ -36,7 +36,7 @@ from .cmpfn import (
     scale,
     scale_kl,
 )
-from .errors import ParameterError, PolicyError
+from .errors import ParameterError
 from .system import ControlSystem, StageCost, Trajectory, _write_csv, rollout, stage_costs
 
 __all__ = [
@@ -56,47 +56,27 @@ __all__ = [
 
 DEFAULT_SLACK = 1e-9
 
-TAIL_ZERO = "zero"
-
 
 @dataclass(frozen=True)
 class PolicyOracle:
-    """Map from initial state to a control sequence.
+    """Map from initial state to an unending control sequence.
 
-    ``prefix(x, n)`` returns at most the first ``n`` controls of a
-    finite prefix, and ``controls`` never asks it for more than
-    ``length``, so a policy builds only the controls it is asked for.
-    A prefix must be prefix-closed: the first ``k`` controls of
-    ``prefix(x, n)`` are ``prefix(x, k)`` for every ``k <= n``.
-    Requests beyond ``length`` or beyond a shorter prefix follow the
-    tail rule: ``"zero"`` pads with ``zero_input``, and ``None`` makes
-    over-long requests an error.
+    ``prefix(x, n)`` returns at most the first ``n`` controls the
+    policy plans from ``x``, so a policy builds only the controls it is
+    asked for.  A prefix must be prefix-closed: the first ``k`` controls
+    of ``prefix(x, n)`` are ``prefix(x, k)`` for every ``k <= n``.  A
+    plan that ends early is padded with ``zero_input``.
     """
 
     prefix: Callable[[Any, int], Sequence]
-    length: int
-    tail: Optional[str] = TAIL_ZERO
     zero_input: Any = 0.0
     ref: str = ""
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ParameterError(f"prefix length must be nonnegative, got {self.length}")
-        if self.tail not in (TAIL_ZERO, None):
-            raise ParameterError(f"unknown tail rule {self.tail!r}")
 
     def controls(self, x, n: int) -> list:
         """First ``n`` controls for initial state ``x``."""
         if n < 0:
             raise ParameterError(f"control count must be nonnegative, got {n}")
-        asked = min(n, self.length)
-        seq = list(self.prefix(x, asked))[:asked]
-        if len(seq) == n:
-            return seq
-        if self.tail is None:
-            raise PolicyError(
-                f"policy prefix has {len(seq)} controls, {n} requested and no tail rule declared"
-            )
+        seq = list(self.prefix(x, n))[:n]
         return seq + [self.zero_input] * (n - len(seq))
 
 
@@ -143,8 +123,7 @@ class _Certificate:
             if f.name not in ("domain", "policy"):
                 value = getattr(self, f.name)
                 out[f.name] = value if isinstance(value, bool) else value.to_json()
-        policy = self.policy
-        out["policy"] = {"length": policy.length, "tail": policy.tail, "ref": policy.ref}
+        out["policy"] = {"ref": self.policy.ref}
         return out
 
 

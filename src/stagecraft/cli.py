@@ -284,8 +284,7 @@ def cmd_converse(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
     ucc = _ucc_from_config(config, builtin, finite)
     samples = _draw_samples(builtin, finite, config, seed)
-    params = _read(config, "converse", depth=_integer, nu_depth=_integer,
-                   eps_tilde_factor=float, policy_length=_integer)
+    params = _read(config, "converse", depth=_integer, nu_depth=_integer, eps_tilde_factor=float)
     result = converse_pipeline(ucc, sys_, samples, **_replay(config), **params)
     _write_json(result.to_json(), out_dir, "converse.json")
     bound = result.cert.state_bound

@@ -22,7 +22,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,6 @@ import numpy as np
 from .cmpfn import DEFAULT_T_GRID, KInfFn, NonnegFn, SampledKL, combine, compose, inverse_of
 from .certificates import (
     DEFAULT_SLACK,
-    TAIL_ZERO,
     PolicyOracle,
     UBgECCert,
     UCCCert,
@@ -56,7 +55,6 @@ __all__ = [
 
 DEFAULT_DEPTH = 16
 DEFAULT_NU_DEPTH = 48
-DEFAULT_POLICY_LENGTH = 4096
 
 _STRICTIFIER = 1e-3
 _STEP_CAP = 10 ** 9
@@ -154,16 +152,17 @@ def stitch_controls(
     """Follow the certified policy until it dips below the target threshold,
     then restart it from the state reached there.
 
+    Returns ``length`` controls, by default the settle horizon's worth.
     The scan must succeed within the settle horizon; failure means
-    the certificate's cost accounting is inconsistent.  With an
-    explicit ``length`` the returned prefix is truncated, and a scan
-    window cut short by the truncation is not an error.
+    the certificate's cost accounting is inconsistent.  A shorter
+    ``length`` truncates the scan window, and a window cut short that
+    way is not an error.
     """
     settler = _Settler(ucc, eps_tilde_factor)
     start, big_r = _within(sys, x, radius)
     threshold = settler.threshold(eps)
     horizon = settler.settle(big_r, eps, threshold) if big_r > 0 else 1
-    out_len = horizon + ucc.policy.length if length is None else int(length)
+    out_len = horizon if length is None else int(length)
     if out_len < 0:
         raise ParameterError(f"length must be nonnegative, got {length!r}")
     stitched, switch, _ = settler.scan(sys, x, threshold, horizon, out_len)
@@ -191,13 +190,22 @@ class SettlingSchedule:
     of ``eps``.  ``value(eps)`` averages the count over
     ``[eps/2, eps]`` and adds ``radius / eps``, which makes it
     strictly decreasing and continuous, hence invertible.
+
+    Only the radius, targets and round horizons are given: the levels
+    are ``1/m`` and the cumulative horizons the running sums, both
+    derived once here.
     """
 
     radius: float
-    eps_levels: Tuple[float, ...]
     eps_targets: Tuple[float, ...]
     round_horizons: Tuple[int, ...]
-    cum_horizons: Tuple[int, ...]
+    eps_levels: Tuple[float, ...] = field(init=False)
+    cum_horizons: Tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        levels = tuple(1.0 / m for m in range(1, len(self.round_horizons) + 1))
+        object.__setattr__(self, "eps_levels", levels)
+        object.__setattr__(self, "cum_horizons", tuple(itertools.accumulate(self.round_horizons)))
 
     @property
     def depth(self) -> int:
@@ -374,13 +382,7 @@ class _Settler:
                         raise
                     break
             n = len(horizons)
-            schedule = SettlingSchedule(
-                radius=radius,
-                eps_levels=tuple(levels[:n]),
-                eps_targets=tuple(row[:n]),
-                round_horizons=tuple(horizons),
-                cum_horizons=tuple(itertools.accumulate(horizons)),
-            )
+            schedule = SettlingSchedule(radius, tuple(row[:n]), tuple(horizons))
             out.append((schedule, tuple(threshold for threshold, _ in rounds[:n])))
         return out
 
@@ -416,25 +418,23 @@ class _Settler:
             )
         return list(lead), None, state
 
-    def policy(self, sys: ControlSystem, depth: int, length: int) -> PolicyOracle:
+    def policy(self, sys: ControlSystem, depth: int) -> PolicyOracle:
         """Concatenate stitched prefixes through the settling schedule.
 
         Per starting state, round ``m`` runs the stitched control for the
         round's target, truncated to the round's horizon, and states with
         zero measure fall back to the certificate's own policy.
-        ``prefix(x, n)`` fills ``n`` controls round by round and stops
+        ``prefix(x, n)`` fills ``n`` controls round by round, then from
+        the certificate's own policy after the last round, and stops
         there: a round cut short by ``n`` scans only the controls it
         returns, so it raises ``CertificateInvalidError`` only when its
-        whole horizon fits in the request.  ``length`` only sets where
-        the zero tail starts.
+        whole horizon fits in the request.
 
         Sample radii reuse the schedules of ``assemble``: a schedule of
         depth ``d`` is the first ``d`` rounds of a deeper one, step-cap
         truncation included, so any depth up to the assembled one can
         reuse it.
         """
-        if length < 1:
-            raise ParameterError(f"length must be positive, got {length}")
         built = self._built if 1 <= depth <= self._built_depth else {}
 
         def prefix(x, n):
@@ -457,7 +457,7 @@ class _Settler:
                 controls.extend(self.ucc.policy.controls(state, n - len(controls)))
             return controls
 
-        return PolicyOracle(prefix=prefix, length=length, tail=TAIL_ZERO, ref="stitched")
+        return PolicyOracle(prefix=prefix, ref="stitched")
 
     def assemble(
         self, r_values: Sequence[float], depth: int
@@ -562,7 +562,6 @@ def converse_pipeline(
     nu_depth: int = DEFAULT_NU_DEPTH,
     eps_tilde_factor: float = 0.5,
     slack: float = DEFAULT_SLACK,
-    policy_length: int = DEFAULT_POLICY_LENGTH,
 ) -> ConverseResult:
     """Full constructive converse, verified on the given samples.
 
@@ -593,7 +592,7 @@ def converse_pipeline(
 
     settler = _Settler(ucc, eps_tilde_factor)
     bound, schedules = settler.assemble(radii, nu_depth)
-    policy = settler.policy(sys, depth, policy_length)
+    policy = settler.policy(sys, depth)
     total = total_bound(ucc)
     cert = UBgECCert(
         state_bound=bound,

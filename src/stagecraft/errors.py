@@ -10,7 +10,7 @@ than an exception.
 __all__ = [
     "StagecraftError", "DomainError", "ParameterError", "ConfigError",
     "MonotoneInputError", "InversionError", "DecompositionError",
-    "KLValidityError", "SimulationError", "PolicyError", "ChoiceRejectedError",
+    "KLValidityError", "SimulationError", "ChoiceRejectedError",
     "InteractionRejectedError", "NonContractionError", "BudgetError",
     "CertificateInvalidError", "EnvelopeError",
 ]
@@ -54,10 +54,6 @@ class SimulationError(StagecraftError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-
-
-class PolicyError(StagecraftError):
-    """A policy oracle returned fewer controls than requested."""
 
 
 class ChoiceRejectedError(StagecraftError):

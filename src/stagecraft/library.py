@@ -42,7 +42,7 @@ class BuiltinSystem:
 
 
 def _zero_policy() -> PolicyOracle:
-    return PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero", ref="zero")
+    return PolicyOracle(prefix=lambda x, n: [], ref="zero")
 
 
 def _signed_logspace(count: int, lo: float = -2.0, hi: float = 2.0) -> list:
@@ -88,7 +88,7 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
                 state = _a * state + _b * u
             return controls
 
-        policy = PolicyOracle(prefix=prefix, length=512, tail="zero", ref="linear gain")
+        policy = PolicyOracle(prefix=prefix, ref="linear gain")
         control_bound = SeparableKL(
             outer=identity(), decay=contraction, inner=linear(max(abs(gain), 1e-12))
         )
@@ -169,7 +169,7 @@ def finite_chain(length: int = 10) -> BuiltinSystem:
     def prefix(x, n):
         return [1] * min(int(x), n)
 
-    policy = PolicyOracle(prefix=prefix, length=length - 1, tail="zero", zero_input=0, ref="countdown")
+    policy = PolicyOracle(prefix=prefix, zero_input=0, ref="countdown")
 
     scale_k = float(length - 1)
     t_grid = np.arange(65, dtype=float)
@@ -210,9 +210,7 @@ def saturating_scalar() -> BuiltinSystem:
         state_measure=abs,
         input_measure=abs,
     )
-    policy = PolicyOracle(
-        prefix=lambda x, n: [-drift(x)][:n], length=1, tail="zero", ref="deadbeat"
-    )
+    policy = PolicyOracle(prefix=lambda x, n: [-drift(x)][:n], ref="deadbeat")
     bound = SeparableKL(outer=identity(), decay=0.5, inner=identity())
     uvc = UVCCert(state_bound=bound, control_bound=bound, policy=policy)
     return BuiltinSystem(

@@ -22,7 +22,6 @@ and one O(S * U) Bellman sweep confirms them and picks the greedy inputs.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import ClassVar, Optional
@@ -284,9 +283,8 @@ def value_iterate(fsys: FiniteSystem, cost: StageCost) -> ValueTable:
 def greedy_policy(vt: ValueTable, fsys: FiniteSystem) -> PolicyOracle:
     """Follow the greedy input table from a starting state index.
 
-    The table is a feedback law, so the policy has no prefix length
-    and no tail: every control is the table's input at the state
-    reached.
+    The table is a feedback law: every control is the table's input
+    at the state reached.
     """
     succ, greedy = fsys.successor.tolist(), vt.greedy.tolist()
 
@@ -299,7 +297,7 @@ def greedy_policy(vt: ValueTable, fsys: FiniteSystem) -> PolicyOracle:
             state = succ[state][u]
         return controls
 
-    return PolicyOracle(prefix=prefix, length=sys.maxsize, tail=None, ref="greedy")
+    return PolicyOracle(prefix=prefix, ref="greedy")
 
 
 def extract_ucc(

@@ -160,8 +160,12 @@ class SynthesisResult:
         }
 
 
-def _weighted_sum(terms) -> NonnegFn:
-    """Weighted sum of comparison functions, dropping zero weights."""
+def _cost_bound(decomp: SeparableKL, cert: UBgECCert, c_state, c_input, spec=None) -> NonnegFn:
+    """``(c_state / (1 - decay)) * inner + c_input * budget``, plus the
+    cross-product term of ``spec`` when it has one, dropping zero weights."""
+    terms = [(c_state / (1.0 - decomp.decay), decomp.inner), (c_input, cert.energy_budget)]
+    if spec is not None and spec.c_cross > 0:
+        terms.append((1.0, _cross_product_term(spec, decomp, cert)))
     live = [(float(c), f) for c, f in terms if c > 0]
     if not live:
         return const_fn(0.0)
@@ -225,16 +229,9 @@ def synthesize(
             raise ParameterError("an input gauge must be a nonnegative function")
         _check_dominates(input_cost, cert.energy, input_coeff, "input gauge")
 
-    cost_bound = combine(
-        decomp.inner,
-        cert.energy_budget,
-        "sum",
-        state_coeff / (1.0 - decay),
-        input_coeff,
-    )
     return SynthesisResult(
         stage_cost=StageCost(state_cost=state_cost, input_cost=input_cost),
-        cost_bound=cost_bound,
+        cost_bound=_cost_bound(decomp, cert, state_coeff, input_coeff),
         decomposition=decomp,
         state_coeff=float(state_coeff),
         input_coeff=float(input_coeff),
@@ -355,16 +352,9 @@ def admit_interaction(
     inv_outer = decomp.outer.inverse()
     _check_regimes(spec, inv_outer, cert.energy)
 
-    terms = [
-        (
-            (base.state_coeff + spec.c_state) / (1.0 - decomp.decay),
-            decomp.inner,
-        ),
-        (base.input_coeff + spec.c_input, cert.energy_budget),
-    ]
-    cost_bound = _weighted_sum(terms)
-    if spec.c_cross > 0:
-        cost_bound = combine(cost_bound, _cross_product_term(spec, decomp, cert), "sum")
+    cost_bound = _cost_bound(
+        decomp, cert, base.state_coeff + spec.c_state, base.input_coeff + spec.c_input, spec
+    )
     return SynthesisResult(
         stage_cost=StageCost(
             state_cost=base.stage_cost.state_cost,
@@ -480,18 +470,7 @@ def transient_split(
         per_input = data.input_rate.eval(inv_energy.eval(cert.energy_budget.eval(r)))
         return n * (per_state + per_input)
 
-    settled_terms = [
-        (spec.c_state / (1.0 - decay), decomp.inner),
-        (spec.c_input, cert.energy_budget),
-    ]
-    settled = _weighted_sum(settled_terms)
-    if spec.c_cross > 0:
-        extra = _cross_product_term(spec, decomp, cert)
-        if spec.c_state > 0 or spec.c_input > 0:
-            settled = combine(settled, extra, "sum")
-        else:
-            settled = extra
-
+    settled = _cost_bound(decomp, cert, spec.c_state, spec.c_input, spec)
     grid = DEFAULT_R_GRID
     joint = np.array([burst_bound(r) + settled.eval(r) for r in grid])
     shifted = np.empty_like(joint)

@@ -13,7 +13,6 @@ from stagecraft import (
     KInfFn,
     KLValidityError,
     ParameterError,
-    PolicyError,
     PolicyOracle,
     SampledKL,
     SeparableKL,
@@ -49,7 +48,7 @@ def scalar_system(a=0.5):
 
 
 def zero_policy():
-    return PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero", ref="zero")
+    return PolicyOracle(prefix=lambda x, n: [], ref="zero")
 
 
 def geometric_bound(rate=0.5):
@@ -58,21 +57,12 @@ def geometric_bound(rate=0.5):
 
 class TestPolicyOracle:
     def test_zero_tail_pads(self):
-        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0][:n], length=2, tail="zero")
+        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0][:n])
         assert pol.controls(0.0, 4) == [1.0, 2.0, 0.0, 0.0]
 
-    def test_no_tail_raises_when_short(self):
-        pol = PolicyOracle(prefix=lambda x, n: [1.0][:n], length=1, tail=None)
-        with pytest.raises(PolicyError):
-            pol.controls(0.0, 2)
-
     def test_overlong_prefix_is_truncated(self):
-        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0, 3.0], length=2, tail="zero")
-        assert pol.controls(0.0, 3) == [1.0, 2.0, 0.0]
-
-    def test_unknown_tail_rejected(self):
-        with pytest.raises(ParameterError):
-            PolicyOracle(prefix=lambda x, n: [], length=0, tail="mirror")
+        pol = PolicyOracle(prefix=lambda x, n: [1.0, 2.0, 3.0])
+        assert pol.controls(0.0, 2) == [1.0, 2.0]
 
 
 class TestConstruction:
@@ -343,7 +333,7 @@ class TestReports:
 
 def kind_certs():
     """One certificate of each kind on ``scalar_system()``."""
-    policy = PolicyOracle(prefix=lambda x, n: [-0.25 * x, 0.1 * x][:n], length=2, ref="two-step")
+    policy = PolicyOracle(prefix=lambda x, n: [-0.25 * x, 0.1 * x][:n], ref="two-step")
     tight = SeparableKL(outer=identity(), decay=0.4, inner=linear(1.1))
     return {
         "uac": UACCert(state_bound=tight, policy=policy),
@@ -360,7 +350,7 @@ def kind_certs():
             stage_cost=StageCost(state_cost=identity(), input_cost=power(2.0)),
             cost_bound=linear(4.0),
             domain=lambda x: abs(x) <= 1.5,
-            policy=PolicyOracle(prefix=lambda x, n: [x][:n], length=1, ref="push"),
+            policy=PolicyOracle(prefix=lambda x, n: [x][:n], ref="push"),
             forward_invariant=True,
         ),
     }
@@ -390,7 +380,7 @@ TIGHT_BOUND = {
     "kind": "kl.separable",
     "outer": kinf({"op": "identity"}),
 }
-TWO_STEP = {"length": 2, "ref": "two-step", "tail": "zero"}
+TWO_STEP = {"ref": "two-step"}
 
 # compared as JSON text, so true is not 1 and 2.0 is not 2
 PINNED_JSON = {
@@ -418,7 +408,7 @@ PINNED_JSON = {
         "cost_bound": kinf({"c": 4.0, "op": "linear"}),
         "forward_invariant": True,
         "kind": "ucc",
-        "policy": {"length": 1, "ref": "push", "tail": "zero"},
+        "policy": {"ref": "push"},
         "stage_cost": {
             "has_cross": False,
             "input_cost": kinf({"op": "power", "p": 2.0}),
@@ -478,7 +468,7 @@ class TestKindForms:
             '{"energy": {"expr": {"inner": {"op": "identity"}, "op": "inverse_of"}, '
             '"kind": "kinf"}, "energy_budget": {"expr": {"c": 2.0, "inner": {"op": "identity"}, '
             '"op": "scale"}, "kind": "kinf"}, "energy_unbounded": true, "kind": "ubgec", '
-            '"policy": {"length": 0, "ref": "zero", "tail": "zero"}, "state_bound": '
+            '"policy": {"ref": "zero"}, "state_bound": '
             '{"decay": 0.5, "inner": {"expr": {"op": "identity"}, "kind": "kinf"}, '
             '"kind": "kl.separable", "outer": {"expr": {"op": "identity"}, "kind": "kinf"}}}'
         )
@@ -584,7 +574,7 @@ class TestGridPathsMatchLoops:
         rng = np.random.default_rng(seed)
         state_bound = random_sampled(rng, 12, 10)[0]
         control_bound = SeparableKL(outer=power(2.0), decay=0.6, inner=linear(3.0))
-        policy = PolicyOracle(prefix=lambda x, n: [-0.25 * x, 0.1 * x][:n], length=2, tail="zero")
+        policy = PolicyOracle(prefix=lambda x, n: [-0.25 * x, 0.1 * x][:n])
         cert = UVCCert(state_bound=state_bound, control_bound=control_bound, policy=policy)
         system = scalar_system(0.9)
         samples = [0.0, 0.3, -2.0, 50.0]

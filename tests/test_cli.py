@@ -173,8 +173,6 @@ class TestConfigErrors:
             ("verify", {"system": SCALAR, "horizon": 2.7}, "'horizon'"),
             ("verify", {"system": SCALAR, "horizon": math.inf}, "'horizon'"),
             ("verify", {"system": SCALAR, "samples": {"count": True}}, "'samples.count'"),
-            ("converse", {**CHAIN_ORACLE, "converse": {"policy_length": "64"}},
-             "'converse.policy_length'"),
             ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'scalar_linear'"),
             ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.nan}}, "margin"),
             ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.inf}}, "margin"),
@@ -207,7 +205,6 @@ class TestConfigErrors:
             "horizon_fractional",
             "horizon_infinite",
             "count_bool",
-            "policy_length_string",
             "builtin_param_not_float",
             "margin_nan",
             "margin_infinite",
@@ -357,19 +354,36 @@ class TestConverseCommand:
                 "certificate": {"kind": "synthesize"},
                 "samples": {"count": 4},
                 "horizon": 32,
-                "converse": {"depth": 8, "nu_depth": 12, "policy_length": 512},
+                "converse": {"depth": 8, "nu_depth": 12},
             },
         )
         assert rc == 0
         payload = json.loads((out / "converse.json").read_text(encoding="utf-8"))
         assert payload["passed"] is True
 
+    def test_policy_length_key_is_ignored(self, tmp_path, capsys):
+        # the key is ignored: the stitched policy plans every control the
+        # horizon asks for, and cut at 10 controls the open loop (1.2) diverges
+        rc, _ = run(
+            tmp_path,
+            "converse",
+            {
+                "system": {"builtin": "scalar_linear", "params": {"a": 1.2, "b": 1.0, "gain": -0.7}},
+                "certificate": {"kind": "synthesize"},
+                "samples": {"count": 4},
+                "horizon": 400,
+                "converse": {"depth": 4, "nu_depth": 6, "policy_length": 10},
+            },
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
     SYNTHESIZED = {
         "system": {"builtin": "scalar_linear", "params": {"a": 0.5}},
         "certificate": {"kind": "synthesize"},
         "samples": {"count": 4},
         "horizon": 32,
-        "converse": {"depth": 8, "nu_depth": 12, "policy_length": 512},
+        "converse": {"depth": 8, "nu_depth": 12},
     }
 
     def test_synthesized_certificate_honours_cost_bound_scale(self, tmp_path, capsys):

@@ -46,7 +46,7 @@ from support import assert_prefix_closed, stitched_policy, total_cost
 
 
 def _dummy_policy():
-    return PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero", ref="unused")
+    return PolicyOracle(prefix=lambda x, n: [], ref="unused")
 
 
 def doubling_cert():
@@ -77,7 +77,7 @@ def halving_fixture():
             state = state + u
         return controls
 
-    policy = PolicyOracle(prefix=prefix, length=256, tail="zero", ref="halve")
+    policy = PolicyOracle(prefix=prefix, ref="halve")
     cost = StageCost(state_cost=identity(), input_cost=identity())
     ucc = UCCCert(
         stage_cost=cost,
@@ -109,7 +109,7 @@ def stepping_fixture():
     ucc = UCCCert(
         stage_cost=base.stage_cost,
         cost_bound=linear(6.0),
-        policy=PolicyOracle(prefix=prefix, length=1, tail="zero", ref="stepping"),
+        policy=PolicyOracle(prefix=prefix, ref="stepping"),
         forward_invariant=True,
     )
     return sys, ucc
@@ -262,10 +262,8 @@ class TestNuCurve:
     def curve(self):
         return SettlingSchedule(
             radius=1.0,
-            eps_levels=(1.0, 0.5, 1.0 / 3.0),
             eps_targets=(1.0 / 6.0, 1.0 / 12.0, 1.0 / 24.0),
             round_horizons=(47, 95, 191),
-            cum_horizons=(47, 142, 333),
         )
 
     def test_count_picks_first_level_inside_target(self):
@@ -277,14 +275,13 @@ class TestNuCurve:
 
     def test_count_matches_a_linear_scan(self):
         rng = np.random.default_rng(3)
-        levels = tuple(sorted(rng.uniform(0.01, 10.0, size=40), reverse=True))
+        levels = tuple(1.0 / m for m in range(1, 41))
         curve = SettlingSchedule(
             radius=1.0,
-            eps_levels=levels,
             eps_targets=levels,
-            round_horizons=(1,) * 40,
-            cum_horizons=tuple(range(1, 41)),
+            round_horizons=tuple(rng.integers(1, 100, size=40).tolist()),
         )
+        assert curve.eps_levels == levels
         for eps in rng.uniform(levels[-1], 12.0, size=500).tolist() + list(levels[:-1]):
             first_inside = next(i for i, level in enumerate(levels) if level < eps)
             assert curve.count(eps) == curve.cum_horizons[first_inside]
@@ -335,11 +332,26 @@ class TestStitchControls:
         assert res.threshold == pytest.approx(0.1 / 3.0, rel=1e-12)
         assert res.horizon == 89
         assert res.switch_step == 5
-        assert len(res.controls) == 89 + 256
+        assert len(res.controls) == 89
         assert res.bound == 12.0
         cost = total_cost(ucc.stage_cost, rollout(sys, 1.0, res.controls))
         assert cost == pytest.approx(3.0, rel=1e-9)
         assert cost <= res.bound
+
+    def test_default_length_is_the_horizon_under_a_greedy_policy(self):
+        ucc, sys, _, _, _ = _chain_case()
+        greedy = ucc.policy
+
+        def prefix(x, n):
+            # the greedy policy never ends, so a request past the horizon has no bound
+            if n > 10 ** 6:
+                raise AssertionError(f"greedy policy asked for {n} controls")
+            return greedy.prefix(x, n)
+
+        ucc = dataclasses.replace(ucc, policy=dataclasses.replace(greedy, prefix=prefix))
+        res = stitch_controls(ucc, sys, 5, eps=0.5)
+        assert res.horizon == 359
+        assert len(res.controls) == res.horizon
 
     def test_start_already_below_threshold(self):
         sys, ucc = halving_fixture()
@@ -372,7 +384,7 @@ class TestStitchControls:
         ucc = UCCCert(
             stage_cost=cost,
             cost_bound=linear(3.0),
-            policy=PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero"),
+            policy=PolicyOracle(prefix=lambda x, n: []),
             forward_invariant=True,
         )
         with pytest.raises(CertificateInvalidError, match="cost bound cannot hold"):
@@ -382,7 +394,7 @@ class TestStitchControls:
 class TestStitchedPolicy:
     def test_prefix_capped_at_length(self):
         sys, ucc = halving_fixture()
-        pol = stitched_policy(ucc, sys, depth=3, length=40)
+        pol = stitched_policy(ucc, sys, depth=3)
         controls = pol.controls(1.0, 40)
         assert len(controls) == 40
         traj = rollout(sys, 1.0, controls)
@@ -390,19 +402,14 @@ class TestStitchedPolicy:
 
     def test_cost_stays_under_total_bound(self):
         sys, ucc = halving_fixture()
-        pol = stitched_policy(ucc, sys, depth=3, length=40)
+        pol = stitched_policy(ucc, sys, depth=3)
         traj = rollout(sys, 1.0, pol.controls(1.0, 40))
         assert total_cost(ucc.stage_cost, traj) <= total_bound(ucc).eval(1.0)
 
     def test_zero_measure_start_uses_base_policy(self):
         sys, ucc = halving_fixture()
-        pol = stitched_policy(ucc, sys, depth=2, length=10)
+        pol = stitched_policy(ucc, sys, depth=2)
         assert list(pol.controls(0.0, 10)) == [0.0] * 10
-
-    def test_length_validation(self):
-        sys, ucc = halving_fixture()
-        with pytest.raises(ParameterError, match="length"):
-            stitched_policy(ucc, sys, length=0)
 
     def test_stalled_rollout_still_flags_the_certificate(self):
         frozen = ControlSystem(
@@ -414,16 +421,16 @@ class TestStitchedPolicy:
         ucc = UCCCert(
             stage_cost=cost,
             cost_bound=linear(3.0),
-            policy=PolicyOracle(prefix=lambda x, n: [], length=0, tail="zero"),
+            policy=PolicyOracle(prefix=lambda x, n: []),
             forward_invariant=True,
         )
         # the first round's horizon (215 steps) fits in a request for 256
         # controls, so the scan runs to its end without a dip
-        pol = stitched_policy(ucc, frozen, depth=2, length=256)
+        pol = stitched_policy(ucc, frozen, depth=2)
         with pytest.raises(CertificateInvalidError, match="cost bound cannot hold"):
             pol.controls(1.0, 256)
         # only a round whose whole window lies inside the request is
-        # checked, whatever the policy length: 214 controls end short of
+        # checked: 214 controls end short of
         # the window and come back, 215 hold it
         assert pol.controls(1.0, 214) == [0.0] * 214
         with pytest.raises(CertificateInvalidError, match="within 215 steps"):
@@ -444,11 +451,11 @@ class TestStitchedPolicy:
         ucc = UCCCert(
             stage_cost=ucc.stage_cost,
             cost_bound=ucc.cost_bound,
-            policy=PolicyOracle(prefix=prefix, length=256, tail="zero"),
+            policy=PolicyOracle(prefix=prefix),
             forward_invariant=True,
         )
         # one round, so no later state-measure call meets the overflow first
-        pol = stitched_policy(ucc, sys, depth=1, length=256)
+        pol = stitched_policy(ucc, sys, depth=1)
         with pytest.raises(SimulationError):
             pol.controls(1.0, 256)
 
@@ -460,10 +467,10 @@ class TestScanWalk:
             stage_cost=ucc.stage_cost,
             cost_bound=ucc.cost_bound,
             # 1 + 1e308 is finite, one more push overflows: no dip comes first
-            policy=PolicyOracle(prefix=lambda x, n: [1e308] * n, length=256, tail="zero"),
+            policy=PolicyOracle(prefix=lambda x, n: [1e308] * n),
             forward_invariant=True,
         )
-        pol = stitched_policy(ucc, sys, depth=1, length=256)
+        pol = stitched_policy(ucc, sys, depth=1)
         with pytest.raises(SimulationError, match="non-finite after applying input 1") as err:
             pol.controls(1.0, 256)
         assert err.value.step == 1
@@ -647,7 +654,7 @@ class TestPipelinePolicyReuse:
     @pytest.mark.parametrize("case", [_stepping_case, _chain_case, _synthesized_case])
     def test_unpriced_policy_equals_the_priced_stitches(self, case):
         ucc, sys, _, starts, length = case()
-        pol = stitched_policy(ucc, sys, depth=5, length=length)
+        pol = stitched_policy(ucc, sys, depth=5)
         for x in starts:
             np.testing.assert_array_equal(
                 _control_bits(pol.controls(x, length)),
@@ -658,10 +665,8 @@ class TestPipelinePolicyReuse:
     @pytest.mark.parametrize("depth, nu_depth", [(4, 6), (6, 6), (8, 4)])
     def test_controls_equal_a_standalone_policy(self, case, depth, nu_depth):
         ucc, sys, samples, starts, length = case()
-        result = converse_pipeline(
-            ucc, sys, samples, horizon=24, depth=depth, nu_depth=nu_depth, policy_length=length
-        )
-        standalone = stitched_policy(ucc, sys, depth=depth, length=length)
+        result = converse_pipeline(ucc, sys, samples, horizon=24, depth=depth, nu_depth=nu_depth)
+        standalone = stitched_policy(ucc, sys, depth=depth)
         for x in starts:
             np.testing.assert_array_equal(
                 _control_bits(result.cert.policy.controls(x, length + 8)),
@@ -675,7 +680,7 @@ class TestControlsOnDemand:
     @pytest.mark.parametrize("case", [_stepping_case, _chain_case, _synthesized_case])
     def test_controls_are_prefix_closed(self, case):
         ucc, sys, _, starts, _ = case()
-        pol = stitched_policy(ucc, sys, depth=5, length=64)
+        pol = stitched_policy(ucc, sys, depth=5)
         for x in starts:
             assert_prefix_closed(pol, x, range(73))
 
@@ -694,7 +699,6 @@ class TestControlsOnDemand:
             return controls(dataclasses.replace(policy, prefix=prefix), x, n)
 
         monkeypatch.setattr(PolicyOracle, "controls", spy)
-        # the default policy length, 4096, is far past the horizon
         result = converse_pipeline(ucc, sys, samples, horizon=24)
         assert result.report.passed
         assert {ref for ref, _, _ in asked} == {"stitched", ucc.policy.ref}
@@ -715,7 +719,7 @@ class TestEachControlAppliedOnce:
             return sys.transition(x, u)
 
         spied = dataclasses.replace(sys, transition=transition)
-        pol = stitched_policy(ucc, spied, depth=3, length=2048)
+        pol = stitched_policy(ucc, spied, depth=3)
         # 1,100 controls run past the first round from every halving and stepping start
         for x in (x for x in starts if sys.sigma(x) > 0.0):
             for n in (0, 1, 24, 300, 1100):
@@ -746,8 +750,8 @@ class TestTailsAreNotMeasured:
     def test_stitch_measures_the_walk_to_the_dip(self):
         sys, ucc = halving_fixture()
         counts = {"state": 0, "input": 0}
-        result = stitch_controls(ucc, self._spied(sys, counts), 1.0, eps=0.2)
-        assert len(result.controls) > 300
+        result = stitch_controls(ucc, self._spied(sys, counts), 1.0, eps=0.2, length=345)
+        assert len(result.controls) == 345
         # the start, for its radius, then every state up to the dip
         assert counts == {"state": 1 + result.switch_step + 1, "input": 0}
 
@@ -776,7 +780,7 @@ class TestAssembleStateBound:
     def test_dominates_certified_rollouts(self):
         sys, ucc = halving_fixture()
         bound, _ = assemble_state_bound(ucc, [0.5, 1.0, 2.0, 4.0])
-        pol = stitched_policy(ucc, sys, depth=8, length=64)
+        pol = stitched_policy(ucc, sys, depth=8)
         for x0 in (0.5, 2.0):
             traj = rollout(sys, x0, pol.controls(x0, 64))
             for n, state in enumerate(traj.states):

@@ -71,10 +71,8 @@ class TestPoliciesArePrefixClosed:
     )
     def test_controls_are_the_first_of_longer_requests(self, name, params):
         builtin = build_builtin(name, params)
-        length = builtin.policy.length
-        counts = sorted({0, 1, 2, length // 2, max(length - 1, 0), length, length + 1, length + 9})
         for x in builtin.samples(6):
-            assert_prefix_closed(builtin.policy, x, counts)
+            assert_prefix_closed(builtin.policy, x, [0, 1, 2, 255, 256, 511, 512, 513, 2600])
 
 
 class TestScalarLinear:
@@ -94,6 +92,12 @@ class TestScalarLinear:
             assert u == -0.7 * x
             x = sys.transition(x, u)
         assert abs(x) <= 0.5 ** 40 * 3.0 * (1.0 + 1e-12)
+
+    def test_gain_certificate_holds_past_step_512(self):
+        # the open loop (1.2) diverges, so the gain must keep acting to the horizon
+        builtin = build_builtin("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7})
+        report = verify(builtin.ubgec, builtin.system, builtin.samples(16), horizon=2600)
+        assert report.passed
 
     def test_natural_decay_reports_the_closed_loop(self):
         builtin = build_builtin("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7})

@@ -17,7 +17,7 @@ EXPORTS = [
     "DEFAULT_T_GRID", "DecompositionError", "DomainError", "EnvelopeError", "FiniteSystem",
     "InteractionRejectedError", "InteractionSpec", "InversionError", "KInfFn", "KLFn",
     "KLValidityError", "MarginRow", "MonotoneInputError", "NonContractionError", "NonnegFn",
-    "ParameterError", "PolicyError", "PolicyOracle", "SampledKL", "SeparableKL",
+    "ParameterError", "PolicyOracle", "SampledKL", "SeparableKL",
     "SettlingSchedule", "SimulationError", "StageCost", "StagecraftError", "StitchResult",
     "SynthesisResult", "Trajectory", "TransientData", "TransientSplit", "UACCert", "UBgECCert",
     "UCCCert", "UVCCert", "ValueTable", "VerificationReport", "admissible_wrapper",

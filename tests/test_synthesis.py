@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,3 +367,61 @@ class TestTransientSplit:
         spec = InteractionSpec(cross=lambda s, r: s + r, c_state=1.0, c_input=1.0)
         with pytest.raises(ParameterError):
             transient_split(spec, simple.ubgec, decay=0.5)
+
+
+def _sum_of_weighted(terms):
+    """Reference weighted sum: zero weights dropped, a unit weight left unscaled."""
+    live = [(float(c), f) for c, f in terms if c > 0]
+    if not live:
+        return const_fn(0.0)
+    c0, f0 = live[0]
+    total = f0 if c0 == 1.0 else scale(c0, f0)
+    for c, f in live[1:]:
+        total = combine(total, f, "sum", 1.0, c)
+    return total
+
+
+def _json(fn):
+    return json.dumps(fn.to_json(), sort_keys=True)
+
+
+class TestOneCostBoundFormula:
+    """``synthesize``, ``admit_interaction`` and ``transient_split`` each build
+    the bound JSON of its own reference formula, written out term by term."""
+
+    MIXES = [(cs, ci, cx) for cs in (0.0, 1.0, 2.5) for ci in (0.0, 1.0, 2.5) for cx in (0.0, 1.5)]
+
+    @pytest.mark.parametrize("decay", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("params", [None, {"a": 1.2, "b": 1.0, "gain": -0.7}])
+    def test_bounds_equal_the_separate_formulas(self, params, decay):
+        cert = build_builtin("scalar_linear", params).ubgec
+        for state_coeff, input_coeff in ((0.5, 1.0), (1.0, 2.5)):
+            base = synthesize(cert, decay=decay, state_coeff=state_coeff, input_coeff=input_coeff)
+            decomp = base.decomposition
+            inner, budget = decomp.inner, cert.energy_budget
+            expected = combine(inner, budget, "sum", state_coeff / (1.0 - decay), input_coeff)
+            assert _json(base.cost_bound) == _json(expected)
+            for c_state, c_input, c_cross in self.MIXES:
+                coeffs = dict(c_state=c_state, c_input=c_input, c_cross=c_cross, gain=identity())
+                spec = InteractionSpec(cross=lambda s, r: 0.0, **coeffs)
+                cross = c_cross and synthesis._cross_product_term(spec, decomp, cert)
+
+                admitted = _sum_of_weighted([
+                    ((state_coeff + c_state) / (1.0 - decay), inner),
+                    (input_coeff + c_input, budget),
+                ])
+                if c_cross > 0:
+                    admitted = combine(admitted, cross, "sum")
+                result = admit_interaction(spec, base, cert)
+                assert _json(result.cost_bound) == _json(admitted)
+
+                settled = _sum_of_weighted([(c_state / (1.0 - decay), inner), (c_input, budget)])
+                if c_cross > 0:
+                    settled = combine(settled, cross, "sum") if c_state or c_input else cross
+                gated = InteractionSpec(
+                    cross=lambda s, r: 0.0,
+                    transient=TransientData(radius=1.0, state_rate=identity(), input_rate=identity()),
+                    **coeffs,
+                )
+                split = transient_split(gated, cert, decay=decay)
+                assert _json(split.settled_bound) == _json(settled)
