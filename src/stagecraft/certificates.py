@@ -32,6 +32,7 @@ from .cmpfn import (
     SampledKL,
     DEFAULT_R_GRID,
     DEFAULT_T_GRID,
+    inverse_of,
     kl_decompose,
     scale,
     scale_kl,
@@ -327,7 +328,7 @@ def uvc_to_ubgec(cert: UVCCert, decay: float = 0.5) -> UBgECCert:
     decomp = kl_decompose(cert.control_bound, decay=decay)
     return UBgECCert(
         state_bound=cert.state_bound,
-        energy=decomp.outer.inverse(),
+        energy=inverse_of(decomp.outer),
         energy_budget=scale(1.0 / (1.0 - decay), decomp.inner),
         domain=cert.domain,
         policy=cert.policy,

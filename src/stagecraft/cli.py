@@ -97,12 +97,6 @@ def _integer(value) -> int:
     raise ValueError("expected an integer")
 
 
-def _boolean(value) -> bool:
-    if type(value) is not bool:
-        raise ValueError("expected true or false")
-    return value
-
-
 def _build_system(config: dict):
     """Returns (BuiltinSystem or None, ControlSystem, FiniteSystem or None)."""
     spec = config.get("system")
@@ -267,7 +261,7 @@ def _oracle_values(config: dict, finite: FiniteSystem) -> ValueTable:
 
 
 def _ucc_from_config(config: dict, builtin, finite):
-    spec = _read(config, "certificate", kind=str, base=str, forward_invariant=_boolean)
+    spec = _read(config, "certificate", kind=str, base=str)
     kind = spec.get("kind", "synthesize")
     if kind == "oracle":
         if finite is None:
@@ -276,7 +270,7 @@ def _ucc_from_config(config: dict, builtin, finite):
         return extract_ucc(_oracle_values(config, finite), finite, **margin)
     if kind == "synthesize":
         result, cert = _synthesis(config, builtin, spec.get("base", "ubgec"))
-        return to_ucc_cert(result, cert, forward_invariant=spec.get("forward_invariant", True))
+        return to_ucc_cert(result, cert, forward_invariant=True)
     raise ConfigError(f"unsupported certificate kind {kind!r} for converse")
 
 

@@ -9,8 +9,8 @@ Each node evaluates, inverts, checks and serialises itself, and
 Two wrappers are exposed for one-argument functions:
 
 * ``KInfFn``: zero at zero, strictly increasing, unbounded.
-* ``NonnegFn``: merely nonnegative, with an optional positive-definite
-  flag.  Every ``KInfFn`` is usable as a ``NonnegFn``.
+* ``NonnegFn``: merely nonnegative.  Every ``KInfFn`` is usable as a
+  ``NonnegFn``.
 
 Two-argument decay bounds ``(r, t) -> value`` come in two forms:
 ``SeparableKL`` (``outer(decay**t * inner(r))``) and ``SampledKL`` (a
@@ -379,15 +379,16 @@ def _on_points(method, x, domain):
 
 
 class NonnegFn:
-    """Nonnegative scalar function backed by an expression tree."""
+    """Nonnegative scalar function backed by an expression tree; ``kind``
+    names the class in JSON, and a ``"kinf"`` tree must also grow
+    strictly and without bound."""
 
-    __slots__ = ("expr", "positive_definite")
-    _kinf = False
+    __slots__ = ("expr",)
+    kind = "nonneg"
 
-    def __init__(self, expr, positive_definite=False):
-        _node(expr).check(self._kinf)
+    def __init__(self, expr):
+        _node(expr).check(self.kind == "kinf")
         self.expr = expr
-        self.positive_definite = bool(positive_definite)
 
     def eval(self, r):
         return _on_points(self.expr.eval, r, "comparison functions are defined on [0, inf)")
@@ -395,11 +396,7 @@ class NonnegFn:
     __call__ = eval
 
     def to_json(self):
-        return {
-            "kind": "nonneg",
-            "positive_definite": self.positive_definite,
-            "expr": self.expr.to_obj(),
-        }
+        return {"kind": self.kind, "expr": self.expr.to_obj()}
 
     def __repr__(self):
         return f"{type(self).__name__}({self.expr.to_obj()!r})"
@@ -409,19 +406,10 @@ class KInfFn(NonnegFn):
     """Strictly increasing, unbounded, zero at zero."""
 
     __slots__ = ()
-    _kinf = True
-
-    def __init__(self, expr):
-        super().__init__(expr, positive_definite=True)
+    kind = "kinf"
 
     def invert(self, y):
         return _on_points(self.expr.invert, y, "inverse queries must be finite and nonnegative")
-
-    def inverse(self):
-        return KInfFn(InverseOf(self.expr))
-
-    def to_json(self):
-        return {"kind": "kinf", "expr": self.expr.to_obj()}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +430,7 @@ def linear(c):
 
 
 def const_fn(c):
-    return NonnegFn(Const(float(c)), positive_definite=False)
+    return NonnegFn(Const(float(c)))
 
 
 def table_fn(xs, ys):
@@ -455,13 +443,9 @@ def table_fn(xs, ys):
     return KInfFn(Table(tuple(xs), tuple(ys)))
 
 
-def _wrap(expr, *parts, positive_definite=None):
+def _wrap(expr, *parts):
     """Return a KInfFn when all parts are, otherwise a NonnegFn."""
-    if all(isinstance(p, KInfFn) for p in parts):
-        return KInfFn(expr)
-    if positive_definite is None:
-        positive_definite = all(p.positive_definite for p in parts)
-    return NonnegFn(expr, positive_definite=positive_definite)
+    return (KInfFn if all(isinstance(p, KInfFn) for p in parts) else NonnegFn)(expr)
 
 
 def scale(c, f):
@@ -475,26 +459,20 @@ def compose(f, g):
 
 
 def pointwise_min(f, g):
-    return _wrap(Min(f.expr, g.expr), f, g)
+    return combine(f, g, "min")
 
 
 def inverse_of(f):
     if not isinstance(f, KInfFn):
         raise ParameterError("only strictly increasing unbounded functions can be inverted")
-    return f.inverse()
+    return KInfFn(InverseOf(f.expr))
 
 
-def combine(f, g, mode, c1=1.0, c2=1.0):
-    """Weighted pointwise combination c1*f (op) c2*g for op in sum/product/min."""
-    c1 = _finite_positive(c1, "first combination weight")
-    c2 = _finite_positive(c2, "second combination weight")
+def combine(f, g, mode):
+    """Pointwise combination f (op) g for op in sum/product/min; ``scale`` weights a part."""
     if mode not in ("sum", "product", "min"):
         raise ParameterError(f"unknown combination mode {mode!r}")
-    left = Scale(c1, f.expr) if c1 != 1.0 else f.expr
-    right = Scale(c2, g.expr) if c2 != 1.0 else g.expr
-    # a sum is positive definite when either part is, a product or min when both are
-    pd = (any if mode == "sum" else all)((f.positive_definite, g.positive_definite))
-    return _wrap(_NODES[mode](left, right), f, g, positive_definite=pd)
+    return _wrap(_NODES[mode](f.expr, g.expr), f, g)
 
 
 def _max_per_x(xs, ys):
@@ -534,12 +512,10 @@ def strict_table(xs, ys):
 def fn_from_json(obj):
     """Rebuild a one-argument comparison function from its JSON form."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "kinf":
-        return KInfFn(_node_from_obj(obj.get("expr")))
-    if kind == "nonneg":
-        return NonnegFn(_node_from_obj(obj.get("expr")), positive_definite=bool(obj.get("positive_definite")))
+    for cls in (KInfFn, NonnegFn):
+        if kind == cls.kind:
+            return cls(_node_from_obj(obj.get("expr")))
     raise ParameterError(f"unknown function kind {kind!r}")
-
 
 
 # ---------------------------------------------------------------------------
@@ -713,18 +689,23 @@ class SampledKL(KLFn):
 
 def kl_from_json(obj):
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "kl.separable":
-        return SeparableKL(
-            outer=fn_from_json(obj["outer"]),
-            decay=float(obj["decay"]),
-            inner=fn_from_json(obj["inner"]),
-        )
-    if kind == "kl.sampled":
-        return SampledKL(
-            r_grid=np.asarray(obj["r_grid"], dtype=float),
-            t_grid=np.asarray(obj["t_grid"], dtype=float),
-            values=np.asarray(obj["values"], dtype=float),
-        )
+    try:
+        if kind == "kl.separable":
+            return SeparableKL(
+                outer=fn_from_json(obj["outer"]),
+                decay=float(obj["decay"]),
+                inner=fn_from_json(obj["inner"]),
+            )
+        if kind == "kl.sampled":
+            return SampledKL(
+                r_grid=np.asarray(obj["r_grid"], dtype=float),
+                t_grid=np.asarray(obj["t_grid"], dtype=float),
+                values=np.asarray(obj["values"], dtype=float),
+            )
+    except KeyError as exc:
+        raise ParameterError(f"decay bound {kind!r} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"decay bound {kind!r} has a malformed field: {exc}") from exc
     raise ParameterError(f"unknown decay-bound kind {kind!r}")
 
 

@@ -147,25 +147,19 @@ def stitch_controls(
     eps: float,
     radius: Optional[float] = None,
     eps_tilde_factor: float = 0.5,
-    length: Optional[int] = None,
 ) -> StitchResult:
     """Follow the certified policy until it dips below the target threshold,
     then restart it from the state reached there.
 
-    Returns ``length`` controls, by default the settle horizon's worth.
-    The scan must succeed within the settle horizon; failure means
-    the certificate's cost accounting is inconsistent.  A shorter
-    ``length`` truncates the scan window, and a window cut short that
-    way is not an error.
+    Returns the settle horizon's worth of controls.  The scan must
+    succeed within the settle horizon; failure means the certificate's
+    cost accounting is inconsistent.
     """
     settler = _Settler(ucc, eps_tilde_factor)
     start, big_r = _within(sys, x, radius)
     threshold = settler.threshold(eps)
     horizon = settler.settle(big_r, eps, threshold) if big_r > 0 else 1
-    out_len = horizon if length is None else int(length)
-    if out_len < 0:
-        raise ParameterError(f"length must be nonnegative, got {length!r}")
-    stitched, switch, _ = settler.scan(sys, x, threshold, horizon, out_len)
+    stitched, switch, _ = settler.scan(sys, x, threshold, horizon, horizon)
     return StitchResult(
         controls=tuple(stitched),
         switch_step=switch,
@@ -203,8 +197,7 @@ class SettlingSchedule:
     cum_horizons: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        levels = tuple(1.0 / m for m in range(1, len(self.round_horizons) + 1))
-        object.__setattr__(self, "eps_levels", levels)
+        object.__setattr__(self, "eps_levels", _levels(len(self.round_horizons)))
         object.__setattr__(self, "cum_horizons", tuple(itertools.accumulate(self.round_horizons)))
 
     @property
@@ -264,6 +257,11 @@ class SettlingSchedule:
             if hi - lo <= 1e-14 * hi:
                 break
         return 0.5 * (lo + hi)
+
+
+def _levels(depth: int) -> Tuple[float, ...]:
+    """The level ``1/m`` of each round ``m`` of a schedule ``depth`` rounds deep."""
+    return tuple(1.0 / m for m in range(1, depth + 1))
 
 
 def settling_schedule(
@@ -357,12 +355,11 @@ class _Settler:
                 raise ParameterError(f"radius must be finite and positive, got {radius!r}")
         if depth < 1:
             raise ParameterError(f"depth must be at least 1, got {depth}")
-        levels = [1.0 / m for m in range(1, depth + 1)]
 
         radii = np.asarray(radii, dtype=float)
         tops = self.ucc.cost_bound.eval(radii)
         shares = np.outer(tops, 2.0 ** -np.arange(1, depth + 1))
-        costs = self.relay.invert(np.concatenate((self.state_gauge.eval(levels), shares.ravel())))
+        costs = self.relay.invert(np.concatenate((self.state_gauge.eval(_levels(depth)), shares.ravel())))
         by_level, by_budget = costs[:depth], costs[depth:].reshape(shares.shape)
         targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None]).tolist()
         lives = [next((m for m, target in enumerate(row) if target <= 0.0), depth) for row in targets]
@@ -518,7 +515,6 @@ class ConverseResult:
     cert: UBgECCert
     excursion: KInfFn
     relay: KInfFn
-    total: KInfFn
     schedules: Tuple[SettlingSchedule, ...]
     report: VerificationReport
 
@@ -527,7 +523,7 @@ class ConverseResult:
             "kind": "converse",
             "excursion": self.excursion.to_json(),
             "relay": self.relay.to_json(),
-            "total": self.total.to_json(),
+            "total": self.cert.energy_budget.to_json(),
             "state_bound": self.cert.state_bound.to_json(),
             "energy": self.cert.energy.to_json(),
             "energy_budget": self.cert.energy_budget.to_json(),
@@ -593,11 +589,10 @@ def converse_pipeline(
     settler = _Settler(ucc, eps_tilde_factor)
     bound, schedules = settler.assemble(radii, nu_depth)
     policy = settler.policy(sys, depth)
-    total = total_bound(ucc)
     cert = UBgECCert(
         state_bound=bound,
         energy=ucc.stage_cost.input_cost,
-        energy_budget=total,
+        energy_budget=total_bound(ucc),
         domain=ucc.domain,
         policy=policy,
     )
@@ -606,7 +601,6 @@ def converse_pipeline(
         cert=cert,
         excursion=settler.excursion,
         relay=settler.relay,
-        total=total,
         schedules=schedules,
         report=report,
     )

@@ -28,7 +28,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .cmpfn import _max_per_x, identity, strict_table
+from .cmpfn import identity, strict_table
 from .certificates import PolicyOracle, UCCCert
 from .errors import EnvelopeError, ParameterError, StagecraftError
 from .system import ControlSystem, StageCost, _write_csv
@@ -194,21 +194,9 @@ def zero_cost_core(
 
 
 def reaches_core(fsys: FiniteSystem, core: np.ndarray) -> np.ndarray:
-    """States with some path into the core (boolean mask).
-
-    Reverse search from the core over the predecessor lists, visiting
-    every edge at most once, so the cost is linear in the edge count.
-    """
-    start, preds, _ = _predecessors(fsys.successor)
-    reach = np.array(core, dtype=bool).tolist()
-    frontier = np.flatnonzero(core).tolist()
-    while frontier:
-        y = frontier.pop()
-        for x in preds[start[y]:start[y + 1]]:
-            if not reach[x]:
-                reach[x] = True
-                frontier.append(x)
-    return np.array(reach, dtype=bool)
+    """States with some path into the core (boolean mask): those at a
+    finite distance from it when every edge costs zero."""
+    return np.isfinite(_core_distances(fsys, np.zeros(fsys.successor.shape), core))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +324,9 @@ def extract_ucc(
     if not np.any(positive):
         bound = identity()
     else:
-        knots, peaks = _max_per_x(sig[positive], values[positive])
-        bound = strict_table(knots, margin * peaks + 1e-9 * knots)
+        # strict_table keeps each level's largest ordinate, the lifted peak's
+        knots = sig[positive]
+        bound = strict_table(knots, margin * values[positive] + 1e-9 * knots)
 
     states = fsys.num_states
     return UCCCert(

@@ -166,13 +166,12 @@ def _cost_bound(decomp: SeparableKL, cert: UBgECCert, c_state, c_input, spec=Non
     terms = [(c_state / (1.0 - decomp.decay), decomp.inner), (c_input, cert.energy_budget)]
     if spec is not None and spec.c_cross > 0:
         terms.append((1.0, _cross_product_term(spec, decomp, cert)))
-    live = [(float(c), f) for c, f in terms if c > 0]
+    live = [f if c == 1.0 else scale(float(c), f) for c, f in terms if c > 0]
     if not live:
         return const_fn(0.0)
-    c0, f0 = live[0]
-    total = f0 if c0 == 1.0 else scale(c0, f0)
-    for c, f in live[1:]:
-        total = combine(total, f, "sum", 1.0, c)
+    total = live[0]
+    for f in live[1:]:
+        total = combine(total, f, "sum")
     return total
 
 
@@ -213,7 +212,7 @@ def synthesize(
     _finite_positive(state_coeff, "state_coeff")
     _finite_positive(input_coeff, "input_coeff")
     decomp = kl_decompose(cert.state_bound, decay=decay)
-    inv_outer = decomp.outer.inverse()
+    inv_outer = inverse_of(decomp.outer)
 
     if state_cost is None:
         state_cost = inv_outer
@@ -349,7 +348,7 @@ def admit_interaction(
             "admitting interactions needs a strictly increasing, unbounded energy gauge"
         )
     decomp = base.decomposition
-    inv_outer = decomp.outer.inverse()
+    inv_outer = inverse_of(decomp.outer)
     _check_regimes(spec, inv_outer, cert.energy)
 
     cost_bound = _cost_bound(
@@ -452,7 +451,7 @@ def transient_split(
         )
     data = spec.transient
     decomp = kl_decompose(cert.state_bound, decay=decay)
-    inv_outer = decomp.outer.inverse()
+    inv_outer = inverse_of(decomp.outer)
     _check_regimes(spec, inv_outer, cert.energy)
 
     beta = cert.state_bound

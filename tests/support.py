@@ -47,8 +47,7 @@ def selfcheck(fn, grid=None):
     """Check a function's declared class on a grid; raise on violation.
 
     A ``KInfFn`` must vanish at zero, strictly increase and pass an
-    expanding growth target; a ``NonnegFn`` must be nonnegative and, if
-    positive definite, vanish only at zero.
+    expanding growth target; a ``NonnegFn`` must be nonnegative.
     """
     grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
     if isinstance(fn, KInfFn):
@@ -58,14 +57,8 @@ def selfcheck(fn, grid=None):
             raise InvariantViolation("not strictly increasing on the check grid")
         _assert_unbounded(fn, start=float(grid[-1]))
         return fn
-    vals = fn.eval(grid)
-    if np.any(vals < 0):
+    if np.any(fn.eval(grid) < 0):
         raise InvariantViolation("negative value on the check grid")
-    if fn.positive_definite:
-        if abs(fn.eval(0.0)) > 1e-12:
-            raise InvariantViolation("positive-definite function must vanish at zero")
-        if np.any(vals[grid > 0] <= 0):
-            raise InvariantViolation("positive-definite function must be positive off zero")
     return fn
 
 

@@ -165,11 +165,6 @@ class TestConfigErrors:
                 {"system": SCALAR, "certificate": {"state_bound_scale": 0.01}, "slack": math.nan},
                 "slack must be finite",
             ),
-            (
-                "converse",
-                {"system": SCALAR, "certificate": {"forward_invariant": "false"}},
-                "'certificate.forward_invariant'",
-            ),
             ("verify", {"system": SCALAR, "horizon": 2.7}, "'horizon'"),
             ("verify", {"system": SCALAR, "horizon": math.inf}, "'horizon'"),
             ("verify", {"system": SCALAR, "samples": {"count": True}}, "'samples.count'"),
@@ -201,7 +196,6 @@ class TestConfigErrors:
             "converse_interaction_scale_not_float",
             "slack_infinite",
             "slack_nan",
-            "forward_invariant_string",
             "horizon_fractional",
             "horizon_infinite",
             "count_bool",

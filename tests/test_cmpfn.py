@@ -118,12 +118,12 @@ class TestInversion:
 
 class TestCombinators:
     def test_sum_with_weights(self):
-        f = combine(identity(), power(2.0), "sum", c1=2.0, c2=3.0)
+        f = combine(scale(2.0, identity()), scale(3.0, power(2.0)), "sum")
         assert f.eval(2.0) == pytest.approx(2.0 * 2.0 + 3.0 * 4.0)
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ParameterError):
-            combine(identity(), identity(), "sum", c1=0.0)
+            combine(scale(0.0, identity()), identity(), "sum")
 
     def test_min_keeps_kinf(self):
         f = pointwise_min(linear(2.0), power(2.0))
@@ -190,11 +190,6 @@ class TestSerialization:
             ref = f.eval(LOG_GRID)
             np.testing.assert_allclose(g.eval(LOG_GRID), ref, rtol=1e-12)
 
-    def test_nonneg_flag_survives(self):
-        f = const_fn(2.0)
-        g = fn_from_json(f.to_json())
-        assert isinstance(g, NonnegFn) and not g.positive_definite
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             fn_from_json({"kind": "mystery"})
@@ -210,6 +205,25 @@ class TestSerialization:
         back = kl_from_json(beta.to_json())
         np.testing.assert_array_equal(back.values, beta.values)
         np.testing.assert_array_equal(back.r_grid, beta.r_grid)
+
+    SEPARABLE = {"kind": "kl.separable", "outer": {"kind": "kinf", "expr": {"op": "identity"}},
+                 "inner": {"kind": "kinf", "expr": {"op": "identity"}}}
+    SAMPLED = {"kind": "kl.sampled", "r_grid": [0.0, 1.0], "t_grid": [0.0, 1.0]}
+
+    @pytest.mark.parametrize(
+        "obj, needle",
+        [
+            ({"kind": "kl.separable"}, "missing field 'outer'"),
+            ({**SEPARABLE, "decay": "x"}, "malformed field"),
+            ({**SEPARABLE, "decay": None}, "malformed field"),
+            ({**SAMPLED, "values": [[0.0, 0.0], [1.0]]}, "malformed field"),
+            ({k: v for k, v in SAMPLED.items() if k != "t_grid"}, "missing field 't_grid'"),
+        ],
+        ids=["no_outer", "decay_string", "decay_null", "ragged_values", "no_t_grid"],
+    )
+    def test_malformed_bound_raises_parameter_error(self, obj, needle):
+        with pytest.raises(ParameterError, match=needle):
+            kl_from_json(obj)
 
 
 class TestInvariantChecks:
@@ -632,11 +646,12 @@ class TestFloatCallsAreArrayEntries:
 
 # one tree over all eleven node kinds, and its JSON as the format writes it
 ALL_OPS_JSON = (
-    '{"kind": "nonneg", "positive_definite": true, "expr": {"op": "sum", "left": {"op": "min", '
-    '"left": {"op": "sum", "left": {"op": "compose", "outer": {"op": "scale", "c": 2.0, "inner": '
-    '{"op": "power", "p": 1.5}}, "inner": {"op": "inverse_of", "inner": {"op": "linear", "c": 3.0}}}, '
-    '"right": {"op": "product", "left": {"op": "table", "x": [0.0, 1.0, 2.0], "y": [0.0, 0.5, 3.0]}, '
-    '"right": {"op": "identity"}}}, "right": {"op": "identity"}}, "right": {"op": "const", "c": 0.25}}}'
+    '{"kind": "nonneg", "expr": {"op": "sum", "left": {"op": "min", "left": {"op": "sum", '
+    '"left": {"op": "compose", "outer": {"op": "scale", "c": 2.0, "inner": {"op": "power", '
+    '"p": 1.5}}, "inner": {"op": "inverse_of", "inner": {"op": "linear", "c": 3.0}}}, '
+    '"right": {"op": "product", "left": {"op": "table", "x": [0.0, 1.0, 2.0], '
+    '"y": [0.0, 0.5, 3.0]}, "right": {"op": "identity"}}}, "right": {"op": "identity"}}, '
+    '"right": {"op": "const", "c": 0.25}}}'
 )
 
 
@@ -660,8 +675,11 @@ class TestNodeSerialization:
         assert json.dumps(tree.to_json()) == ALL_OPS_JSON
         assert ops_in(tree.to_json()["expr"]) == set(_NODES)
         back = fn_from_json(json.loads(ALL_OPS_JSON))
-        assert type(back) is NonnegFn and back.positive_definite
+        assert type(back) is NonnegFn
         assert json.dumps(back.to_json()) == ALL_OPS_JSON
+        # a key outside the format, such as the positive_definite flag of older files, is ignored
+        legacy = {**json.loads(ALL_OPS_JSON), "positive_definite": "no"}
+        assert json.dumps(fn_from_json(legacy).to_json()) == ALL_OPS_JSON
         np.testing.assert_array_equal(bits(back.eval(LOG_GRID)), bits(tree.eval(LOG_GRID)))
 
     @pytest.mark.parametrize(

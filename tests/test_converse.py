@@ -45,6 +45,16 @@ from stagecraft.converse import _STEP_CAP, _Settler
 from support import assert_prefix_closed, stitched_policy, total_cost
 
 
+def _scan(ucc, sys, x, eps, length, radius=None):
+    """Controls, switch step and end state of one stitch from ``x`` by
+    ``_Settler.scan``, cut to ``length`` controls; the settle horizon is
+    that of ``radius``, by default the measure of ``x``."""
+    settler = _Settler(ucc, 0.5)
+    threshold = settler.threshold(eps)
+    horizon = settler.settle(sys.sigma(x) if radius is None else radius, eps, threshold)
+    return settler.scan(sys, x, threshold, horizon, length)
+
+
 def _dummy_policy():
     return PolicyOracle(prefix=lambda x, n: [], ref="unused")
 
@@ -365,14 +375,14 @@ class TestStitchControls:
 
     def test_truncated_scan_is_not_an_error(self):
         sys, ucc = halving_fixture()
-        res = stitch_controls(ucc, sys, 1.0, eps=0.2, length=3)
-        assert res.switch_step is None
-        assert len(res.controls) == 3
+        controls, switch, _ = _scan(ucc, sys, 1.0, eps=0.2, length=3)
+        assert switch is None
+        assert len(controls) == 3
 
     def test_zero_length_prefix(self):
         sys, ucc = halving_fixture()
-        res = stitch_controls(ucc, sys, 1.0, eps=0.2, length=0)
-        assert res.controls == ()
+        controls, _, _ = _scan(ucc, sys, 1.0, eps=0.2, length=0)
+        assert controls == []
 
     def test_inconsistent_cost_accounting_detected(self):
         frozen = ControlSystem(
@@ -509,7 +519,7 @@ def _synthesized_case():
 
 
 def _stitched_prefix(ucc, sys, x, depth, length):
-    """The stitched prefix built round by round from the public `stitch_controls`."""
+    """The stitched prefix built round by round, one `_scan` per round."""
     start = sys.sigma(x)
     if start <= 0.0:
         return ucc.policy.controls(x, length)
@@ -519,12 +529,12 @@ def _stitched_prefix(ucc, sys, x, depth, length):
         room = length - len(controls)
         if room <= 0:
             break
-        block = stitch_controls(
+        block, _, _ = _scan(
             ucc, sys, state, eps=schedule.eps_targets[m], radius=start,
             length=min(schedule.round_horizons[m], room),
         )
-        controls.extend(block.controls)
-        state = rollout(sys, state, block.controls).states[-1]
+        controls.extend(block)
+        state = rollout(sys, state, block).states[-1]
     if len(controls) < length:
         controls.extend(ucc.policy.controls(state, length - len(controls)))
     return controls[:length]
@@ -750,10 +760,10 @@ class TestTailsAreNotMeasured:
     def test_stitch_measures_the_walk_to_the_dip(self):
         sys, ucc = halving_fixture()
         counts = {"state": 0, "input": 0}
-        result = stitch_controls(ucc, self._spied(sys, counts), 1.0, eps=0.2, length=345)
-        assert len(result.controls) == 345
+        controls, switch, _ = _scan(ucc, self._spied(sys, counts), 1.0, eps=0.2, length=345)
+        assert len(controls) == 345
         # the start, for its radius, then every state up to the dip
-        assert counts == {"state": 1 + result.switch_step + 1, "input": 0}
+        assert counts == {"state": 1 + switch + 1, "input": 0}
 
     def test_stitched_policy_measures_no_tail(self):
         sys, ucc = halving_fixture()
@@ -806,7 +816,7 @@ class TestConversePipeline:
         assert result.cert.energy is ucc.stage_cost.input_cost
         assert result.excursion.eval(1.0) == 3.0
         assert result.relay.eval(1.0) == 12.0
-        assert result.total.eval(1.0) == 15.0
+        assert result.cert.energy_budget.eval(1.0) == 15.0
         again = verify(result.cert, sys, samples, 32)
         assert again.passed
 

@@ -499,8 +499,10 @@ class TestExtractUcc:
     def test_peaks_are_the_per_level_maxima(self, seed):
         # a symmetric saturating grid: +x and -x share a measure level; the
         # deadbeat inputs let every state reach 0, the random ones make the
-        # values of +x and -x differ
+        # values of +x and -x differ; at any margin, the level's peak lifted
+        # is the largest of its lifted values
         rng = np.random.default_rng(seed)
+        margin = float(rng.uniform(1.0, 4.0))
         positive = np.cumsum(rng.uniform(0.05, 0.5, size=int(rng.integers(2, 30))))
         grid = np.concatenate((-positive[::-1], [0.0], positive))
         drift = grid / (1.0 + grid * grid)
@@ -510,8 +512,8 @@ class TestExtractUcc:
         sig, values = fsys.state_measure, table.values
         knots = np.unique(sig[sig > 0.0])
         peaks = np.array([np.max(values[sig == k]) for k in knots])
-        ucc = extract_ucc(table, fsys, margin=1.5)
-        reference = strict_table(knots, 1.5 * peaks + 1e-9 * knots)
+        ucc = extract_ucc(table, fsys, margin=margin)
+        reference = strict_table(knots, margin * peaks + 1e-9 * knots)
         assert ucc.cost_bound.to_json() == reference.to_json()
 
     def test_all_zero_measures_fall_back_to_identity(self):

@@ -369,15 +369,19 @@ class TestTransientSplit:
             transient_split(spec, simple.ubgec, decay=0.5)
 
 
+def _weighted(c, f):
+    """``c * f``, with a unit weight left unscaled."""
+    return f if c == 1.0 else scale(c, f)
+
+
 def _sum_of_weighted(terms):
     """Reference weighted sum: zero weights dropped, a unit weight left unscaled."""
     live = [(float(c), f) for c, f in terms if c > 0]
     if not live:
         return const_fn(0.0)
-    c0, f0 = live[0]
-    total = f0 if c0 == 1.0 else scale(c0, f0)
+    total = _weighted(*live[0])
     for c, f in live[1:]:
-        total = combine(total, f, "sum", 1.0, c)
+        total = combine(total, _weighted(c, f), "sum")
     return total
 
 
@@ -399,7 +403,9 @@ class TestOneCostBoundFormula:
             base = synthesize(cert, decay=decay, state_coeff=state_coeff, input_coeff=input_coeff)
             decomp = base.decomposition
             inner, budget = decomp.inner, cert.energy_budget
-            expected = combine(inner, budget, "sum", state_coeff / (1.0 - decay), input_coeff)
+            expected = combine(
+                _weighted(state_coeff / (1.0 - decay), inner), _weighted(input_coeff, budget), "sum"
+            )
             assert _json(base.cost_bound) == _json(expected)
             for c_state, c_input, c_cross in self.MIXES:
                 coeffs = dict(c_state=c_state, c_input=c_input, c_cross=c_cross, gain=identity())
