@@ -12,15 +12,16 @@ declares its own inequalities: its ``rows`` turn one replayed
 trajectory into one worst-margin row per inequality, and its
 ``to_json`` records its fields.  The rows read the state and input
 measures the rollout recorded, so each sample is stepped and measured
-once.  Each decay bound is evaluated once per sample, over the whole
-horizon in one broadcast call.
+once.  On a vectorized system every sample is stepped in one walk
+(``rollout_all``).  Each decay bound is evaluated once per sample, over
+the whole horizon in one broadcast call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,7 +39,7 @@ from .cmpfn import (
     scale_kl,
 )
 from .errors import ParameterError
-from .system import ControlSystem, StageCost, Trajectory, _write_csv, rollout, stage_costs
+from .system import ControlSystem, StageCost, Trajectory, _write_csv, rollout, rollout_all, stage_costs
 
 __all__ = [
     "PolicyOracle",
@@ -292,7 +293,15 @@ def verify(
     Each inequality of the certificate contributes one row per
     sample, carrying the worst step over the horizon.  The report
     passes when every margin is at most ``slack``.
+
+    On a vectorized system every plan is built first and all samples
+    are stepped in one walk.  If a plan or the walk would raise, the
+    replay runs sample by sample instead (plan, rollout, rows), so the
+    error raised is the one the first failing sample raises there.
     """
+    if isinstance(horizon, bool) or not hasattr(type(horizon), "__index__"):
+        raise ParameterError(f"horizon must be an integer, got {horizon!r}")
+    horizon = index(horizon)
     if horizon < 0:
         raise ParameterError(f"horizon must be nonnegative, got {horizon}")
     if not 0.0 <= slack < math.inf:
@@ -301,11 +310,22 @@ def verify(
     for x in samples:
         if not cert.domain(x):
             raise ParameterError(f"sample {x!r} is outside the certificate domain")
-    trajs = (rollout(sys, x, cert.policy.controls(x, horizon)) for x in samples)
+    trajs = _walk(cert, sys, samples, horizon) if sys.vectorized else None
+    if trajs is None:
+        trajs = (rollout(sys, x, cert.policy.controls(x, horizon)) for x in samples)
     rows = tuple(row for i, traj in enumerate(trajs) for row in cert.rows(traj, i))
     return VerificationReport(
         kind=type(cert).__name__, horizon=horizon, slack=slack, rows=rows
     )
+
+
+def _walk(cert: Certificate, sys: ControlSystem, samples: list, horizon: int):
+    """Every sample's trajectory from one walk, or None if a plan or a step would raise."""
+    try:
+        plans = [cert.policy.controls(x, horizon) for x in samples]
+    except Exception:  # the per-sample replay raises it after the rows of earlier samples
+        return None
+    return rollout_all(sys, samples, plans)
 
 
 # ---------------------------------------------------------------------------

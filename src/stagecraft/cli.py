@@ -117,6 +117,12 @@ def _build_system(config: dict):
         if missing:
             raise ConfigError(f"system.discretize needs {', '.join(map(repr, missing))}")
         builtin = build_builtin(inner["builtin"], spec["discretize"].get("params"))
+        # the grids step as one array, so the builtin must be vectorized with scalar states
+        if not builtin.system.vectorized or np.ndim(builtin.samples(1)[0]):
+            raise ConfigError(
+                f"config key 'system.discretize.builtin' names {builtin.name!r}, "
+                "which is not a vectorized system with a scalar state"
+            )
         finite = discretize_scalar(
             builtin.system.transition, inner["state_grid"], inner["input_grid"]
         )

@@ -63,6 +63,7 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
         transition=lambda x, u: a * x + b * u,
         state_measure=abs,
         input_measure=abs,
+        vectorized=True,
     )
     if gain is None:
         contraction = abs(a)
@@ -117,9 +118,12 @@ def two_state_linear() -> BuiltinSystem:
     A = np.array([[0.5, 0.25], [0.0, 0.5]])
     B = np.array([0.0, 1.0])
     sys = ControlSystem(
-        transition=lambda x, u: A @ np.asarray(x, dtype=float) + B * float(u),
-        state_measure=lambda x: float(np.linalg.norm(np.asarray(x, dtype=float))),
+        # both act row by row on a stack of states; on one state they are
+        # bitwise A @ x and np.linalg.norm(x), as the tests check
+        transition=lambda x, u: x @ A.T + np.multiply.outer(u, B),
+        state_measure=lambda x: np.sqrt(np.vecdot(x, x, axis=-1)),
         input_measure=abs,
+        vectorized=True,
     )
     bound = SeparableKL(outer=identity(), decay=decay, inner=linear(1.0))
     uvc = UVCCert(state_bound=bound, control_bound=bound, policy=_zero_policy())
@@ -202,13 +206,17 @@ def saturating_scalar() -> BuiltinSystem:
     on zero and every bound halves per step with room to spare.
     """
 
-    def drift(x: float) -> float:
-        return float(x) / (1.0 + float(x) ** 2)
+    def drift(x):
+        # x * x, not x ** 2: on a Python float ** calls the C library's
+        # pow, which can miss the rounded square by one bit (about 1 state
+        # in 1,100 with glibc 2.36), while on an array ** 2 is x * x
+        return x / (1.0 + x * x)
 
     sys = ControlSystem(
-        transition=lambda x, u: drift(x) + float(u),
+        transition=lambda x, u: drift(x) + u,
         state_measure=abs,
         input_measure=abs,
+        vectorized=True,
     )
     policy = PolicyOracle(prefix=lambda x, n: [-drift(x)][:n], ref="deadbeat")
     bound = SeparableKL(outer=identity(), decay=0.5, inner=identity())

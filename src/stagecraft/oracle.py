@@ -341,10 +341,12 @@ def extract_ucc(
 def discretize_scalar(step, state_points, input_points) -> FiniteSystem:
     """Snap a scalar map onto finite grids by nearest neighbor.
 
-    ``step(x, u)`` is evaluated on the grid cross product and its
-    result snapped to the nearest state grid point (clamped at the
-    ends).  Both measures are the absolute value, and the state grid
-    must contain a zero.
+    ``step(x, u)`` is evaluated once on the grid cross product, as a
+    column of states against a row of inputs, so it must broadcast the
+    way a vectorized system's transition does.  Each result is snapped
+    to the nearest state grid point (clamped at the ends).  Both
+    measures are the absolute value, and the state grid must contain a
+    zero.
     """
     xs = np.asarray(state_points, dtype=float)
     us = np.asarray(input_points, dtype=float)
@@ -352,7 +354,8 @@ def discretize_scalar(step, state_points, input_points) -> FiniteSystem:
         raise ParameterError("grids must be one-dimensional and nonempty")
     if np.any(np.diff(xs) <= 0):
         raise ParameterError("state grid must be strictly increasing")
-    targets = np.array([[float(step(x, u)) for u in us] for x in xs])
+    targets = np.asarray(step(xs[:, None], us[None, :]), dtype=float)
+    targets = np.broadcast_to(targets, (xs.size, us.size))
     k = np.searchsorted(xs, targets)
     # clamping the bracket also clamps targets beyond either grid end
     hi = np.minimum(k, xs.size - 1)

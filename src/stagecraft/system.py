@@ -7,10 +7,15 @@ cost accounting) sees states and inputs only through these gauges, so
 state and input types are opaque: scalars, tuples, numpy vectors all
 work as long as the transition map accepts them.
 
-``rollout`` is the one place a trajectory is stepped and measured: it
-records the measure of every state and input as it steps, and
-everything that reads a trajectory (certificate rows, stage costs)
-reads those measures instead of calling the gauges again.
+``rollout`` and ``rollout_all`` are the one place a trajectory is
+stepped and measured: they record the measure of every state and
+input, and everything that reads a trajectory (certificate rows, stage
+costs) reads those measures instead of calling the gauges again.
+
+A system may declare itself ``vectorized``: its transition and both
+gauges then also take arrays with a leading sample axis, and each row
+acts independently, bit for bit as a call on that row alone.
+``rollout_all`` uses this to step many samples with one call per step.
 
 Costs are accumulated per stage.
 """
@@ -31,6 +36,7 @@ __all__ = [
     "Trajectory",
     "StageCost",
     "rollout",
+    "rollout_all",
     "stage_costs",
 ]
 
@@ -65,11 +71,18 @@ def _step(sys, x, u, k: int):
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Deterministic transition with scalar state/input gauges."""
+    """Deterministic transition with scalar state/input gauges.
+
+    With ``vectorized`` set, ``transition(X, U)``, ``state_measure(X)``
+    and ``input_measure(U)`` also accept float64 arrays whose leading
+    axis runs over samples.  Row ``i`` of each result must equal, bit for
+    bit, the call on row ``i`` alone, whatever the other rows hold.
+    """
 
     transition: Callable
     state_measure: Callable
     input_measure: Callable
+    vectorized: bool = False
 
     def sigma(self, x):
         v = float(self.state_measure(x))
@@ -122,6 +135,40 @@ def rollout(sys: ControlSystem, x0, controls: Sequence) -> Trajectory:
         rho.append(sys.rho(u))
     sigma, rho = np.array(sigma, dtype=float), np.array(rho, dtype=float)
     return Trajectory(tuple(states), tuple(controls), sigma, rho)
+
+
+def rollout_all(sys: ControlSystem, samples: Sequence, plans: Sequence) -> Optional[tuple]:
+    """``rollout`` of every sample under its plan, stepped together on a vectorized system.
+
+    The plans share one length; samples and controls are read as float64
+    arrays.  One Python loop over time calls ``transition`` once per step
+    for all samples, then one call of each gauge and one check cover
+    every state and input.  Returns ``rollout``'s trajectories bit for
+    bit, or None where ``rollout`` could raise for some sample (a
+    non-finite state, a negative or non-finite measure, or a call or
+    float operation that raises): replaying ``rollout`` sample by sample
+    then raises the exact error.
+    """
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            states = [np.asarray(samples, dtype=float)]
+            controls = np.asarray(plans, dtype=float).swapaxes(0, 1)
+            for u in controls:
+                states.append(sys.transition(states[-1], u))
+            X = np.array(states, dtype=float)
+            sigma = sys.state_measure(X.reshape(-1, *X.shape[2:]))
+            rho = sys.input_measure(controls.reshape(-1, *controls.shape[2:]))
+            sigma = np.asarray(sigma, dtype=float).reshape(X.shape[:2])
+            rho = np.asarray(rho, dtype=float).reshape(controls.shape[:2])
+    except Exception:  # rollout, replayed per sample, raises it with its step
+        return None
+    measures = np.concatenate((sigma.ravel(), rho.ravel()))
+    if not (np.isfinite(X).all() and np.all((measures >= 0.0) & (measures < math.inf))):
+        return None
+    return tuple(
+        Trajectory((x0, *X[1:, i]), tuple(plan), sigma[:, i], rho[:, i])
+        for i, (x0, plan) in enumerate(zip(samples, plans))
+    )
 
 
 @dataclass(frozen=True)

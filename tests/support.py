@@ -169,6 +169,24 @@ def assert_prefix_closed(policy, x, counts):
         assert [_control_key(u) for u in policy.controls(x, n)] == longest[:n]
 
 
+def discretize_loop(step, state_points, input_points):
+    """Successor table of ``discretize_scalar`` by one ``step(x, u)`` call per
+    grid pair and a search per target, snapping ties up and clamping at the ends."""
+    xs = np.asarray(state_points, dtype=float)
+    succ = np.empty((xs.size, len(input_points)), dtype=int)
+    for i, x in enumerate(xs):
+        for j, u in enumerate(np.asarray(input_points, dtype=float)):
+            target = float(step(x, u))
+            k = int(np.searchsorted(xs, target))
+            if k <= 0:
+                succ[i, j] = 0
+            elif k >= xs.size:
+                succ[i, j] = xs.size - 1
+            else:
+                succ[i, j] = k if xs[k] - target <= target - xs[k - 1] else k - 1
+    return succ
+
+
 def total_cost(cost, traj):
     """Sum of the stage costs along a rollout."""
     return float(np.sum(stage_costs(cost, traj)))

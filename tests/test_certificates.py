@@ -1,14 +1,16 @@
 import io
+import itertools
 import json
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
+    CertificateInvalidError,
     ControlSystem,
     KInfFn,
     KLValidityError,
@@ -30,13 +32,15 @@ from stagecraft import (
     joint_bound_split,
     linear,
     power,
+    rollout,
+    rollout_all,
     scale,
     scale_kl,
     uvc_to_ubgec,
     verify,
 )
 from stagecraft.certificates import _worst_row
-from support import random_sampled
+from support import random_sampled, stitched_policy
 
 
 def scalar_system(a=0.5):
@@ -153,6 +157,18 @@ class TestVerifyStateBound:
         for slack in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="slack must be finite"):
                 verify(cert, scalar_system(), [1.0], horizon=4, slack=slack)
+
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, np.float64(3.0), True, False, "3", None])
+    def test_horizon_must_be_an_integer(self, horizon):
+        cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
+        with pytest.raises(ParameterError, match="horizon must be an integer"):
+            verify(cert, scalar_system(), [1.0], horizon=horizon)
+
+    def test_numpy_integer_horizon_is_an_int(self):
+        cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
+        report = verify(cert, scalar_system(), [1.0], horizon=np.int64(3))
+        assert type(report.horizon) is int
+        assert report == verify(cert, scalar_system(), [1.0], horizon=3)
 
     def test_empty_samples_is_vacuous_pass(self):
         cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
@@ -521,6 +537,21 @@ class TestEachStepMeasuredOnce:
                 states.append(scalar_system().transition(states[-1], u))
         assert measured == {"state": states, "input": inputs}
 
+    @pytest.mark.parametrize("horizon", [5, 0])
+    @pytest.mark.parametrize("kind", ["uac", "uvc", "ubgec", "ucc"])
+    def test_a_vectorized_walk_measures_everything_in_one_call_each(self, kind, horizon):
+        cert = kind_certs()[kind]
+        samples = [1.0, -1.2, 0.0]
+        measured = {"state": [], "input": []}
+        system = replace(self.spied_system(measured), vectorized=True)
+        report = verify(cert, system, samples, horizon=horizon)
+        assert report.rows == verify(cert, scalar_system(), samples, horizon=horizon).rows
+        trajs = [rollout(scalar_system(), x, cert.policy.controls(x, horizon)) for x in samples]
+        [states], [inputs] = measured["state"], measured["input"]
+        # one call each over every sample's states and inputs, time-major
+        assert states.tolist() == np.array([t.states for t in trajs]).T.ravel().tolist()
+        assert inputs.tolist() == np.array([t.inputs for t in trajs]).T.ravel().tolist()
+
     def test_state_certificate_measures_its_inputs(self):
         # the rollout measures every input, so a bad input measure fails
         # even a certificate without control rows, with exit code 3
@@ -593,3 +624,130 @@ class TestGridPathsMatchLoops:
                 bound = [control_bound.eval(sig[0], float(n)) for n in range(horizon)]
                 expected.append(_worst_row(i, "control_bound", np.abs(controls), bound))
         assert report.rows == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# the one walk of a vectorized system against the per-sample loop
+# ---------------------------------------------------------------------------
+
+
+# the builtins that declare ``vectorized``, by (name, params)
+VECTORIZED_BUILTINS = [
+    ("scalar_linear", None),
+    ("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7}),
+    ("two_state_linear", None),
+    ("saturating_scalar", None),
+]
+
+
+def cli_random_samples(name, draws):
+    """Samples from the CLI's random ranges: magnitudes 10**[-2, 2], random signs or angles."""
+    if name == "two_state_linear":
+        return [10.0 ** m * np.array([np.cos(a), np.sin(a)]) for m, a, _ in draws]
+    return [(1.0 if up else -1.0) * 10.0 ** m for m, _, up in draws]
+
+
+def bit_equal(a, b):
+    return np.array_equal(bits(np.asarray(a)), bits(np.asarray(b)))
+
+
+class TestOneWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(VECTORIZED_BUILTINS),
+        st.sampled_from(["uac", "uvc", "ubgec"]),
+        st.lists(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2.0 * np.pi), st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 600),
+    )
+    def test_walk_is_the_per_sample_rollout(self, builtin, kind, draws, horizon):
+        b = build_builtin(*builtin)
+        assert b.system.vectorized
+        cert = {"uac": as_state_certificate(b.uvc), "uvc": b.uvc, "ubgec": b.ubgec}[kind]
+        samples = cli_random_samples(b.name, draws)
+        loop = replace(b.system, vectorized=False)
+        assert verify(cert, b.system, samples, horizon) == verify(cert, loop, samples, horizon)
+        plans = [cert.policy.controls(x, horizon) for x in samples]
+        walked = rollout_all(b.system, samples, plans)
+        assert walked is not None
+        for traj, x, plan in zip(walked, samples, plans):
+            alone = rollout(loop, x, plan)
+            assert traj.inputs == alone.inputs
+            assert bit_equal(traj.states, alone.states)
+            assert bit_equal(traj.sigma, alone.sigma) and bit_equal(traj.rho, alone.rho)
+
+
+# sample -> its plan, then the error it raises: 1.0 pays a negative stage
+# cost at step 0 (raised by its row), 2.0 overflows at input 5, 3.0 has a
+# NaN input measure at step 1, and 4.0's stitched policy never dips
+FAULTY_PLANS = {1.0: [3.0], 2.0: [0.0, 0.0] + [1e308] * 4, 3.0: [0.0, 7.0]}
+FAULTS = {
+    1.0: (SimulationError, "stage cost evaluated to -6.0"),
+    2.0: (SimulationError, "non-finite after applying input 5"),
+    3.0: (SimulationError, "input measure returned nan"),
+    4.0: (CertificateInvalidError, "no certified state dipped below"),
+}
+
+
+class TestWalkErrors:
+    """A vectorized ``verify`` raises what the per-sample loop raises, from the first failing sample."""
+
+    HORIZON = 2600  # past the stitched policy's first round of 2,559 steps
+
+    @classmethod
+    def certificate_and_system(cls):
+        system = ControlSystem(
+            transition=lambda x, u: 0.5 * x + u,
+            state_measure=abs,
+            input_measure=lambda u: np.where(u == 7.0, np.nan, np.abs(u)),
+            vectorized=True,
+        )
+        cost = StageCost(
+            state_cost=identity(), input_cost=identity(),
+            cross_cost=lambda s, r: -10.0 if r == 3.0 else 0.0,
+        )
+        # the base policy holds 4.0 in place, so the stitched one cannot dip
+        hold = PolicyOracle(prefix=lambda x, n: [0.5 * x] * n if x == 4.0 else [])
+        base = UCCCert(
+            stage_cost=StageCost(state_cost=identity(), input_cost=identity()),
+            cost_bound=linear(4.0),
+            policy=hold,
+            forward_invariant=True,
+        )
+        stitched = stitched_policy(base, system)
+
+        def prefix(x, n):
+            return stitched.prefix(x, n) if x == 4.0 else FAULTY_PLANS.get(x, [])[:n]
+
+        cert = UCCCert(stage_cost=cost, cost_bound=linear(1e9), policy=PolicyOracle(prefix=prefix))
+        return cert, system
+
+    @staticmethod
+    def raised(cert, system, samples, horizon):
+        with pytest.raises(Exception) as err:
+            verify(cert, system, samples, horizon)
+        return type(err.value), str(err.value), getattr(err.value, "step", None)
+
+    @pytest.mark.parametrize(
+        "failing",
+        [order for r in range(1, 5) for order in itertools.permutations(sorted(FAULTS), r)],
+        ids=str,
+    )
+    def test_the_first_failing_sample_raises_as_in_the_loop(self, failing):
+        cert, system = self.certificate_and_system()
+        samples = [0.5, *failing]
+        walked = self.raised(cert, system, samples, self.HORIZON)
+        looped = self.raised(cert, replace(system, vectorized=False), samples, self.HORIZON)
+        assert walked == looped
+        kind, needle = FAULTS[failing[0]]
+        assert walked[0] is kind and needle in walked[1]
+
+    def test_healthy_samples_walk(self):
+        cert, system = self.certificate_and_system()
+        samples = [0.5, -8.0, 0.0]
+        plans = [cert.policy.controls(x, self.HORIZON) for x in samples]
+        assert rollout_all(system, samples, plans) is not None
+        assert verify(cert, system, samples, self.HORIZON).passed

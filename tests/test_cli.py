@@ -127,6 +127,7 @@ class TestConfigErrors:
 
     SCALAR = {"builtin": "scalar_linear"}
     CHAIN_ORACLE = {"system": {"builtin": "finite_chain"}, "certificate": {"kind": "oracle"}}
+    GRIDS = {"state_grid": [-1.0, 0.0, 1.0], "input_grid": [-1.0, 0.0, 1.0]}
 
     @pytest.mark.parametrize(
         "command, payload, needle",
@@ -145,6 +146,18 @@ class TestConfigErrors:
                 "oracle",
                 {"system": {"finite": {"successor": [[0]], "input_measure": [0.0]}}},
                 "'state_measure'",
+            ),
+            # a two-dimensional state cannot step on a scalar grid
+            (
+                "oracle",
+                {"system": {"discretize": {**GRIDS, "builtin": "two_state_linear"}}},
+                "'system.discretize.builtin'",
+            ),
+            # a finite system's transition would cast the grid's -1.0 to an index
+            (
+                "oracle",
+                {"system": {"discretize": {**GRIDS, "builtin": "finite_chain"}}},
+                "'system.discretize.builtin'",
             ),
             (
                 "converse",
@@ -193,6 +206,8 @@ class TestConfigErrors:
             "depth_null",
             "discretize_without_state_grid",
             "finite_without_state_measure",
+            "discretize_two_state_linear",
+            "discretize_finite_chain",
             "converse_interaction_scale_not_float",
             "slack_infinite",
             "slack_nan",

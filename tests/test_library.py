@@ -176,3 +176,32 @@ class TestSaturatingScalar:
         sys = builtin.system
         for x0 in np.linspace(-50.0, 50.0, 101):
             assert abs(sys.transition(x0, 0.0)) <= 0.5 + 1e-12
+
+
+class TestVectorizedBuiltins:
+    """Each declared builtin acts on a stack of samples row by row, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["scalar_linear", "two_state_linear", "saturating_scalar"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_are_single_calls(self, name, seed):
+        system = build_builtin(name).system
+        assert system.vectorized
+        rng = np.random.default_rng(seed)
+        shape = (2000, 2) if name == "two_state_linear" else (2000,)
+        states = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, (2000,) + shape[1:2])
+        inputs = rng.standard_normal(2000) * 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+        stepped = system.transition(states, inputs)
+        one = [system.transition(x, u) for x, u in zip(states, inputs.tolist())]
+        assert np.array_equal(stepped.view(np.uint64), np.array(one).view(np.uint64))
+        measured = np.asarray(system.state_measure(states), dtype=float)
+        assert measured.tolist() == [system.sigma(x) for x in states]
+        assert system.input_measure(inputs).tolist() == [system.rho(u) for u in inputs.tolist()]
+        # the two-state plant keeps its textbook forms on one state
+        if name == "two_state_linear":
+            A, B = np.array([[0.5, 0.25], [0.0, 0.5]]), np.array([0.0, 1.0])
+            textbook = [A @ x + B * u for x, u in zip(states, inputs.tolist())]
+            assert np.array_equal(np.array(one).view(np.uint64), np.array(textbook).view(np.uint64))
+            assert measured.tolist() == [float(np.linalg.norm(x)) for x in states]
+
+    def test_the_chain_steps_sample_by_sample(self):
+        assert not build_builtin("finite_chain").system.vectorized

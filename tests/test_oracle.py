@@ -34,7 +34,7 @@ from stagecraft import (
 from stagecraft import oracle
 from stagecraft.cli import main
 from stagecraft.oracle import _cost_table
-from support import assert_prefix_closed, brute_force_values, total_cost
+from support import assert_prefix_closed, brute_force_values, discretize_loop, total_cost
 
 SIGMA_RHO = StageCost(state_cost=identity(), input_cost=identity())
 
@@ -583,17 +583,19 @@ class TestDiscretizeScalar:
             return a * x + b * u
 
         fsys = discretize_scalar(step, grid, inputs)
-        for i, x in enumerate(grid):
-            for j, u in enumerate(inputs):
-                target = float(step(x, u))
-                k = int(np.searchsorted(grid, target))
-                if k <= 0:
-                    snapped = 0
-                elif k >= grid.size:
-                    snapped = grid.size - 1
-                else:
-                    snapped = k if grid[k] - target <= target - grid[k - 1] else k - 1
-                assert fsys.successor[i, j] == snapped
+        np.testing.assert_array_equal(fsys.successor, discretize_loop(step, grid, inputs))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["scalar_linear", "saturating_scalar"]))
+    def test_builtin_grids_are_the_per_pair_loop(self, seed, name):
+        # one array call of a vectorized builtin's transition snaps every
+        # pair as the per-pair calls do, on random (untied) grids
+        rng = np.random.default_rng(seed)
+        step = build_builtin(name).system.transition
+        grid = np.union1d(rng.uniform(-3.0, 3.0, int(rng.integers(1, 200))), [0.0])
+        inputs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 9)))
+        fsys = discretize_scalar(step, grid, inputs)
+        np.testing.assert_array_equal(fsys.successor, discretize_loop(step, grid, inputs))
 
     def test_needs_zero_measure_point(self):
         with pytest.raises(ParameterError, match="measure zero"):

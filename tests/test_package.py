@@ -25,7 +25,7 @@ EXPORTS = [
     "certify_ucc", "combine", "compose", "const_fn", "converse_pipeline", "discretize_scalar",
     "excursion_bound", "extract_ucc", "finite_chain", "fn_from_json", "greedy_policy", "identity",
     "inverse_of", "joint_bound_merge", "joint_bound_split", "kl_decompose", "kl_from_json",
-    "linear", "pointwise_min", "power", "reaches_core", "relay_bound", "rollout",
+    "linear", "pointwise_min", "power", "reaches_core", "relay_bound", "rollout", "rollout_all",
     "saturating_scalar", "scalar_linear", "scale", "scale_kl", "settle_horizon",
     "settling_schedule", "stage_costs", "stitch_controls", "strict_table", "synthesize",
     "table_fn", "to_ucc_cert", "total_bound", "transient_split", "two_state_linear",
