@@ -78,7 +78,7 @@ def _read(config: dict, *path: str, **convert) -> dict:
         if key in spec:
             try:
                 out[key] = converter(spec[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 name = ".".join(path + (key,))
                 raise ConfigError(
                     f"bad value {spec[key]!r} for config key {name!r}: {exc}"
@@ -95,6 +95,13 @@ def _integer(value) -> int:
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise ValueError("expected an integer")
+
+
+def _real(value) -> float:
+    """A JSON number as a float: ``true`` and strings are not numbers."""
+    if isinstance(value, (bool, str)):
+        raise ValueError("expected a number")
+    return float(value)
 
 
 def _build_system(config: dict):
@@ -154,8 +161,8 @@ _CROSS_FORMS = {
 
 
 def _interaction(config: dict) -> InteractionSpec:
-    spec = _read(config, "interaction", form=str, scale=float, c_state=float, c_input=float,
-                 c_cross=float, gain=lambda g: None if g is None else fn_from_json(g))
+    spec = _read(config, "interaction", form=str, scale=_real, c_state=_real, c_input=_real,
+                 c_cross=_real, gain=lambda g: None if g is None else fn_from_json(g))
     form = spec.pop("form", "zero")
     if form not in _CROSS_FORMS:
         raise ConfigError(f"unknown interaction form {form!r}; known: {sorted(_CROSS_FORMS)}")
@@ -168,10 +175,10 @@ def _synthesis(config: dict, builtin: Optional[BuiltinSystem], kind: str):
     ``synthesis`` and ``interaction`` keys; returns (result, energy certificate)."""
     cert = _certificate(builtin, kind, ("ubgec", "uvc"))
     if isinstance(cert, UVCCert):
-        decay = _read(config, "certificate", decay=float).get("decay", builtin.natural_decay)
+        decay = _read(config, "certificate", decay=_real).get("decay", builtin.natural_decay)
         cert = uvc_to_ubgec(cert, decay=decay)
-    params = _read(config, "synthesis", decay=float, state_coeff=float, input_coeff=float,
-                   state_cost=fn_from_json, input_cost=fn_from_json, cost_bound_scale=float)
+    params = _read(config, "synthesis", decay=_real, state_coeff=_real, input_coeff=_real,
+                   state_cost=fn_from_json, input_cost=fn_from_json, cost_bound_scale=_real)
     bound_scale = params.pop("cost_bound_scale", 1.0)
     result = synthesize(cert, **{"decay": builtin.natural_decay, **params})
     if bound_scale != 1.0:
@@ -210,7 +217,7 @@ def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
 
 def _replay(config: dict) -> dict:
     """``horizon`` and ``slack`` of a run; the horizon has no library default."""
-    return {"horizon": DEFAULT_HORIZON, **_read(config, horizon=_integer, slack=float)}
+    return {"horizon": DEFAULT_HORIZON, **_read(config, horizon=_integer, slack=_real)}
 
 
 def _artifact(out_dir: str, name: str):
@@ -248,7 +255,7 @@ def cmd_synthesize(config: dict, out_dir: str, seed: int) -> int:
 
 def cmd_verify(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
-    spec = _read(config, "certificate", kind=str, state_bound_scale=float)
+    spec = _read(config, "certificate", kind=str, state_bound_scale=_real)
     cert = _certificate(builtin, spec.get("kind", "ubgec"))
     scale_factor = spec.get("state_bound_scale", 1.0)
     if scale_factor != 1.0:
@@ -272,7 +279,7 @@ def _ucc_from_config(config: dict, builtin, finite):
     if kind == "oracle":
         if finite is None:
             raise ConfigError("oracle-built certificates need a finite system")
-        margin = _read(config, "oracle", margin=float)
+        margin = _read(config, "oracle", margin=_real)
         return extract_ucc(_oracle_values(config, finite), finite, **margin)
     if kind == "synthesize":
         result, cert = _synthesis(config, builtin, spec.get("base", "ubgec"))
@@ -284,7 +291,7 @@ def cmd_converse(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
     ucc = _ucc_from_config(config, builtin, finite)
     samples = _draw_samples(builtin, finite, config, seed)
-    params = _read(config, "converse", depth=_integer, nu_depth=_integer, eps_tilde_factor=float)
+    params = _read(config, "converse", depth=_integer, nu_depth=_integer, eps_tilde_factor=_real)
     result = converse_pipeline(ucc, sys_, samples, **_replay(config), **params)
     _write_json(result.to_json(), out_dir, "converse.json")
     bound = result.cert.state_bound

@@ -14,6 +14,12 @@ gauge plus an input gauge, it derives
 
 The output certifies that decay bound together with an energy budget
 on the input gauge, using the stitched controls as its policy.
+
+The public functions are the construction's steps, and
+``converse_pipeline`` chains them: it calls ``assemble_state_bound``
+and hands the schedules it returns to the stitched policy.  Each step
+checks its certificate and builds the gauge and bounds once, with
+``_bounds``, then passes them on to the private steps it runs.
 """
 
 from __future__ import annotations
@@ -94,13 +100,30 @@ def relay_bound(ucc: UCCCert) -> KInfFn:
     hand-off state, whose measure the excursion bound caps, plus the
     cost bound from there.
     """
+    return _relay(ucc, excursion_bound(ucc))
+
+
+def _relay(ucc: UCCCert, excursion: KInfFn) -> KInfFn:
+    """``relay_bound`` from the excursion bound already built."""
     bound = ucc.cost_bound
-    return combine(bound, compose(bound, excursion_bound(ucc)), "sum")
+    return combine(bound, compose(bound, excursion), "sum")
 
 
 def total_bound(ucc: UCCCert) -> KInfFn:
     """Cost bound for the full settling schedule of hand-offs."""
     return combine(relay_bound(ucc), ucc.cost_bound, "sum")
+
+
+def _bounds(ucc: UCCCert, eps_tilde_factor: float) -> Tuple[KInfFn, KInfFn, KInfFn]:
+    """State gauge, excursion bound and relay bound of ``ucc``, each built once.
+
+    Checks ``eps_tilde_factor`` first and the certificate second, the
+    order every public step reports them in.
+    """
+    if not 0.0 < eps_tilde_factor < 1.0:
+        raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
+    excursion = excursion_bound(ucc)
+    return ucc.stage_cost.state_cost, excursion, _relay(ucc, excursion)
 
 
 def _within(sys: ControlSystem, x, radius: Optional[float]):
@@ -110,6 +133,37 @@ def _within(sys: ControlSystem, x, radius: Optional[float]):
     if big_r < start:
         raise ParameterError(f"radius {big_r:g} is below the sample's state measure {start:g}")
     return start, big_r
+
+
+def _steps(radius, eps, threshold, floor_cost, top) -> int:
+    """Smallest positive integer at least ``top / floor_cost - 1``, capped."""
+    if floor_cost <= 0.0:
+        if top <= 0.0:
+            return 1
+        raise BudgetError(f"threshold {threshold:g} carries no stage cost; cannot bound steps")
+    ratio = top / floor_cost
+    if ratio > _STEP_CAP:
+        raise BudgetError(
+            f"settling from radius {radius:g} to target {eps:g} needs about "
+            f"{ratio:.3g} steps, above the cap {_STEP_CAP:g}"
+        )
+    value = ratio - 1.0
+    nearest = round(value)
+    if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
+        value = nearest
+    return max(1, math.ceil(value))
+
+
+def _settle(ucc: UCCCert, bounds, eps_tilde_factor: float, radius: float, eps: float):
+    """Threshold of the target ``eps`` and the settle horizon from ``radius``."""
+    if not (np.isfinite(radius) and radius >= 0):
+        raise ParameterError(f"radius must be finite and nonnegative, got {radius!r}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"target must be finite and positive, got {eps!r}")
+    state_gauge, excursion, _ = bounds
+    threshold = excursion.invert(eps_tilde_factor * eps)
+    top = ucc.cost_bound.eval(radius)
+    return threshold, _steps(radius, eps, threshold, state_gauge.eval(threshold), top)
 
 
 def settle_horizon(
@@ -126,7 +180,7 @@ def settle_horizon(
     more than the returned number of steps: the smallest positive
     integer at least ``cost_bound(radius) / state_gauge(threshold) - 1``.
     """
-    return _Settler(ucc, eps_tilde_factor).settle(radius, eps)
+    return _settle(ucc, _bounds(ucc, eps_tilde_factor), eps_tilde_factor, radius, eps)[1]
 
 
 @dataclass(frozen=True)
@@ -138,6 +192,39 @@ class StitchResult:
     horizon: int
     threshold: float
     bound: float
+
+
+def _scan(
+    ucc: UCCCert, sys: ControlSystem, x, threshold: float, horizon: int, length: int
+) -> Tuple[list, Optional[int], object]:
+    """Controls of one stitched prefix, unpriced, its switch step and
+    the state the controls reach.
+
+    Follows the certified policy from ``x`` for at most
+    ``min(horizon, length)`` steps until the state measure dips
+    below the threshold, then restarts it from the state reached.
+    Each control is applied once, with the non-finite-state check of
+    ``rollout``; only the lead's states are measured, since only they
+    are checked against the threshold.
+    """
+    scan_cap = min(horizon, length)
+    lead = ucc.policy.controls(x, scan_cap)
+    state = x
+    tolerance = threshold * (1.0 + 1e-12)
+    for n in range(scan_cap + 1):
+        if sys.sigma(state) <= tolerance:
+            tail = ucc.policy.controls(state, length - n)
+            for k, u in enumerate(tail):
+                state = _step(sys, state, u, k)
+            return list(lead[:n]) + list(tail), n, state
+        if n < scan_cap:
+            state = _step(sys, state, lead[n], n)
+    if scan_cap >= horizon:
+        raise CertificateInvalidError(
+            f"no certified state dipped below {threshold:g} within {horizon} steps "
+            f"from state measure {sys.sigma(x):g}; the cost bound cannot hold"
+        )
+    return list(lead), None, state
 
 
 def stitch_controls(
@@ -155,18 +242,11 @@ def stitch_controls(
     succeed within the settle horizon; failure means the certificate's
     cost accounting is inconsistent.
     """
-    settler = _Settler(ucc, eps_tilde_factor)
+    bounds = _bounds(ucc, eps_tilde_factor)
     start, big_r = _within(sys, x, radius)
-    threshold = settler.threshold(eps)
-    horizon = settler.settle(big_r, eps, threshold) if big_r > 0 else 1
-    stitched, switch, _ = settler.scan(sys, x, threshold, horizon, horizon)
-    return StitchResult(
-        controls=tuple(stitched),
-        switch_step=switch,
-        horizon=horizon,
-        threshold=threshold,
-        bound=settler.relay.eval(start),
-    )
+    threshold, horizon = _settle(ucc, bounds, eps_tilde_factor, big_r, eps)
+    stitched, switch, _ = _scan(ucc, sys, x, threshold, horizon, horizon)
+    return StitchResult(tuple(stitched), switch, horizon, threshold, bounds[2].eval(start))
 
 
 @dataclass(frozen=True)
@@ -185,14 +265,17 @@ class SettlingSchedule:
     ``[eps/2, eps]`` and adds ``radius / eps``, which makes it
     strictly decreasing and continuous, hence invertible.
 
-    Only the radius, targets and round horizons are given: the levels
-    are ``1/m`` and the cumulative horizons the running sums, both
-    derived once here.
+    Only the radius, targets and round horizons define the curve: the
+    levels are ``1/m`` and the cumulative horizons the running sums,
+    both derived once here.  ``thresholds`` holds the excursion level
+    each round of the stitched policy scans for; a schedule built by
+    hand for its curve alone may leave it empty.
     """
 
     radius: float
     eps_targets: Tuple[float, ...]
     round_horizons: Tuple[int, ...]
+    thresholds: Tuple[float, ...] = ()
     eps_levels: Tuple[float, ...] = field(init=False)
     cum_horizons: Tuple[int, ...] = field(init=False)
 
@@ -282,204 +365,101 @@ def settling_schedule(
     schedule truncates at the last computable round.  At least the
     first round must fit under the cap.
     """
-    return _Settler(ucc, eps_tilde_factor).schedules([radius], depth)[0][0]
+    return _schedules(ucc, _bounds(ucc, eps_tilde_factor), eps_tilde_factor, [radius], depth)[0]
 
 
-class _Settler:
-    """The converse construction for one certificate.
+def _schedules(
+    ucc: UCCCert, bounds, eps_tilde_factor: float, radii: Sequence[float], depth: int
+) -> list:
+    """``settling_schedule`` of every radius, with the threshold of each round.
 
-    Holds the state gauge and the excursion and relay bounds, built
-    once.  ``schedules`` settles any number of radii with one array
-    call per bound; a float call equals its entry in any array bitwise,
-    so every round is the one a scalar computation gives.
-    ``assemble`` keeps the schedules it builds, with the threshold of
-    every round, and the stitched policy of the same certificate reuses
-    them for sample states: without that hand-off the policy would
-    redo each sample radius's inversions for every verified sample.
+    The level costs and all budget shares go through one relay
+    inversion, and all live targets through one excursion inversion;
+    only the integer horizons are counted radius by radius.  A float
+    call equals its entry in any array bitwise, so every round is the
+    one a scalar computation gives.
+    """
+    for radius in radii:
+        if not (np.isfinite(radius) and radius > 0):
+            raise ParameterError(f"radius must be finite and positive, got {radius!r}")
+    if depth < 1:
+        raise ParameterError(f"depth must be at least 1, got {depth}")
+
+    state_gauge, excursion, relay = bounds
+    radii = np.asarray(radii, dtype=float)
+    tops = ucc.cost_bound.eval(radii)
+    shares = np.outer(tops, 2.0 ** -np.arange(1, depth + 1))
+    costs = relay.invert(np.concatenate((state_gauge.eval(_levels(depth)), shares.ravel())))
+    by_level, by_budget = costs[:depth], costs[depth:].reshape(shares.shape)
+    targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None]).tolist()
+    lives = [next((m for m, target in enumerate(row) if target <= 0.0), depth) for row in targets]
+    if 0 in lives:
+        raise BudgetError(f"round 1 target degenerated to {targets[lives.index(0)][0]!r}")
+    live_targets = np.concatenate([row[:live] for row, live in zip(targets, lives)])
+    thresholds = excursion.invert(eps_tilde_factor * live_targets)
+    by_round = iter(zip(thresholds.tolist(), state_gauge.eval(thresholds).tolist()))
+    out = []
+    for radius, top, row, live in zip(radii.tolist(), tops.tolist(), targets, lives):
+        rounds = list(itertools.islice(by_round, live))
+        horizons = []
+        for m, (threshold, floor_cost) in enumerate(rounds):
+            try:
+                horizons.append(_steps(radius, row[m], threshold, floor_cost, top))
+            except BudgetError:
+                if m == 0:
+                    raise
+                break
+        n = len(horizons)
+        out.append(SettlingSchedule(
+            radius, tuple(row[:n]), tuple(horizons), tuple(threshold for threshold, _ in rounds[:n])
+        ))
+    return out
+
+
+def _policy(
+    ucc: UCCCert, bounds, eps_tilde_factor: float, sys: ControlSystem, depth: int, built: dict
+) -> PolicyOracle:
+    """Concatenate stitched prefixes through the settling schedule.
+
+    Per starting state, round ``m`` runs the stitched control for the
+    round's target, truncated to the round's horizon, and states with
+    zero measure fall back to the certificate's own policy.
+    ``prefix(x, n)`` fills ``n`` controls round by round, then from
+    the certificate's own policy after the last round, and stops
+    there: a round cut short by ``n`` scans only the controls it
+    returns, so it raises ``CertificateInvalidError`` only when its
+    whole horizon fits in the request.
+
+    ``built`` maps radii to schedules already settled, at least
+    ``depth`` rounds deep: a schedule of depth ``d`` is the first ``d``
+    rounds of a deeper one, step-cap truncation included.  Other radii
+    are settled on demand with ``bounds``.
     """
 
-    def __init__(self, ucc: UCCCert, eps_tilde_factor: float):
-        if not 0.0 < eps_tilde_factor < 1.0:
-            raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
-        self.ucc = ucc
-        self.state_gauge, _ = _gauges(ucc)
-        self.excursion = excursion_bound(ucc)
-        self.relay = relay_bound(ucc)
-        self.eps_tilde_factor = eps_tilde_factor
-        # radius -> (schedule, round thresholds) of the last assemble
-        self._built = {}
-        self._built_depth = 0
-
-    def threshold(self, eps):
-        """Excursion level of ``eps_tilde_factor * eps``."""
-        return self.excursion.invert(self.eps_tilde_factor * eps)
-
-    def settle(self, radius: float, eps: float, threshold: Optional[float] = None) -> int:
-        """``settle_horizon``, optionally at a threshold already computed."""
-        if not (np.isfinite(radius) and radius >= 0):
-            raise ParameterError(f"radius must be finite and nonnegative, got {radius!r}")
-        if not (np.isfinite(eps) and eps > 0):
-            raise ParameterError(f"target must be finite and positive, got {eps!r}")
-        if threshold is None:
-            threshold = self.threshold(eps)
-        top = self.ucc.cost_bound.eval(radius)
-        return self._steps(radius, eps, threshold, self.state_gauge.eval(threshold), top)
-
-    def _steps(self, radius, eps, threshold, floor_cost, top) -> int:
-        """Smallest positive integer at least ``top / floor_cost - 1``, capped."""
-        if floor_cost <= 0.0:
-            if top <= 0.0:
-                return 1
-            raise BudgetError(f"threshold {threshold:g} carries no stage cost; cannot bound steps")
-        ratio = top / floor_cost
-        if ratio > _STEP_CAP:
-            raise BudgetError(
-                f"settling from radius {radius:g} to target {eps:g} needs about "
-                f"{ratio:.3g} steps, above the cap {_STEP_CAP:g}"
-            )
-        value = ratio - 1.0
-        nearest = round(value)
-        if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
-            value = nearest
-        return max(1, math.ceil(value))
-
-    def schedules(self, radii: Sequence[float], depth: int):
-        """``settling_schedule`` of every radius, with the threshold of each round.
-
-        The level costs and all budget shares go through one relay
-        inversion, and all live targets through one excursion inversion;
-        only the integer horizons are counted radius by radius.
-        """
-        for radius in radii:
-            if not (np.isfinite(radius) and radius > 0):
-                raise ParameterError(f"radius must be finite and positive, got {radius!r}")
-        if depth < 1:
-            raise ParameterError(f"depth must be at least 1, got {depth}")
-
-        radii = np.asarray(radii, dtype=float)
-        tops = self.ucc.cost_bound.eval(radii)
-        shares = np.outer(tops, 2.0 ** -np.arange(1, depth + 1))
-        costs = self.relay.invert(np.concatenate((self.state_gauge.eval(_levels(depth)), shares.ravel())))
-        by_level, by_budget = costs[:depth], costs[depth:].reshape(shares.shape)
-        targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None]).tolist()
-        lives = [next((m for m, target in enumerate(row) if target <= 0.0), depth) for row in targets]
-        if 0 in lives:
-            raise BudgetError(f"round 1 target degenerated to {targets[lives.index(0)][0]!r}")
-        thresholds = self.threshold(np.concatenate([row[:live] for row, live in zip(targets, lives)]))
-        by_round = iter(zip(thresholds.tolist(), self.state_gauge.eval(thresholds).tolist()))
-        out = []
-        for radius, top, row, live in zip(radii.tolist(), tops.tolist(), targets, lives):
-            rounds = list(itertools.islice(by_round, live))
-            horizons = []
-            for m, (threshold, floor_cost) in enumerate(rounds):
-                try:
-                    horizons.append(self._steps(radius, row[m], threshold, floor_cost, top))
-                except BudgetError:
-                    if m == 0:
-                        raise
-                    break
-            n = len(horizons)
-            schedule = SettlingSchedule(radius, tuple(row[:n]), tuple(horizons))
-            out.append((schedule, tuple(threshold for threshold, _ in rounds[:n])))
-        return out
-
-    def scan(
-        self, sys: ControlSystem, x, threshold: float, horizon: int, length: int
-    ) -> Tuple[list, Optional[int], object]:
-        """Controls of one stitched prefix, unpriced, its switch step and
-        the state the controls reach.
-
-        Follows the certified policy from ``x`` for at most
-        ``min(horizon, length)`` steps until the state measure dips
-        below the threshold, then restarts it from the state reached.
-        Each control is applied once, with the non-finite-state check of
-        ``rollout``; only the lead's states are measured, since only they
-        are checked against the threshold.
-        """
-        scan_cap = min(horizon, length)
-        lead = self.ucc.policy.controls(x, scan_cap)
+    def prefix(x, n):
+        start = sys.sigma(x)
+        if start <= 0.0:
+            return ucc.policy.controls(x, n)
+        schedule = built.get(float(start))
+        if schedule is None:
+            schedule = _schedules(ucc, bounds, eps_tilde_factor, [start], depth)[0]
+        controls = []
         state = x
-        tolerance = threshold * (1.0 + 1e-12)
-        for n in range(scan_cap + 1):
-            if sys.sigma(state) <= tolerance:
-                tail = self.ucc.policy.controls(state, length - n)
-                for k, u in enumerate(tail):
-                    state = _step(sys, state, u, k)
-                return list(lead[:n]) + list(tail), n, state
-            if n < scan_cap:
-                state = _step(sys, state, lead[n], n)
-        if scan_cap >= horizon:
-            raise CertificateInvalidError(
-                f"no certified state dipped below {threshold:g} within {horizon} steps "
-                f"from state measure {sys.sigma(x):g}; the cost bound cannot hold"
+        for m in range(min(depth, schedule.depth)):
+            room = n - len(controls)
+            if room <= 0:
+                break
+            _within(sys, state, start)
+            horizon = schedule.round_horizons[m]
+            block, _, state = _scan(
+                ucc, sys, state, schedule.thresholds[m], horizon, min(horizon, room)
             )
-        return list(lead), None, state
+            controls.extend(block)
+        if len(controls) < n:
+            controls.extend(ucc.policy.controls(state, n - len(controls)))
+        return controls
 
-    def policy(self, sys: ControlSystem, depth: int) -> PolicyOracle:
-        """Concatenate stitched prefixes through the settling schedule.
-
-        Per starting state, round ``m`` runs the stitched control for the
-        round's target, truncated to the round's horizon, and states with
-        zero measure fall back to the certificate's own policy.
-        ``prefix(x, n)`` fills ``n`` controls round by round, then from
-        the certificate's own policy after the last round, and stops
-        there: a round cut short by ``n`` scans only the controls it
-        returns, so it raises ``CertificateInvalidError`` only when its
-        whole horizon fits in the request.
-
-        Sample radii reuse the schedules of ``assemble``: a schedule of
-        depth ``d`` is the first ``d`` rounds of a deeper one, step-cap
-        truncation included, so any depth up to the assembled one can
-        reuse it.
-        """
-        built = self._built if 1 <= depth <= self._built_depth else {}
-
-        def prefix(x, n):
-            start = sys.sigma(x)
-            if start <= 0.0:
-                return self.ucc.policy.controls(x, n)
-            known = built.get(float(start))
-            schedule, thresholds = known if known else self.schedules([start], depth)[0]
-            controls = []
-            state = x
-            for m in range(min(depth, schedule.depth)):
-                room = n - len(controls)
-                if room <= 0:
-                    break
-                _within(sys, state, start)
-                horizon = schedule.round_horizons[m]
-                block, _, state = self.scan(sys, state, thresholds[m], horizon, min(horizon, room))
-                controls.extend(block)
-            if len(controls) < n:
-                controls.extend(self.ucc.policy.controls(state, n - len(controls)))
-            return controls
-
-        return PolicyOracle(prefix=prefix, ref="stitched")
-
-    def assemble(
-        self, r_values: Sequence[float], depth: int
-    ) -> Tuple[SampledKL, Tuple[SettlingSchedule, ...]]:
-        """``assemble_state_bound``; keeps the schedules for ``policy``."""
-        radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
-        if radii.size < 2 or np.any(radii <= 0):
-            raise ParameterError("need at least two distinct positive radii")
-
-        built, rows = {}, []
-        schedules = self.schedules(radii, depth)
-        ceilings = self.excursion.eval(radii).tolist()
-        for ceiling, (schedule, thresholds) in zip(ceilings, schedules):
-            row = []
-            for t in DEFAULT_T_GRID:
-                settled = schedule.inverse(float(t))
-                value = ceiling if settled is None else min(ceiling, settled)
-                row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
-            built[schedule.radius] = (schedule, thresholds)
-            rows.append(row)
-
-        values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
-        bound = SampledKL(r_grid=radii, t_grid=DEFAULT_T_GRID, values=values)
-        self._built, self._built_depth = built, depth
-        return bound, tuple(schedule for schedule, _ in built.values())
+    return PolicyOracle(prefix=prefix, ref="stitched")
 
 
 def assemble_state_bound(
@@ -500,7 +480,23 @@ def assemble_state_bound(
     All radii are settled in one pass, so when several fail, the error
     raised is the first that pass meets, not the smallest radius's.
     """
-    return _Settler(ucc, eps_tilde_factor).assemble(r_values, depth)
+    bounds = _bounds(ucc, eps_tilde_factor)
+    radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
+    if radii.size < 2 or np.any(radii <= 0):
+        raise ParameterError("need at least two distinct positive radii")
+
+    schedules = tuple(_schedules(ucc, bounds, eps_tilde_factor, radii, depth))
+    rows = []
+    for ceiling, schedule in zip(bounds[1].eval(radii).tolist(), schedules):
+        row = []
+        for t in DEFAULT_T_GRID:
+            settled = schedule.inverse(float(t))
+            value = ceiling if settled is None else min(ceiling, settled)
+            row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
+        rows.append(row)
+
+    values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
+    return SampledKL(r_grid=radii, t_grid=DEFAULT_T_GRID, values=values), schedules
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +559,18 @@ def converse_pipeline(
 
     The total-cost certificate must assert forward invariance and
     must itself verify on the samples; both are preconditions, not
-    verification failures of the result.
+    verification failures of the result.  ``depth`` and ``nu_depth``
+    are checked before either verify, since a sample of measure zero
+    runs no round that would check them.
     """
     if not ucc.forward_invariant:
         raise ParameterError(
             "the converse construction needs a forward-invariant total-cost certificate"
         )
     _gauges(ucc)
+    for name, value in (("depth", depth), ("nu_depth", nu_depth)):
+        if value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
     base_report = verify(ucc, sys, samples, horizon, slack)
     if not base_report.passed:
         worst = base_report.worst()
@@ -578,29 +579,21 @@ def converse_pipeline(
             f"({worst.inequality} margin {worst.margin:g} at sample {worst.sample})"
         )
 
-    measures = sorted({m for m in map(sys.sigma, samples) if m > 0.0})
-    if not measures:
-        radii = [1.0, 2.0]
-    elif len(measures) == 1:
-        radii = [measures[0], 2.0 * measures[0]]
-    else:
-        radii = measures
+    # the bound needs two radii: one measure m pads to (m, 2m), none gives (1, 2)
+    measures = sorted({m for m in map(sys.sigma, samples) if m > 0.0}) or [1.0]
+    radii = measures if len(measures) > 1 else [measures[0], 2.0 * measures[0]]
 
-    settler = _Settler(ucc, eps_tilde_factor)
-    bound, schedules = settler.assemble(radii, nu_depth)
-    policy = settler.policy(sys, depth)
+    bound, schedules = assemble_state_bound(ucc, radii, nu_depth, eps_tilde_factor)
+    bounds = _bounds(ucc, eps_tilde_factor)
+    _, excursion, relay = bounds
+    # without the hand-off the policy would settle each sample radius again per sample
+    built = {schedule.radius: schedule for schedule in schedules} if depth <= nu_depth else {}
     cert = UBgECCert(
         state_bound=bound,
         energy=ucc.stage_cost.input_cost,
-        energy_budget=total_bound(ucc),
+        energy_budget=combine(relay, ucc.cost_bound, "sum"),
         domain=ucc.domain,
-        policy=policy,
+        policy=_policy(ucc, bounds, eps_tilde_factor, sys, depth, built),
     )
     report = verify(cert, sys, samples, horizon, slack)
-    return ConverseResult(
-        cert=cert,
-        excursion=settler.excursion,
-        relay=settler.relay,
-        schedules=schedules,
-        report=report,
-    )
+    return ConverseResult(cert, excursion, relay, schedules, report)

@@ -32,7 +32,7 @@ from stagecraft import (
     strict_table,
     zero_cost_core,
 )
-from stagecraft.converse import DEFAULT_DEPTH, _Settler
+from stagecraft.converse import DEFAULT_DEPTH, _bounds, _policy
 from stagecraft.oracle import _cost_table
 from stagecraft.synthesis import COUNT_SEARCH_CAP
 
@@ -245,7 +245,7 @@ def excursion_count_loop(beta, radius, r, cap=COUNT_SEARCH_CAP):
 
 def stitched_policy(ucc, sys, depth=DEFAULT_DEPTH, eps_tilde_factor=0.5):
     """The converse's stitched policy of ``ucc`` on ``sys``, built without an assembled bound."""
-    return _Settler(ucc, eps_tilde_factor).policy(sys, depth)
+    return _policy(ucc, _bounds(ucc, eps_tilde_factor), eps_tilde_factor, sys, depth, {})
 
 
 def kl_grid_violations(beta, r_grid=None, t_grid=None):

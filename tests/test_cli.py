@@ -127,6 +127,11 @@ class TestConfigErrors:
 
     SCALAR = {"builtin": "scalar_linear"}
     CHAIN_ORACLE = {"system": {"builtin": "finite_chain"}, "certificate": {"kind": "oracle"}}
+    SHRUNK = {
+        "system": SCALAR,
+        "certificate": {"state_bound_scale": 0.5},
+        "samples": {"count": 1},
+    }
     GRIDS = {"state_grid": [-1.0, 0.0, 1.0], "input_grid": [-1.0, 0.0, 1.0]}
 
     @pytest.mark.parametrize(
@@ -181,6 +186,11 @@ class TestConfigErrors:
             ("verify", {"system": SCALAR, "horizon": 2.7}, "'horizon'"),
             ("verify", {"system": SCALAR, "horizon": math.inf}, "'horizon'"),
             ("verify", {"system": SCALAR, "samples": {"count": True}}, "'samples.count'"),
+            # the default slack fails this scaled bound; slack 1.0 would pass it
+            ("verify", {**SHRUNK, "slack": True}, "'slack'"),
+            ("verify", {**SHRUNK, "slack": "1"}, "'slack'"),
+            # a JSON integer too large for a float
+            ("verify", {"system": SCALAR, "slack": 10 ** 400}, "'slack'"),
             ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'scalar_linear'"),
             ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.nan}}, "margin"),
             ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.inf}}, "margin"),
@@ -214,6 +224,9 @@ class TestConfigErrors:
             "horizon_fractional",
             "horizon_infinite",
             "count_bool",
+            "slack_bool",
+            "slack_string",
+            "slack_huge_integer",
             "builtin_param_not_float",
             "margin_nan",
             "margin_infinite",
@@ -236,6 +249,19 @@ class TestConfigErrors:
         rc, again = run(tmp_path, "verify", payload, outname="again")
         assert rc == 0
         assert (again / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+    def test_shrunken_bound_fails_at_the_default_slack(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "verify", self.SHRUNK)
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("FAIL")
+
+    @pytest.mark.parametrize("key, value", [("depth", 0), ("depth", -3), ("nu_depth", 0)])
+    def test_converse_depth_below_one_exits_two(self, tmp_path, capsys, key, value):
+        # the one sample is state 0, whose measure is zero: no round ever runs
+        payload = {**self.CHAIN_ORACLE, "samples": {"count": 1}, "converse": {key: value}}
+        rc, _ = run(tmp_path, "converse", payload)
+        assert rc == 2
+        assert f"error: {key} must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_bad_value_message_names_the_key(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "converse", {**self.CHAIN_ORACLE, "converse": {"nu_depth": "deep"}})

@@ -41,18 +41,18 @@ from stagecraft import (
     verify,
 )
 from stagecraft import cmpfn
-from stagecraft.converse import _STEP_CAP, _Settler
+from stagecraft import converse as converse_module
+from stagecraft.converse import _STEP_CAP, _bounds, _schedules, _settle
 from support import assert_prefix_closed, stitched_policy, total_cost
 
 
 def _scan(ucc, sys, x, eps, length, radius=None):
-    """Controls, switch step and end state of one stitch from ``x`` by
-    ``_Settler.scan``, cut to ``length`` controls; the settle horizon is
-    that of ``radius``, by default the measure of ``x``."""
-    settler = _Settler(ucc, 0.5)
-    threshold = settler.threshold(eps)
-    horizon = settler.settle(sys.sigma(x) if radius is None else radius, eps, threshold)
-    return settler.scan(sys, x, threshold, horizon, length)
+    """Controls, switch step and end state of one stitch from ``x`` by the
+    converse's private scan, cut to ``length`` controls; the settle horizon
+    is that of ``radius``, by default the measure of ``x``."""
+    radius = sys.sigma(x) if radius is None else radius
+    threshold, horizon = _settle(ucc, _bounds(ucc, 0.5), 0.5, radius, eps)
+    return converse_module._scan(ucc, sys, x, threshold, horizon, length)
 
 
 def _dummy_policy():
@@ -613,23 +613,23 @@ class TestBatchedSchedule:
     @example("stepping", [0.5, 1.0, 3.0], 21, 0.25)
     def test_rounds_equal_the_scalar_loop(self, name, radii, depth, factor):
         ucc = _schedule_cert(name)
-        settler = _Settler(ucc, factor)
+        bounds = _bounds(ucc, factor)
         try:
             expected = [_scalar_schedule(ucc, r, depth, factor) for r in radii]
         except BudgetError:
             with pytest.raises(BudgetError):
-                settler.schedules(radii, depth)
+                _schedules(ucc, bounds, factor, radii, depth)
             return
-        batched = settler.schedules(radii, depth)
+        batched = _schedules(ucc, bounds, factor, radii, depth)
         assert len(batched) == len(radii)
-        for radius, rounds, (schedule, thresholds) in zip(radii, expected, batched):
+        for radius, rounds, schedule in zip(radii, expected, batched):
             level, target, steps, threshold = (list(col) for col in zip(*rounds))
             assert schedule.radius == radius
             assert _hex(schedule.eps_levels) == _hex(level)
             assert _hex(schedule.eps_targets) == _hex(target)
             assert schedule.round_horizons == tuple(steps)
             assert schedule.cum_horizons == tuple(int(n) for n in np.cumsum(steps))
-            assert _hex(thresholds) == _hex(threshold)
+            assert _hex(schedule.thresholds) == _hex(threshold)
             assert settling_schedule(ucc, radius, depth, factor) == schedule
 
     @pytest.mark.parametrize("count", [2, 4, 8])
@@ -647,10 +647,9 @@ class TestBatchedSchedule:
 
     def test_round_one_budget_error_propagates_from_assemble(self):
         # under the cap of 1e9 steps radius 1 settles in every round and radius 1e8 not at all
-        settler = _Settler(doubling_cert(), 0.5)
-        assert settler.schedules([1.0], 4)[0][0].round_horizons == (47, 95, 191, 383)
+        assert settling_schedule(doubling_cert(), 1.0, 4).round_horizons == (47, 95, 191, 383)
         with pytest.raises(BudgetError, match=r"radius 1e\+08 .* above the cap 1e\+09"):
-            settler.assemble([1.0, 1e8], 4)
+            assemble_state_bound(doubling_cert(), [1.0, 1e8], 4)
 
     def test_bad_eps_tilde_factor_is_rejected_at_construction(self):
         sys, ucc = halving_fixture()
@@ -910,3 +909,114 @@ class TestConversePipeline:
             "energy_budget",
             "passed",
         }
+
+
+def _cross_cert():
+    """A forward-invariant certificate whose stage cost has a cross term."""
+    cost = StageCost(state_cost=identity(), input_cost=identity(), cross_cost=lambda s, r: s * r)
+    return UCCCert(
+        stage_cost=cost, cost_bound=linear(3.0), policy=_dummy_policy(), forward_invariant=True
+    )
+
+
+def _halving_pair(**changes):
+    """``(ucc, sys)`` of the halving fixture, the certificate changed as given."""
+    sys, ucc = halving_fixture()
+    return dataclasses.replace(ucc, **changes), sys
+
+
+class TestValidationOrder:
+    """With several faults at once, each public function names the same one first.
+
+    The steps check ``eps_tilde_factor``, then the certificate, then their
+    own arguments in order.  The pipeline checks forward invariance, the
+    certificate, its depths and the base verify before ``eps_tilde_factor``.
+    """
+
+    @pytest.mark.parametrize(
+        "call, needle",
+        [
+            (lambda: settle_horizon(_cross_cert(), -1.0, 0.0, eps_tilde_factor=1.0), "eps_tilde_factor"),
+            (lambda: settle_horizon(_cross_cert(), -1.0, 0.0), "cross term"),
+            (lambda: settle_horizon(doubling_cert(), -1.0, 0.0), "radius must be finite"),
+            (lambda: settle_horizon(doubling_cert(), math.inf, -1.0), "radius must be finite"),
+            (lambda: settle_horizon(doubling_cert(), 1.0, -1.0), "target must be finite"),
+            (
+                lambda: stitch_controls(
+                    _cross_cert(), halving_fixture()[0], 1.0, -1.0, 0.5, eps_tilde_factor=2.0
+                ),
+                "eps_tilde_factor",
+            ),
+            (lambda: stitch_controls(_cross_cert(), halving_fixture()[0], 1.0, -1.0, 0.5), "cross term"),
+            (lambda: stitch_controls(*_halving_pair(), 1.0, -1.0, 0.5), "below the sample"),
+            (lambda: stitch_controls(*_halving_pair(), 1.0, 0.2, math.inf), "radius must be finite"),
+            (lambda: settling_schedule(_cross_cert(), 0.0, 0, eps_tilde_factor=0.0), "eps_tilde_factor"),
+            (lambda: settling_schedule(_cross_cert(), 0.0, 0), "cross term"),
+            (lambda: settling_schedule(doubling_cert(), 0.0, 0), "radius must be finite"),
+            (lambda: settling_schedule(doubling_cert(), 1e8, 0), "depth must be at least 1"),
+            (lambda: assemble_state_bound(_cross_cert(), [1.0], eps_tilde_factor=2.0), "eps_tilde_factor"),
+            (lambda: assemble_state_bound(_cross_cert(), [1.0]), "cross term"),
+            (lambda: assemble_state_bound(doubling_cert(), [1.0], depth=0), "two distinct positive radii"),
+            (lambda: assemble_state_bound(doubling_cert(), [1.0, 1e8], depth=0), "depth must be at least 1"),
+            (
+                lambda: converse_pipeline(
+                    *_halving_pair(forward_invariant=False), [1.0],
+                    depth=0, nu_depth=0, eps_tilde_factor=2.0,
+                ),
+                "forward-invariant",
+            ),
+            (
+                lambda: converse_pipeline(
+                    _cross_cert(), halving_fixture()[0], [1.0], depth=0, nu_depth=0, eps_tilde_factor=2.0
+                ),
+                "cross term",
+            ),
+            (
+                lambda: converse_pipeline(
+                    *_halving_pair(cost_bound=linear(1.0)), [1.0], horizon=16, eps_tilde_factor=2.0
+                ),
+                "fails verification",
+            ),
+        ],
+    )
+    def test_first_fault_named(self, call, needle):
+        with pytest.raises(ParameterError, match=needle):
+            call()
+
+    def test_a_bad_target_fails_one_check_in_both_stitch_and_settle(self):
+        sys, ucc = halving_fixture()
+        for call in (lambda: settle_horizon(ucc, 1.0, -1.0), lambda: stitch_controls(ucc, sys, 1.0, -1.0)):
+            with pytest.raises(ParameterError, match=r"^target must be finite and positive, got -1\.0$"):
+                call()
+
+    @pytest.mark.parametrize("key", ["depth", "nu_depth"])
+    def test_pipeline_depths_come_before_the_base_verify(self, key):
+        # the base certificate fails verification as well
+        ucc, sys = _halving_pair(cost_bound=linear(1.0))
+        with pytest.raises(ParameterError, match=rf"^{key} must be at least 1, got 0$"):
+            converse_pipeline(ucc, sys, [1.0], horizon=16, **{key: 0})
+
+
+def _artifacts(result):
+    """What ``cmd_converse`` writes of a result: its CSVs, report, JSON and bound grid."""
+    out = []
+    for write in (result.schedule_csv, result.nu_csv, result.report.to_csv):
+        buf = io.StringIO()
+        write(buf)
+        out.append(buf.getvalue())
+    return out + [result.to_json(), result.cert.state_bound.values.tobytes()]
+
+
+def test_pipeline_assembles_through_the_public_function(monkeypatch):
+    sys, ucc = halving_fixture()
+    samples = [1.0, -2.0, 0.25]
+    expected = _artifacts(converse_pipeline(ucc, sys, samples, horizon=24))
+    calls = []
+    assemble = converse_module.assemble_state_bound
+    monkeypatch.setattr(
+        converse_module,
+        "assemble_state_bound",
+        lambda *args, **kwargs: calls.append(args) or assemble(*args, **kwargs),
+    )
+    assert _artifacts(converse_pipeline(ucc, sys, samples, horizon=24)) == expected
+    assert len(calls) == 1
