@@ -9,17 +9,19 @@ confirmed by one Bellman sweep.
 
 Exit codes: 0 pass, 1 a verification report failed, 2 bad config or
 unmet precondition, 3 numeric or internal failure.  Identical config
-and seed produce byte-identical CSV artifacts.
+and seed produce byte-identical CSV and JSON artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import dataclasses
 import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -86,10 +88,6 @@ def _read(config: dict, *path: str, **convert) -> dict:
     return out
 
 
-def _grid(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
-
-
 def _integer(value) -> int:
     """A JSON integer, or a float with an integral value."""
     if type(value) is int or (type(value) is float and value.is_integer()):
@@ -104,14 +102,35 @@ def _real(value) -> float:
     return float(value)
 
 
+def _grid(values) -> np.ndarray:
+    """A list of JSON numbers as a float array: ``_real``'s rule for every entry."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("expected a list of numbers")
+    return np.asarray(values, dtype=float)
+
+
+# the numeric params of the builtins that take any, by builtin name
+_PARAMS = {
+    "scalar_linear": {"a": _real, "b": _real, "gain": lambda g: None if g is None else _real(g)},
+    "finite_chain": {"length": _integer},
+}
+
+
+def _builtin(config: dict, *path: str) -> BuiltinSystem:
+    """The builtin named by the section at ``path``, built from its ``params``."""
+    name = _read(config, *path, builtin=str)["builtin"]
+    numbers = _read(config, *path, "params", **_PARAMS.get(name, {}))
+    params = functools.reduce(dict.get, path, config).get("params", {})
+    return build_builtin(name, {**params, **numbers})
+
+
 def _build_system(config: dict):
     """Returns (BuiltinSystem or None, ControlSystem, FiniteSystem or None)."""
     spec = config.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'system' object")
     if "builtin" in spec:
-        name = _read(config, "system", builtin=str)["builtin"]
-        builtin = build_builtin(name, spec.get("params"))
+        builtin = _builtin(config, "system")
         return builtin, builtin.system, builtin.finite
     if "finite" in spec:
         finite = FiniteSystem.from_json(spec["finite"])
@@ -123,7 +142,7 @@ def _build_system(config: dict):
         missing = sorted({"builtin", "state_grid", "input_grid"} - inner.keys())
         if missing:
             raise ConfigError(f"system.discretize needs {', '.join(map(repr, missing))}")
-        builtin = build_builtin(inner["builtin"], spec["discretize"].get("params"))
+        builtin = _builtin(config, "system", "discretize")
         # the grids step as one array, so the builtin must be vectorized with scalar states
         if not builtin.system.vectorized or np.ndim(builtin.samples(1)[0]):
             raise ConfigError(
@@ -224,10 +243,40 @@ def _artifact(out_dir: str, name: str):
     return open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="")
 
 
+def _json_text(value, pad: str, formatted: dict) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives ``value``
+    nested at indent ``pad``: the layout is built here, the numbers by the C
+    encoder, a float list in one call.  ``formatted`` keeps each float list's
+    item text under the list's exact bytes (-0.0 == 0.0, but their text
+    differs), so a list that repeats at any depth is formatted once."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        if not all(isinstance(key, str) for key in value):
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner, formatted)}"
+                 for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float}:
+            key = array.array("d", value).tobytes()
+            if key not in formatted:
+                formatted[key] = json.dumps(value)[1:-1].split(", ")
+            items = formatted[key]
+        else:
+            items = [_json_text(item, inner, formatted) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def _write_json(payload: dict, out_dir: str, name: str) -> None:
+    """Writes ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
+    formatting each repeated float list of the file once."""
+    # the memo is an argument, not a closure: a nested recursive function is a
+    # reference cycle that would keep each file's memo until the cycle collector runs
     with _artifact(out_dir, name) as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+        fp.write(_json_text(payload, "", {}) + "\n")
 
 
 def _finish(report, out_dir: str) -> int:

@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagecraft import fn_from_json, linear
-from stagecraft.cli import _parser, main
+from stagecraft.cli import _parser, _write_json, main
 
 
 def write_config(tmp_path, payload):
@@ -191,7 +192,32 @@ class TestConfigErrors:
             ("verify", {**SHRUNK, "slack": "1"}, "'slack'"),
             # a JSON integer too large for a float
             ("verify", {"system": SCALAR, "slack": 10 ** 400}, "'slack'"),
-            ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'scalar_linear'"),
+            ("verify", {"system": {**SCALAR, "params": {"a": "x"}}}, "'system.params.a'"),
+            # each of these ran verify or oracle to PASS when read with float() or np.asarray
+            ("verify", {"system": {**SCALAR, "params": {"a": "0.5"}}}, "'system.params.a'"),
+            ("verify", {"system": {**SCALAR, "params": {"b": True}}}, "'system.params.b'"),
+            (
+                "verify",
+                {"system": {**SCALAR, "params": {"a": 1.2, "b": 1.0, "gain": "-0.7"}}},
+                "'system.params.gain'",
+            ),
+            (
+                "verify",
+                {"system": {"builtin": "finite_chain", "params": {"length": 12.5}}},
+                "'system.params.length'",
+            ),
+            (
+                "oracle",
+                {"system": {"discretize": {**GRIDS, "builtin": "saturating_scalar",
+                                           "state_grid": ["-1", "0", True]}}},
+                "'system.discretize.state_grid'",
+            ),
+            (
+                "oracle",
+                {"system": {"discretize": {**GRIDS, "builtin": "saturating_scalar",
+                                           "input_grid": [-1.0, False, 1.0]}}},
+                "'system.discretize.input_grid'",
+            ),
             ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.nan}}, "margin"),
             ("converse", {**CHAIN_ORACLE, "oracle": {"margin": math.inf}}, "margin"),
             (
@@ -228,6 +254,12 @@ class TestConfigErrors:
             "slack_string",
             "slack_huge_integer",
             "builtin_param_not_float",
+            "builtin_param_string",
+            "builtin_param_bool",
+            "builtin_gain_string",
+            "chain_length_fractional",
+            "state_grid_strings_and_bool",
+            "input_grid_bool",
             "margin_nan",
             "margin_infinite",
             "successor_fractional",
@@ -494,6 +526,10 @@ class TestOracleCommand:
         assert rc == 2
 
 
+def _stdlib_layout(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
@@ -512,16 +548,93 @@ def test_json_artifacts_are_strict_json(tmp_path):
          "certificate.json"),
         ("synthesize", {"system": {"builtin": "scalar_linear"}, "samples": {"count": 4}},
          "synthesis.json"),
+        # a decomposed outer table sits in provenance.outer and inside stage_cost.state_cost
+        ("synthesize", {"system": {"builtin": "two_state_linear"}, "synthesis": {"decay": 0.3},
+                        "samples": {"count": 2}}, "synthesis.json"),
         ("converse", readme_chain, "converse.json"),
         ("oracle", {"system": {"finite": stranded}}, "oracle.json"),
     ]
-    for command, payload, name in runs:
-        rc, out = run(tmp_path, command, payload, outname=command)
+    for index, (command, payload, name) in enumerate(runs):
+        rc, out = run(tmp_path, command, payload, outname=f"{index}-{command}")
         assert rc == 0, command
-        json.loads((out / name).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        text = (out / name).read_text(encoding="utf-8")
+        # strict JSON, laid out as the stdlib lays it out
+        assert text == _stdlib_layout(json.loads(text, parse_constant=_reject_constant)), index
     # the stranded state's infinite value stays in the CSV, out of oracle.json
-    rows = (tmp_path / "oracle" / "value_table.csv").read_text(encoding="utf-8").splitlines()
+    rows = (out / "value_table.csv").read_text(encoding="utf-8").splitlines()
     assert rows[2].split(",")[2] == "inf"
+
+
+def _written(tmp_path, payload) -> str:
+    _write_json(payload, str(tmp_path), "payload.json")
+    return (tmp_path / "payload.json").read_text(encoding="utf-8")
+
+
+_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(["a", "Z", ",", " ", "\n", '"', "\\", "é", "☃", "\x00"]),
+            max_size=5),
+    st.sampled_from([", ", "a, b\n"]),
+)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e300]))
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=5)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), _FLOATS, _TEXT,
+                    _FLOAT_LISTS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _payloads(draw):
+    """A tree, with lists whose values are equal and whose text is not, and one
+    float list at two depths."""
+    shared = draw(_FLOAT_LISTS)
+    whole = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=3))
+    return {
+        "tree": draw(_TREES),
+        "shared": shared,
+        "deep": {"deeper": [tuple(shared), draw(_TREES)]},
+        "ints": whole,
+        "floats": [float(v) for v in whole],
+        "zeros": [zeros, [abs(z) for z in zeros], [-abs(z) for z in zeros]],
+        "empty": [{}, [], ()],
+    }
+
+
+class TestJsonWriter:
+    """``_write_json`` writes the stdlib's ``indent=2, sort_keys=True`` text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_payloads())
+    def test_matches_the_stdlib(self, tmp_path_factory, payload):
+        tmp_path = tmp_path_factory.mktemp("json")
+        assert _written(tmp_path, payload) == _stdlib_layout(payload)
+
+    def test_equal_values_keep_their_own_text(self, tmp_path):
+        # -0.0 == 0.0 and 1 == 1.0: a memo keyed on values would hand one list the other's text
+        payload = {"a": [0.0, 1.0], "b": [-0.0, 1.0], "c": [[1, 2], [1.0, 2.0]],
+                   "d": {1: [0.5], 2: {"x": [-0.0]}}, "e": [0.5, 1]}
+        text = _written(tmp_path, payload)
+        assert text == _stdlib_layout(payload)
+        assert '"b": [\n    -0.0,' in text
+
+    def test_a_repeated_float_list_is_formatted_once(self, tmp_path, monkeypatch):
+        # the same numbers at depths 1, 2 and 4: one C-encoder call formats them all
+        shared = [0.1, -0.0, 1e300, math.nan]
+        payload = {"a": shared, "b": [tuple(shared)], "c": {"d": {"e": list(shared)}}}
+        expected = _stdlib_layout(payload)
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        assert _written(tmp_path, payload) == expected
+        assert len(calls) == 1
 
 
 class TestDeterminism:
