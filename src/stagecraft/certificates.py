@@ -20,8 +20,8 @@ the whole horizon in one broadcast call.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter, index
+from dataclasses import dataclass, field, fields
+from operator import index
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,7 +39,7 @@ from .cmpfn import (
     scale_kl,
 )
 from .errors import ParameterError
-from .system import ControlSystem, StageCost, Trajectory, _write_csv, rollout, rollout_all, stage_costs
+from .system import ControlSystem, StageCost, Trajectory, rollout, rollout_all, stage_costs
 
 __all__ = [
     "PolicyOracle",
@@ -258,19 +258,6 @@ class VerificationReport:
         if not self.rows:
             return None
         return max(self.rows, key=lambda row: row.margin)
-
-    def to_csv(self, fp) -> None:
-        header = [f.name for f in fields(MarginRow)]
-        _write_csv(fp, [header, *map(attrgetter(*header), self.rows)])
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "horizon": self.horizon,
-            "slack": self.slack,
-            "passed": self.passed,
-            "rows": [asdict(row) for row in self.rows],
-        }
 
 
 def _worst_row(sample: int, name: str, lhs, rhs, n0: int = 0) -> MarginRow:

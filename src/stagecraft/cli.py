@@ -9,7 +9,9 @@ confirmed by one Bellman sweep.
 
 Exit codes: 0 pass, 1 a verification report failed, 2 bad config or
 unmet precondition, 3 numeric or internal failure.  Identical config
-and seed produce byte-identical CSV and JSON artifacts.
+and seed produce byte-identical CSV and JSON artifacts.  This module
+writes every artifact, through ``_write_json`` and ``_write_csv``; the
+library returns values and opens no file.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .cmpfn import fn_from_json, identity, scale, scale_kl
-from .certificates import UVCCert, as_state_certificate, uvc_to_ubgec, verify
+from .certificates import MarginRow, UVCCert, as_state_certificate, uvc_to_ubgec, verify
 from .converse import converse_pipeline
 from .errors import (
     ChoiceRejectedError,
@@ -39,7 +42,7 @@ from .errors import (
 from .library import BuiltinSystem, build_builtin
 from .oracle import FiniteSystem, ValueTable, discretize_scalar, extract_ucc, value_iterate
 from .synthesis import InteractionSpec, admit_interaction, certify_ucc, synthesize, to_ucc_cert
-from .system import StageCost, _write_csv
+from .system import StageCost
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -215,9 +218,7 @@ def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
     if mode == "default":
         if builtin is not None:
             return builtin.samples(count)
-        if finite is not None:
-            return [int(i % finite.num_states) for i in range(count)]
-        raise ConfigError("no default samples for this system; use random mode")
+        return [int(i % finite.num_states) for i in range(count)]
     if mode == "random":
         rng = np.random.default_rng(seed)
         if finite is not None:
@@ -279,9 +280,24 @@ def _write_json(payload: dict, out_dir: str, name: str) -> None:
         fp.write(_json_text(payload, "", {}) + "\n")
 
 
+def _write_csv(out_dir: str, name: str, header, rows) -> None:
+    """Writes ``header`` and then each of ``rows`` as one CSV line ending in CRLF.
+
+    Floats, numpy floats included, take 17 significant digits, enough to
+    round-trip a double; any other value is written with ``str``.
+    """
+    with _artifact(out_dir, name) as fp:
+        for row in (header, *rows):
+            cells = ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
+            fp.write(",".join(cells) + "\r\n")
+
+
+_MARGIN_COLUMNS = tuple(field.name for field in dataclasses.fields(MarginRow))
+
+
 def _finish(report, out_dir: str) -> int:
-    with _artifact(out_dir, "report.csv") as fp:
-        report.to_csv(fp)
+    rows = map(attrgetter(*_MARGIN_COLUMNS), report.rows)
+    _write_csv(out_dir, "report.csv", _MARGIN_COLUMNS, rows)
     if report.vacuous:
         print("warning: no inequalities were checked (empty sample set)", file=sys.stderr)
         print("PASS (vacuous)")
@@ -344,13 +360,18 @@ def cmd_converse(config: dict, out_dir: str, seed: int) -> int:
     result = converse_pipeline(ucc, sys_, samples, **_replay(config), **params)
     _write_json(result.to_json(), out_dir, "converse.json")
     bound = result.cert.state_bound
-    with _artifact(out_dir, "beta_grid.csv") as fp:
-        rows = ([r, *row] for r, row in zip(bound.r_grid.tolist(), bound.values.tolist()))
-        _write_csv(fp, [["r", *bound.t_grid.tolist()], *rows])
-    with _artifact(out_dir, "schedules.csv") as fp:
-        result.schedule_csv(fp)
-    with _artifact(out_dir, "nu.csv") as fp:
-        result.nu_csv(fp)
+    _write_csv(out_dir, "beta_grid.csv", ["r", *bound.t_grid.tolist()],
+               ([r, *row] for r, row in zip(bound.r_grid.tolist(), bound.values.tolist())))
+    rounds, nu = [], []
+    for s in result.schedules:
+        levels = zip(s.eps_levels, s.eps_targets, s.round_horizons, s.cum_horizons)
+        rounds += ((s.radius, m, *level) for m, level in enumerate(levels, 1))
+        # nine points of the smoothed settling-time curve, from just above twice its floor
+        lo = 2.0 * s.floor * 1.05
+        nu += ((s.radius, eps, s.value(eps)) for eps in np.geomspace(lo, max(4.0, 4.0 * lo), 9))
+    _write_csv(out_dir, "schedules.csv",
+               ("radius", "round", "eps_level", "eps_target", "round_horizon", "cum_horizon"), rounds)
+    _write_csv(out_dir, "nu.csv", ("radius", "eps", "nu"), nu)
     return _finish(result.report, out_dir)
 
 
@@ -359,8 +380,9 @@ def cmd_oracle(config: dict, out_dir: str, seed: int) -> int:
     if finite is None:
         raise ConfigError("oracle runs need a finite or discretized system")
     table = _oracle_values(config, finite)
-    with _artifact(out_dir, "value_table.csv") as fp:
-        table.to_csv(finite, fp)
+    rows = zip(range(finite.num_states), finite.state_measure.tolist(), table.values.tolist(),
+               table.greedy.tolist())
+    _write_csv(out_dir, "value_table.csv", ("state", "sigma", "value", "greedy"), rows)
     _write_json(
         {
             "kind": "oracle",

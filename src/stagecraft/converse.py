@@ -43,7 +43,7 @@ from .certificates import (
     verify,
 )
 from .errors import BudgetError, CertificateInvalidError, ParameterError
-from .system import ControlSystem, _step, _write_csv
+from .system import ControlSystem, _step
 
 __all__ = [
     "excursion_bound",
@@ -515,34 +515,17 @@ class ConverseResult:
     report: VerificationReport
 
     def to_json(self) -> dict:
+        budget = self.cert.energy_budget.to_json()
         return {
             "kind": "converse",
             "excursion": self.excursion.to_json(),
             "relay": self.relay.to_json(),
-            "total": self.cert.energy_budget.to_json(),
+            "total": budget,
             "state_bound": self.cert.state_bound.to_json(),
             "energy": self.cert.energy.to_json(),
-            "energy_budget": self.cert.energy_budget.to_json(),
+            "energy_budget": budget,
             "passed": self.report.passed,
         }
-
-    def schedule_csv(self, fp) -> None:
-        rows = [
-            (s.radius, m + 1, s.eps_levels[m], s.eps_targets[m], s.round_horizons[m],
-             s.cum_horizons[m])
-            for s in self.schedules
-            for m in range(s.depth)
-        ]
-        header = ("radius", "round", "eps_level", "eps_target", "round_horizon", "cum_horizon")
-        _write_csv(fp, [header, *rows])
-
-    def nu_csv(self, fp) -> None:
-        rows = []
-        for schedule in self.schedules:
-            lo = 2.0 * schedule.floor * 1.05
-            for eps in np.geomspace(lo, max(4.0, 4.0 * lo), 9):
-                rows.append((schedule.radius, eps, schedule.value(eps)))
-        _write_csv(fp, [("radius", "eps", "nu"), *rows])
 
 
 def converse_pipeline(

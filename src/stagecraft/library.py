@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cmpfn import SampledKL, SeparableKL, identity, linear
+from .cmpfn import DEFAULT_T_GRID, SampledKL, SeparableKL, identity, linear
 from .certificates import PolicyOracle, UBgECCert, UVCCert, uvc_to_ubgec
 from .errors import ParameterError
 from .oracle import FiniteSystem
@@ -176,9 +176,8 @@ def finite_chain(length: int = 10) -> BuiltinSystem:
     policy = PolicyOracle(prefix=prefix, zero_input=0, ref="countdown")
 
     scale_k = float(length - 1)
-    t_grid = np.arange(65, dtype=float)
-    values = np.outer(xs.astype(float), scale_k / (scale_k + t_grid))
-    bound = SampledKL(r_grid=xs.astype(float), t_grid=t_grid, values=values)
+    values = np.outer(xs.astype(float), scale_k / (scale_k + DEFAULT_T_GRID))
+    bound = SampledKL(r_grid=xs.astype(float), t_grid=DEFAULT_T_GRID, values=values)
 
     uvc = UVCCert(state_bound=bound, control_bound=bound, policy=policy)
     ubgec = UBgECCert(

@@ -31,7 +31,7 @@ import numpy as np
 from .cmpfn import identity, strict_table
 from .certificates import PolicyOracle, UCCCert
 from .errors import EnvelopeError, ParameterError, StagecraftError
-from .system import ControlSystem, StageCost, _write_csv
+from .system import ControlSystem, StageCost
 
 __all__ = [
     "FiniteSystem",
@@ -213,11 +213,6 @@ class ValueTable:
     greedy: np.ndarray
     cost: StageCost
     iterations: ClassVar[int] = 1
-
-    def to_csv(self, fsys: FiniteSystem, fp) -> None:
-        rows = zip(range(fsys.num_states), fsys.state_measure.tolist(), self.values.tolist(),
-                   self.greedy.tolist())
-        _write_csv(fp, [("state", "sigma", "value", "greedy"), *rows])
 
 
 def _core_distances(fsys: FiniteSystem, table: np.ndarray, core: np.ndarray) -> np.ndarray:

@@ -41,17 +41,6 @@ __all__ = [
 ]
 
 
-def _write_csv(fp, rows) -> None:
-    """Write each row as one CSV line ending in CRLF.
-
-    Floats, numpy floats included, take 17 significant digits, enough to
-    round-trip a double; any other value is written with ``str``.
-    """
-    for row in rows:
-        cells = ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
-        fp.write(",".join(cells) + "\r\n")
-
-
 def _isfinite_state(x):
     if isinstance(x, (int, float)):
         return math.isfinite(x)

@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import math
@@ -40,6 +39,7 @@ from stagecraft import (
     verify,
 )
 from stagecraft.certificates import _worst_row
+from stagecraft.cli import main
 from support import random_sampled, stitched_policy
 
 
@@ -316,23 +316,26 @@ class TestJointBounds:
 
 
 class TestReports:
-    def test_csv_is_deterministic_and_crlf(self):
-        cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
+    def test_csv_is_deterministic_and_crlf(self, tmp_path):
+        config = tmp_path / "uac.json"
+        config.write_text(json.dumps({"system": {"builtin": "scalar_linear"},
+                                      "certificate": {"kind": "uac"},
+                                      "samples": {"count": 2}, "horizon": 16}), encoding="utf-8")
         texts = []
-        for _ in range(2):
-            report = verify(cert, scalar_system(), [1.0, 2.0], horizon=16)
-            buf = io.StringIO(newline="")
-            report.to_csv(buf)
-            texts.append(buf.getvalue())
+        for name in ("a", "b"):
+            assert main(["verify", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+            texts.append((tmp_path / name / "report.csv").read_bytes().decode("utf-8"))
         assert texts[0] == texts[1]
-        assert texts[0].startswith("sample,inequality,n,lhs,rhs,margin\r\n")
-
-    def test_json_includes_verdict(self):
-        cert = UACCert(state_bound=geometric_bound(), policy=zero_policy())
-        report = verify(cert, scalar_system(), [1.0], horizon=4)
-        obj = report.to_json()
-        assert obj["passed"] is True
-        assert len(obj["rows"]) == 1
+        assert texts[0].count("\r\n") == texts[0].count("\n")
+        header, *lines = texts[0].split("\r\n")[:-1]
+        assert lines
+        assert header == "sample,inequality,n,lhs,rhs,margin"
+        b = build_builtin("scalar_linear", None)
+        report = verify(as_state_certificate(b.uvc), b.system, b.samples(2), horizon=16)
+        assert [line.split(",") for line in lines] == [
+            [str(row.sample), row.inequality, str(row.n), *("%.17g" % v for v in astuple(row)[3:])]
+            for row in report.rows
+        ]
 
     def test_cert_to_json_kinds(self):
         b = build_builtin("scalar_linear", None)
@@ -494,11 +497,6 @@ class TestKindForms:
     def test_rows_are_pinned_in_order(self, kind, horizon):
         report = verify(kind_certs()[kind], scalar_system(), [1.0, -1.2, 0.0], horizon=horizon)
         assert [astuple(row) for row in report.rows] == PINNED_ROWS[kind][horizon]
-        keys = ("sample", "inequality", "n", "lhs", "rhs", "margin")
-        rows = report.to_json()["rows"]
-        assert [list(row.items()) for row in rows] == [
-            list(zip(keys, row)) for row in PINNED_ROWS[kind][horizon]
-        ]
 
 
 class TestEachStepMeasuredOnce:

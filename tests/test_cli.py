@@ -5,11 +5,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stagecraft import fn_from_json, linear
-from stagecraft.cli import _parser, _write_json, main
+from stagecraft import build_builtin, fn_from_json, linear, synthesize, uvc_to_ubgec
+from stagecraft import cli
+from stagecraft.cli import _parser, _write_csv, _write_json, main
 
 
 def write_config(tmp_path, payload):
@@ -273,6 +275,21 @@ class TestConfigErrors:
         assert needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, kind, known",
+        [
+            ("verify", "oracle", "'ubgec' or 'uvc' or 'uac'"),
+            ("synthesize", "uac", "'ubgec' or 'uvc'"),
+        ],
+    )
+    def test_unsupported_certificate_kind_names_the_known_ones(self, tmp_path, capsys, command,
+                                                               kind, known):
+        rc, _ = run(tmp_path, command, {"system": self.SCALAR, "certificate": {"kind": kind}})
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unsupported certificate kind {kind!r} here (use {known})\n"
+        )
+
     def test_integral_floats_are_integers(self, tmp_path):
         payload = {"system": self.SCALAR, "samples": {"count": 3}, "horizon": 8}
         rc, out = run(tmp_path, "verify", payload)
@@ -390,6 +407,32 @@ class TestSynthesizeCommand:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("decay", [None, 0.9])
+    def test_uvc_certificate_takes_its_decay(self, tmp_path, decay):
+        # without certificate.decay the bundled UVC converts at the natural rate
+        certificate = {"kind": "uvc"} if decay is None else {"kind": "uvc", "decay": decay}
+        payload = {"system": {"builtin": "scalar_linear"}, "certificate": certificate,
+                   "samples": {"count": 4}}
+        rc, out = run(tmp_path, "synthesize", payload)
+        assert rc == 0
+        b = build_builtin("scalar_linear", None)
+        cert = uvc_to_ubgec(b.uvc, decay=b.natural_decay if decay is None else decay)
+        expected = synthesize(cert, decay=b.natural_decay).to_json()
+        written = json.loads((out / "synthesis.json").read_text(encoding="utf-8"))
+        assert written == json.loads(json.dumps(expected))
+
+    def test_gauge_coefficients_reach_the_design(self, tmp_path):
+        payload = {"system": {"builtin": "scalar_linear"},
+                   "synthesis": {"state_coeff": 2.0, "input_coeff": 3.0}, "samples": {"count": 4}}
+        rc, out = run(tmp_path, "synthesize", payload)
+        assert rc == 0
+        b = build_builtin("scalar_linear", None)
+        expected = synthesize(b.ubgec, decay=b.natural_decay, state_coeff=2.0, input_coeff=3.0)
+        written = json.loads((out / "synthesis.json").read_text(encoding="utf-8"))
+        assert written == json.loads(json.dumps(expected.to_json()))
+        provenance = written["provenance"]
+        assert (provenance["state_coeff"], provenance["input_coeff"]) == (2.0, 3.0)
+
 
 class TestConverseCommand:
     def test_chain_oracle_converse_passes(self, tmp_path, capsys):
@@ -470,6 +513,51 @@ class TestConverseCommand:
         rc, _ = run(tmp_path, "converse", {**self.SYNTHESIZED, "interaction": interaction})
         assert rc == 2
         assert "cross term" in capsys.readouterr().err
+
+    CHAIN = {
+        "system": {"builtin": "finite_chain"},
+        "certificate": {"kind": "oracle"},
+        "samples": {"count": 3},
+        "converse": {"depth": 8, "nu_depth": 12},
+    }
+
+    def test_eps_tilde_factor_reaches_the_schedules(self, tmp_path):
+        def schedules(name, **converse):
+            payload = {**self.CHAIN, "converse": {**self.CHAIN["converse"], **converse}}
+            rc, out = run(tmp_path, "converse", payload, outname=name)
+            assert rc == 0
+            return (out / "schedules.csv").read_bytes()
+
+        # 0.5 is the library default
+        assert schedules("half", eps_tilde_factor=0.5) == schedules("default")
+        assert schedules("quarter", eps_tilde_factor=0.25) != schedules("default")
+
+    FINITE = {"finite": {"successor": [[0, 0], [1, 0], [2, 1], [3, 2]],
+                         "state_measure": [0.0, 1.0, 2.0, 3.0], "input_measure": [0.0, 1.0]}}
+    GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    DISCRETIZE = {"discretize": {"builtin": "saturating_scalar", "state_grid": GRID,
+                                 "input_grid": GRID}}
+
+    @pytest.mark.parametrize("mode", ["default", "random"])
+    @pytest.mark.parametrize("system, states", [(FINITE, 4), (DISCRETIZE, 5)],
+                             ids=["finite", "discretize"])
+    def test_samples_on_finite_systems_are_state_indices(self, tmp_path, monkeypatch, mode,
+                                                         system, states):
+        drawn = []
+        pipeline = cli.converse_pipeline
+        monkeypatch.setattr(cli, "converse_pipeline",
+                            lambda ucc, sys_, samples, **kw: drawn.append(samples)
+                            or pipeline(ucc, sys_, samples, **kw))
+        payload = {"system": system, "certificate": {"kind": "oracle"},
+                   "samples": {"count": 7, "mode": mode}, "converse": {"depth": 4, "nu_depth": 6}}
+        rc, _ = run(tmp_path, "converse", payload, seed=3)
+        assert rc == 0
+        if mode == "default":
+            expected = [i % states for i in range(7)]
+        else:
+            expected = np.random.default_rng(3).integers(0, states, size=7).tolist()
+        assert drawn == [expected]
+        assert all(type(x) is int for x in drawn[0])
 
 
 class TestOracleCommand:
@@ -635,6 +723,29 @@ class TestJsonWriter:
         monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
         assert _written(tmp_path, payload) == expected
         assert len(calls) == 1
+
+
+class TestCsvWriter:
+    """``_write_csv`` writes every CSV artifact: ``%.17g`` floats, ``str`` otherwise, CRLF."""
+
+    @staticmethod
+    def written(tmp_path, header, rows) -> bytes:
+        _write_csv(str(tmp_path), "table.csv", header, rows)
+        return (tmp_path / "table.csv").read_bytes()
+
+    def test_write_csv_formats_each_type(self, tmp_path):
+        row = (1.5, np.float64(0.1), np.float32(0.1), math.inf, -math.inf, math.nan, -0.0, 1e22,
+               7, np.int64(8), "s")
+        assert self.written(tmp_path, ("a", "b"), [row]) == (
+            b"a,b\r\n1.5,0.10000000000000001,0.10000000149011612,inf,-inf,nan,-0,1e+22,7,8,s\r\n"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_write_csv_float_is_the_format_spec(self, tmp_path_factory, x):
+        tmp_path = tmp_path_factory.mktemp("csv")
+        text = self.written(tmp_path, ("a", "b"), [(x, np.float64(x))]).decode()
+        assert text == f"a,b\r\n{x:.17g},{x:.17g}\r\n"
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from stagecraft import (
     DEFAULT_T_GRID,
     DecompositionError,
     DomainError,
+    InversionError,
     KInfFn,
     KLValidityError,
     MonotoneInputError,
@@ -104,6 +105,12 @@ class TestInversion:
         g = inverse_of(f)
         for y in (0.25, 1.0, 19.0):
             assert g.eval(y) == pytest.approx(f.invert(y), rel=1e-10)
+
+    def test_bracket_doubling_is_capped(self):
+        # each term is y ** (1/1000): 2 ** 200 still sums to about 2.3, below the target 10
+        f = combine(inverse_of(power(1000)), inverse_of(power(1000)), "sum")
+        with pytest.raises(InversionError, match="doubling cap"):
+            f.invert(10.0)
 
     def test_inverse_of_rejects_plain_nonneg(self):
         with pytest.raises(ParameterError):

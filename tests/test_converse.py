@@ -2,7 +2,7 @@
 
 import dataclasses
 import functools
-import io
+import json
 import math
 
 import numpy as np
@@ -40,8 +40,9 @@ from stagecraft import (
     value_iterate,
     verify,
 )
-from stagecraft import cmpfn
+from stagecraft import cli, cmpfn
 from stagecraft import converse as converse_module
+from stagecraft.cli import main
 from stagecraft.converse import _STEP_CAP, _bounds, _schedules, _settle
 from support import assert_prefix_closed, stitched_policy, total_cost
 
@@ -53,6 +54,27 @@ def _scan(ucc, sys, x, eps, length, radius=None):
     radius = sys.sigma(x) if radius is None else radius
     threshold, horizon = _settle(ucc, _bounds(ucc, 0.5), 0.5, radius, eps)
     return converse_module._scan(ucc, sys, x, threshold, horizon, length)
+
+
+# the README's chain example with three samples: states 0, 1 and 2, so radii 1 and 2
+CHAIN_CONVERSE = {
+    "system": {"builtin": "finite_chain", "params": {"length": 10}},
+    "certificate": {"kind": "oracle"},
+    "samples": {"count": 3},
+    "converse": {"depth": 8, "nu_depth": 12},
+}
+
+
+def _chain_converse(tmp_path, monkeypatch):
+    """``converse``'s output directory on the chain, and the result it wrote."""
+    results = []
+    monkeypatch.setattr(cli, "converse_pipeline",
+                        lambda *args, **kwargs: results.append(converse_pipeline(*args, **kwargs))
+                        or results[-1])
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps(CHAIN_CONVERSE), encoding="utf-8")
+    assert main(["converse", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out", results[0]
 
 
 def _dummy_policy():
@@ -182,6 +204,12 @@ class TestSettleHorizon:
     def test_never_below_one_step(self):
         assert settle_horizon(doubling_cert(), 1.0, 100.0) == 1
         assert settle_horizon(doubling_cert(), 0.0, 0.5) == 1
+
+    def test_zero_floor_cost_bounds_only_a_zero_top(self):
+        # a threshold whose stage cost is zero bounds no step count, unless nothing is left to pay
+        assert converse_module._steps(1.0, 0.5, 0.1, 0.0, 0.0) == 1
+        with pytest.raises(BudgetError, match="threshold 0.1 carries no stage cost"):
+            converse_module._steps(1.0, 0.5, 0.1, 0.0, 1.0)
 
     def test_step_cap_enforced(self):
         # the cost ratio is 8e9, above the cap of 1e9 steps
@@ -868,30 +896,30 @@ class TestConversePipeline:
         result = converse_pipeline(ucc, sys, [1.0, -1.0], horizon=16)
         assert [s.radius for s in result.schedules] == [1.0, 2.0]
 
-    def test_schedule_csv_layout(self):
-        sys, ucc = halving_fixture()
-        result = converse_pipeline(ucc, sys, [1.0, -2.0], horizon=16)
-        buf = io.StringIO()
-        result.schedule_csv(buf)
-        lines = buf.getvalue().split("\r\n")
+    def test_schedule_csv_layout(self, tmp_path, monkeypatch):
+        out, result = _chain_converse(tmp_path, monkeypatch)
+        lines = (out / "schedules.csv").read_bytes().decode().split("\r\n")
         assert lines[0] == "radius,round,eps_level,eps_target,round_horizon,cum_horizon"
         rows = [ln for ln in lines[1:] if ln]
         assert len(rows) == sum(s.depth for s in result.schedules)
         first = rows[0].split(",")
         assert float(first[0]) == 1.0
         assert int(first[1]) == 1
+        assert rows == [
+            f"{s.radius:.17g},{m + 1},{s.eps_levels[m]:.17g},{s.eps_targets[m]:.17g},"
+            f"{s.round_horizons[m]},{s.cum_horizons[m]}"
+            for s in result.schedules for m in range(s.depth)
+        ]
 
-    def test_nu_csv_layout(self):
-        sys, ucc = halving_fixture()
-        result = converse_pipeline(ucc, sys, [1.0, -2.0], horizon=16)
-        buf = io.StringIO()
-        result.nu_csv(buf)
-        lines = [ln for ln in buf.getvalue().split("\r\n") if ln]
+    def test_nu_csv_layout(self, tmp_path, monkeypatch):
+        out, result = _chain_converse(tmp_path, monkeypatch)
+        lines = [ln for ln in (out / "nu.csv").read_bytes().decode().split("\r\n") if ln]
         assert lines[0] == "radius,eps,nu"
         assert len(lines) - 1 == 9 * len(result.schedules)
-        for ln in lines[1:]:
+        for ln, schedule in zip(lines[1:], [s for s in result.schedules for _ in range(9)]):
             radius, eps, nu = (float(v) for v in ln.split(","))
-            assert nu > 0.0
+            assert radius == schedule.radius
+            assert nu == schedule.value(eps) > 0.0
 
     def test_json_payload(self):
         sys, ucc = halving_fixture()
@@ -997,20 +1025,19 @@ class TestValidationOrder:
             converse_pipeline(ucc, sys, [1.0], horizon=16, **{key: 0})
 
 
-def _artifacts(result):
-    """What ``cmd_converse`` writes of a result: its CSVs, report, JSON and bound grid."""
-    out = []
-    for write in (result.schedule_csv, result.nu_csv, result.report.to_csv):
-        buf = io.StringIO()
-        write(buf)
-        out.append(buf.getvalue())
-    return out + [result.to_json(), result.cert.state_bound.values.tobytes()]
+def _artifacts(tmp_path, name):
+    """Every file ``converse`` writes on the chain, by file name."""
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps({**CHAIN_CONVERSE, "samples": {"count": 4}, "horizon": 24}),
+                      encoding="utf-8")
+    assert main(["converse", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
 
 
-def test_pipeline_assembles_through_the_public_function(monkeypatch):
-    sys, ucc = halving_fixture()
-    samples = [1.0, -2.0, 0.25]
-    expected = _artifacts(converse_pipeline(ucc, sys, samples, horizon=24))
+def test_pipeline_assembles_through_the_public_function(tmp_path, monkeypatch):
+    expected = _artifacts(tmp_path, "a")
+    assert sorted(expected) == ["beta_grid.csv", "converse.json", "nu.csv", "report.csv",
+                                "schedules.csv"]
     calls = []
     assemble = converse_module.assemble_state_bound
     monkeypatch.setattr(
@@ -1018,5 +1045,5 @@ def test_pipeline_assembles_through_the_public_function(monkeypatch):
         "assemble_state_bound",
         lambda *args, **kwargs: calls.append(args) or assemble(*args, **kwargs),
     )
-    assert _artifacts(converse_pipeline(ucc, sys, samples, horizon=24)) == expected
+    assert _artifacts(tmp_path, "b") == expected
     assert len(calls) == 1

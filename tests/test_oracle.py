@@ -1,6 +1,6 @@
 """Value iteration, certificate extraction, and brute-force cross-checks."""
 
-import io
+import json
 import math
 
 import numpy as np
@@ -387,15 +387,21 @@ class TestValueIterate:
         assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("numeric failure: a Bellman sweep moves state 5")
 
-    def test_csv_layout_with_infinities(self):
+    def test_csv_layout_with_infinities(self, tmp_path):
         fsys = stranded_pair()
-        table = value_iterate(fsys, SIGMA_RHO)
-        buf = io.StringIO()
-        table.to_csv(fsys, buf)
-        lines = buf.getvalue().split("\r\n")
+        config = tmp_path / "stranded.json"
+        config.write_text(json.dumps({"system": {"finite": fsys.to_json()}}), encoding="utf-8")
+        assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "value_table.csv").read_bytes().decode().split("\r\n")
         assert lines[0] == "state,sigma,value,greedy"
         assert lines[1].startswith("0,0,0,")
         assert lines[2].split(",")[2] == "inf"
+        table = value_iterate(fsys, SIGMA_RHO)
+        assert lines[1:] == [
+            f"{x},{sigma:.17g},{value:.17g},{greedy}"
+            for x, (sigma, value, greedy) in enumerate(
+                zip(fsys.state_measure, table.values, table.greedy))
+        ] + [""]
 
 
 class TestGreedyPolicy:

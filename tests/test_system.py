@@ -1,9 +1,7 @@
-import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stagecraft import (
     ControlSystem,
@@ -17,7 +15,6 @@ from stagecraft import (
     rollout,
     stage_costs,
 )
-from stagecraft.system import _write_csv
 from support import total_cost
 
 
@@ -52,6 +49,17 @@ class TestRollout:
         )
         with pytest.raises(SimulationError, match="input measure returned nan"):
             rollout(sys, 1.0, [0.0, 1.0, 0.0])
+
+    def test_negative_state_measure_raises(self):
+        sys = ControlSystem(transition=lambda x, u: x + u, state_measure=lambda x: -x,
+                            input_measure=abs)
+        with pytest.raises(SimulationError, match=r"state measure returned -0\.5, expected"):
+            rollout(sys, -1.0, [1.5])
+
+    def test_a_state_numpy_cannot_convert_is_not_finite(self):
+        with pytest.raises(SimulationError, match="initial state is not finite") as err:
+            rollout(scalar_system(), "abc", [0.0])
+        assert err.value.step == 0
 
     def test_divergence_raises_with_step(self):
         bad = ControlSystem(
@@ -164,21 +172,3 @@ class TestTotals:
         assert total_cost(cost, full) == pytest.approx(
             total_cost(cost, head) + total_cost(cost, tail)
         )
-
-
-class TestCsv:
-    def test_write_csv_formats_each_type(self):
-        buf = io.StringIO(newline="")
-        row = (1.5, np.float64(0.1), np.float32(0.1), math.inf, -math.inf, math.nan, -0.0, 1e22,
-               7, np.int64(8), "s")
-        _write_csv(buf, [("a", "b"), row])
-        assert buf.getvalue() == (
-            "a,b\r\n1.5,0.10000000000000001,0.10000000149011612,inf,-inf,nan,-0,1e+22,7,8,s\r\n"
-        )
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(allow_nan=True, allow_infinity=True))
-    def test_write_csv_float_is_the_format_spec(self, x):
-        buf = io.StringIO(newline="")
-        _write_csv(buf, [(x, np.float64(x))])
-        assert buf.getvalue() == f"{x:.17g},{x:.17g}\r\n"
