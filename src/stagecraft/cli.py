@@ -215,24 +215,10 @@ def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
     count, mode = spec.get("count", 16), spec.get("mode", "default")
     if count < 0:
         raise ConfigError(f"sample count must be nonnegative, got {count}")
-    if mode == "default":
-        if builtin is not None:
-            return builtin.samples(count)
-        return [int(i % finite.num_states) for i in range(count)]
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        if finite is not None:
-            return [int(v) for v in rng.integers(0, finite.num_states, size=count)]
-        if builtin is not None and builtin.name == "two_state_linear":
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            mags = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
-            return [
-                m * np.array([np.cos(a), np.sin(a)]) for a, m in zip(angles, mags)
-            ]
-        signs = rng.choice([-1.0, 1.0], size=count)
-        mags = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
-        return [float(s * m) for s, m in zip(signs, mags)]
-    raise ConfigError(f"unknown sample mode {mode!r}")
+    if mode not in ("default", "random"):
+        raise ConfigError(f"unknown sample mode {mode!r}")
+    rng = np.random.default_rng(seed) if mode == "random" else None
+    return (builtin or finite).samples(count, rng)
 
 
 def _replay(config: dict) -> dict:
@@ -245,15 +231,13 @@ def _artifact(out_dir: str, name: str):
 
 
 def _json_text(value, pad: str, formatted: dict) -> str:
-    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives ``value``
-    nested at indent ``pad``: the layout is built here, the numbers by the C
-    encoder, a float list in one call.  ``formatted`` keeps each float list's
-    item text under the list's exact bytes (-0.0 == 0.0, but their text
-    differs), so a list that repeats at any depth is formatted once."""
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives ``value``,
+    every key a string, nested at indent ``pad``: the layout is built here, the
+    numbers by the C encoder, a float list in one call.  ``formatted`` keeps
+    each float list's item text under the list's exact bytes (-0.0 == 0.0, but
+    their text differs), so a list that repeats at any depth is formatted once."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        if not all(isinstance(key, str) for key in value):
-            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
         items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner, formatted)}"
                  for key, item in sorted(value.items())]
         brackets = "{}"

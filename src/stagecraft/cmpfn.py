@@ -33,7 +33,7 @@ tables, compositions of those) take an exact shortcut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -269,15 +269,13 @@ class Table(Expr):
     slope, which keeps the interpolant strictly increasing and unbounded.
     """
 
-    x: tuple
-    y: tuple
-    _xa: np.ndarray = field(init=False, repr=False, compare=False)
-    _ya: np.ndarray = field(init=False, repr=False, compare=False)
+    x: np.ndarray
+    y: np.ndarray
     op = "table"
 
     def __post_init__(self):
-        xs = np.asarray(self.x, dtype=float)
-        ys = np.asarray(self.y, dtype=float)
+        xs = np.array(self.x, dtype=float)
+        ys = np.array(self.y, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise MonotoneInputError("table needs matching 1-d knot arrays with >= 2 points")
         if xs[0] != 0.0 or ys[0] != 0.0:
@@ -286,16 +284,15 @@ class Table(Expr):
             raise MonotoneInputError("table knots must be finite")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise MonotoneInputError("table knots must be strictly increasing in both coordinates")
-        object.__setattr__(self, "x", tuple(xs.tolist()))
-        object.__setattr__(self, "y", tuple(ys.tolist()))
-        object.__setattr__(self, "_xa", xs)
-        object.__setattr__(self, "_ya", ys)
+        for name, knots in (("x", xs), ("y", ys)):
+            knots.flags.writeable = False
+            object.__setattr__(self, name, knots)
 
     def eval(self, r):
-        return _interp_extend(r, self._xa, self._ya)
+        return _interp_extend(r, self.x, self.y)
 
     def invert(self, y):
-        return _interp_extend(y, self._ya, self._xa)
+        return _interp_extend(y, self.y, self.x)
 
 
 def _interp_extend(q, xs, ys):
@@ -358,7 +355,7 @@ _NODES = {
 # field annotation -> (to JSON, from JSON)
 _CODECS = {
     "float": (lambda v: v, float),
-    "tuple": (list, tuple),
+    "np.ndarray": (np.ndarray.tolist, np.asarray),
     "Expr": (lambda node: node.to_obj(), _node_from_obj),
 }
 
@@ -435,12 +432,10 @@ def const_fn(c):
 
 def table_fn(xs, ys):
     """Strictly monotone interpolant; a leading (0, 0) knot is implied."""
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if xs and xs[0] > 0.0:
-        xs = [0.0] + xs
-        ys = [0.0] + ys
-    return KInfFn(Table(tuple(xs), tuple(ys)))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.size and xs[0] > 0.0:
+        xs, ys = np.insert(xs, 0, 0.0), np.insert(ys, 0, 0.0)
+    return KInfFn(Table(xs, ys))
 
 
 def _wrap(expr, *parts):
@@ -500,13 +495,17 @@ def strict_table(xs, ys):
     # + 0.0 turns -0.0 into +0.0, the double whose int64 view is 0
     ys = np.maximum.accumulate(keep_y + 0.0)
     if ys[0] == 0.0 and np.isfinite(ys).all():
-        # the tie repair out[i] = max(ys[i], nextafter(out[i-1], inf)): doubles
-        # >= +0.0 order as their int64 views, adjacent ones one apart, so it is
-        # a running maximum of view - i, plus i; other input reaches Table
-        # unrepaired, and Table rejects it
-        steps = np.arange(ys.size)
-        ys = (np.maximum.accumulate(ys.view(np.int64) - steps) + steps).view(float)
+        # other input reaches Table unrepaired, and Table rejects it
+        ys = _strict_running_max(ys)
     return KInfFn(Table(keep_x, ys))
+
+
+def _strict_running_max(values):
+    """``out[i] = max(values[i], nextafter(out[i-1], inf))`` down axis 0, for
+    finite ``values`` >= +0.0: such doubles order as their int64 views, adjacent
+    ones one apart, so it is a running maximum of view - i, plus i."""
+    steps = np.arange(len(values)).reshape(-1, *[1] * (values.ndim - 1))
+    return (np.maximum.accumulate(values.view(np.int64) - steps, axis=0) + steps).view(float)
 
 
 def fn_from_json(obj):

@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .cmpfn import DEFAULT_T_GRID, KInfFn, NonnegFn, SampledKL, combine, compose, inverse_of
+from .cmpfn import _strict_running_max
 from .certificates import (
     DEFAULT_SLACK,
     PolicyOracle,
@@ -61,6 +62,7 @@ __all__ = [
 
 DEFAULT_DEPTH = 16
 DEFAULT_NU_DEPTH = 48
+DEFAULT_EPS_TILDE_FACTOR = 0.5
 
 _STRICTIFIER = 1e-3
 _STEP_CAP = 10 ** 9
@@ -170,7 +172,7 @@ def settle_horizon(
     ucc: UCCCert,
     radius: float,
     eps: float,
-    eps_tilde_factor: float = 0.5,
+    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
 ) -> int:
     """Steps within which a certified rollout must dip below a threshold.
 
@@ -233,7 +235,7 @@ def stitch_controls(
     x,
     eps: float,
     radius: Optional[float] = None,
-    eps_tilde_factor: float = 0.5,
+    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
 ) -> StitchResult:
     """Follow the certified policy until it dips below the target threshold,
     then restart it from the state reached there.
@@ -280,7 +282,11 @@ class SettlingSchedule:
     cum_horizons: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_levels", _levels(len(self.round_horizons)))
+        depth = len(self.round_horizons)
+        if len(self.eps_targets) != depth or len(self.thresholds) not in (0, depth):
+            raise ParameterError(f"{depth} round horizons need {depth} targets and 0 or {depth} "
+                                 f"thresholds, got {len(self.eps_targets)}, {len(self.thresholds)}")
+        object.__setattr__(self, "eps_levels", _levels(depth))
         object.__setattr__(self, "cum_horizons", tuple(itertools.accumulate(self.round_horizons)))
 
     @property
@@ -351,7 +357,7 @@ def settling_schedule(
     ucc: UCCCert,
     radius: float,
     depth: int = DEFAULT_DEPTH,
-    eps_tilde_factor: float = 0.5,
+    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
 ) -> SettlingSchedule:
     """Target sequence for settling from the given radius.
 
@@ -373,11 +379,11 @@ def _schedules(
 ) -> list:
     """``settling_schedule`` of every radius, with the threshold of each round.
 
-    The level costs and all budget shares go through one relay
-    inversion, and all live targets through one excursion inversion;
-    only the integer horizons are counted radius by radius.  A float
-    call equals its entry in any array bitwise, so every round is the
-    one a scalar computation gives.
+    One relay inversion gives the level costs and budget shares, one
+    excursion inversion all thresholds; a float call equals its entry
+    in any array bitwise.  A schedule ends before the first round whose
+    target is not positive or whose horizon ``_steps`` refuses, and in
+    round 1 either raises ``BudgetError``.
     """
     for radius in radii:
         if not (np.isfinite(radius) and radius > 0):
@@ -391,28 +397,25 @@ def _schedules(
     shares = np.outer(tops, 2.0 ** -np.arange(1, depth + 1))
     costs = relay.invert(np.concatenate((state_gauge.eval(_levels(depth)), shares.ravel())))
     by_level, by_budget = costs[:depth], costs[depth:].reshape(shares.shape)
-    targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None]).tolist()
-    lives = [next((m for m, target in enumerate(row) if target <= 0.0), depth) for row in targets]
-    if 0 in lives:
-        raise BudgetError(f"round 1 target degenerated to {targets[lives.index(0)][0]!r}")
-    live_targets = np.concatenate([row[:live] for row, live in zip(targets, lives)])
-    thresholds = excursion.invert(eps_tilde_factor * live_targets)
-    by_round = iter(zip(thresholds.tolist(), state_gauge.eval(thresholds).tolist()))
+    targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None])
+    thresholds = excursion.invert(eps_tilde_factor * targets)
+    floors = state_gauge.eval(thresholds)
     out = []
-    for radius, top, row, live in zip(radii.tolist(), tops.tolist(), targets, lives):
-        rounds = list(itertools.islice(by_round, live))
+    for radius, top, row, row_thresholds, row_floors in zip(
+            radii.tolist(), tops.tolist(), targets.tolist(), thresholds.tolist(), floors.tolist()):
         horizons = []
-        for m, (threshold, floor_cost) in enumerate(rounds):
+        for m, (target, threshold, floor_cost) in enumerate(zip(row, row_thresholds, row_floors)):
             try:
-                horizons.append(_steps(radius, row[m], threshold, floor_cost, top))
+                if target <= 0.0:
+                    raise BudgetError(f"round {m + 1} target degenerated to {target!r}")
+                horizons.append(_steps(radius, target, threshold, floor_cost, top))
             except BudgetError:
                 if m == 0:
                     raise
                 break
         n = len(horizons)
-        out.append(SettlingSchedule(
-            radius, tuple(row[:n]), tuple(horizons), tuple(threshold for threshold, _ in rounds[:n])
-        ))
+        out.append(SettlingSchedule(radius, tuple(row[:n]), tuple(horizons),
+                                    tuple(row_thresholds[:n])))
     return out
 
 
@@ -466,7 +469,7 @@ def assemble_state_bound(
     ucc: UCCCert,
     r_values: Sequence[float],
     depth: int = DEFAULT_NU_DEPTH,
-    eps_tilde_factor: float = 0.5,
+    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
 ) -> Tuple[SampledKL, Tuple[SettlingSchedule, ...]]:
     """Decay bound on the state measure for the stitched policy, and the
     settling schedule of each radius.
@@ -476,9 +479,9 @@ def assemble_state_bound(
     step) and the settling-curve inverse (valid once enough steps have
     passed), plus a vanishing strictly-decreasing term that keeps the
     grid a valid decay bound.
-    Rows are repaired to strict increase with a running maximum.
-    All radii are settled in one pass, so when several fail, the error
-    raised is the first that pass meets, not the smallest radius's.
+    Rows are repaired to strict increase with a running maximum that
+    lifts each tie by one double.  All radii are settled in one pass from
+    the smallest, so when several fail, the smallest failing radius raises.
     """
     bounds = _bounds(ucc, eps_tilde_factor)
     radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
@@ -495,7 +498,7 @@ def assemble_state_bound(
             row.append(value + _STRICTIFIER * ceiling / (1.0 + float(t)))
         rows.append(row)
 
-    values = np.maximum.accumulate(np.asarray(rows, dtype=float), axis=0)
+    values = _strict_running_max(np.asarray(rows, dtype=float))
     return SampledKL(r_grid=radii, t_grid=DEFAULT_T_GRID, values=values), schedules
 
 
@@ -535,7 +538,7 @@ def converse_pipeline(
     horizon: int = 64,
     depth: int = DEFAULT_DEPTH,
     nu_depth: int = DEFAULT_NU_DEPTH,
-    eps_tilde_factor: float = 0.5,
+    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
     slack: float = DEFAULT_SLACK,
 ) -> ConverseResult:
     """Full constructive converse, verified on the given samples.

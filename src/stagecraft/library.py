@@ -2,7 +2,7 @@
 
 Each entry bundles a small control system, a policy, matching decay
 certificates whose bounds are tight enough to be interesting (several
-hold with margin exactly zero), and a deterministic sample generator.
+hold with margin exactly zero), and its own sampling rule, fixed or random.
 These are the fixtures the command line and the test suite exercise
 end to end.
 """
@@ -33,7 +33,7 @@ class BuiltinSystem:
     uvc: UVCCert
     ubgec: UBgECCert
     natural_decay: float
-    samples: Callable[[int], list]
+    samples: Callable[..., list]  # (count, rng=None): a fixed spread, or draws from rng
     finite: Optional[FiniteSystem] = None
 
     @property
@@ -45,9 +45,11 @@ def _zero_policy() -> PolicyOracle:
     return PolicyOracle(prefix=lambda x, n: [], ref="zero")
 
 
-def _signed_logspace(count: int, lo: float = -2.0, hi: float = 2.0) -> list:
-    magnitudes = np.logspace(lo, hi, count)
-    return [float(m) if i % 2 == 0 else -float(m) for i, m in enumerate(magnitudes)]
+def _signed_magnitudes(count: int, rng: Optional[np.random.Generator] = None) -> list:
+    if rng is None:
+        return (np.resize([1.0, -1.0], count) * np.logspace(-2.0, 2.0, count)).tolist()
+    signs = rng.choice([-1.0, 1.0], size=count)
+    return (signs * 10.0 ** rng.uniform(-2.0, 2.0, size=count)).tolist()
 
 
 def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) -> BuiltinSystem:
@@ -101,7 +103,7 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
         uvc=uvc,
         ubgec=uvc_to_ubgec(uvc, decay=contraction),
         natural_decay=contraction,
-        samples=_signed_logspace,
+        samples=_signed_magnitudes,
     )
 
 
@@ -135,11 +137,15 @@ def two_state_linear() -> BuiltinSystem:
         np.array([-1.0, 1.0]) / np.sqrt(2.0),
     ]
 
-    def samples(count: int) -> list:
-        magnitudes = np.logspace(-2.0, 2.0, count)
-        return [
-            directions[i % len(directions)] * float(m) for i, m in enumerate(magnitudes)
-        ]
+    def samples(count: int, rng: Optional[np.random.Generator] = None) -> list:
+        if rng is None:
+            magnitudes = np.logspace(-2.0, 2.0, count)
+            return [
+                directions[i % len(directions)] * float(m) for i, m in enumerate(magnitudes)
+            ]
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        mags = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
+        return [m * np.array([np.cos(a), np.sin(a)]) for a, m in zip(angles, mags)]
 
     return BuiltinSystem(
         name="two_state_linear",
@@ -192,7 +198,7 @@ def finite_chain(length: int = 10) -> BuiltinSystem:
         uvc=uvc,
         ubgec=ubgec,
         natural_decay=0.5,
-        samples=lambda count: [int(i % length) for i in range(count)],
+        samples=finite.samples,
         finite=finite,
     )
 
@@ -226,7 +232,7 @@ def saturating_scalar() -> BuiltinSystem:
         uvc=uvc,
         ubgec=uvc_to_ubgec(uvc, decay=0.5),
         natural_decay=0.5,
-        samples=_signed_logspace,
+        samples=_signed_magnitudes,
     )
 
 

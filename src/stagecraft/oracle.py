@@ -92,6 +92,11 @@ class FiniteSystem:
     def num_inputs(self) -> int:
         return self.successor.shape[1]
 
+    def samples(self, count: int, rng: Optional[np.random.Generator] = None) -> list:
+        """``count`` state indices: ``i % num_states``, or uniform draws from ``rng``."""
+        indices = np.arange(count) if rng is None else rng.integers(0, self.num_states, size=count)
+        return (indices % self.num_states).tolist()
+
     def to_control_system(self) -> ControlSystem:
         succ, sig, rho = self.successor, self.state_measure, self.input_measure
         return ControlSystem(

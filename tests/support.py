@@ -13,6 +13,7 @@ import numpy as np
 from stagecraft import (
     DEFAULT_R_GRID,
     DEFAULT_T_GRID,
+    FiniteSystem,
     KInfFn,
     NonContractionError,
     ParameterError,
@@ -291,6 +292,25 @@ def brute_force_values(fsys, cost, depth=8):
             if core[state]:
                 best[x0] = min(best[x0], total)
     return best
+
+
+def random_finite_system(rng):
+    """A finite system of 4-39 states measured by their index, with 2-3 inputs.
+
+    Input 0 rests: it holds the state and has measure zero.  Input 1
+    steps toward state 0, to a random state of smaller index (state 0
+    holds).  A third input, if any, jumps to a random state.  The
+    positive input measures are drawn from [0.5, 2).
+    """
+    states, inputs = int(rng.integers(4, 40)), int(rng.integers(2, 4))
+    index = np.arange(states)
+    toward = [0] + [int(rng.integers(0, x)) for x in range(1, states)]
+    jumps = [rng.integers(0, states, size=states) for _ in range(inputs - 2)]
+    return FiniteSystem(
+        successor=np.stack([index, toward, *jumps], axis=1),
+        state_measure=index.astype(float),
+        input_measure=np.concatenate(([0.0], rng.uniform(0.5, 2.0, size=inputs - 1))),
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The criteria pin down the package's headline guarantees end to end:
 function-algebra invariants, decay-bound decomposition, budget and
 total-cost certification on the bundled systems, interaction
 admission, transient budgeting, the converse construction, oracle
-fidelity, and the settling-schedule spot values.
+fidelity, the settling-schedule spot values, and the paper's loop
+closed exactly on random finite systems.
 """
 
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from stagecraft import (
     BUILTIN_FACTORIES,
+    BudgetError,
     DEFAULT_R_GRID,
     DEFAULT_T_GRID,
     FiniteSystem,
@@ -49,6 +51,7 @@ from stagecraft import (
 from support import (
     LOG_GRID,
     brute_force_values,
+    random_finite_system,
     random_kinf,
     random_sampled,
     random_separable,
@@ -311,3 +314,33 @@ def test_criterion_9_settling_spot_values(capsys):
           ok, f"horizon {horizon}, first target {first_target:.6f}")
     assert horizon == 39
     assert first_target == pytest.approx(1 / 6, rel=1e-9)
+
+
+def test_criterion_10_loop_closes_on_finite_systems(capsys):
+    # exact values -> total-cost certificate -> converse energy certificate ->
+    # designed stage cost -> exact values under it, which its cost bound must cover
+    started = time.perf_counter()
+    failures, budget_errors, ratios = [], 0, []
+    for seed in range(40):
+        fsys = random_finite_system(np.random.default_rng(seed))
+        sys_view = fsys.to_control_system()
+        states = list(range(fsys.num_states))
+        ucc = extract_ucc(value_iterate(fsys, UNIT_COST), fsys, margin=1.5)
+        try:
+            converse = converse_pipeline(ucc, sys_view, states, horizon=64)
+        except BudgetError:
+            budget_errors += 1
+            continue
+        design = synthesize(converse.cert)
+        values = value_iterate(fsys, design.stage_cost).values
+        bound = design.cost_bound.eval(fsys.state_measure)
+        certified = certify_ucc(design, converse.cert, sys_view, states, horizon=64)
+        if not (converse.report.passed and certified.passed and np.all(values <= bound)):
+            failures.append(seed)
+        ratios += (values[1:] / bound[1:]).tolist()
+    elapsed = time.perf_counter() - started
+    closed = 40 - budget_errors - len(failures)
+    _line(capsys, 10, "the paper's loop closes exactly on random finite systems", not failures,
+          f"{closed} of 40 closed, {budget_errors} BudgetError, "
+          f"median V'/bound {np.median(ratios):.3g}, {elapsed:.1f}s")
+    assert not failures, failures

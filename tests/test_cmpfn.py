@@ -187,6 +187,18 @@ class TestTables:
         with pytest.raises(ParameterError):
             table_fn([1.0, 2.0], [3.0, 1.0])
 
+    def test_knots_are_one_read_only_copy(self):
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
+        table = Table(xs, ys)
+        assert table.x.dtype == table.y.dtype == float
+        assert not (table.x.flags.writeable or table.y.flags.writeable)
+        assert xs.flags.writeable and table.x is not xs
+        with pytest.raises(ValueError):
+            table.x[1] = 5.0
+        obj = table.to_obj()
+        assert obj == {"op": "table", "x": [0.0, 1.0, 2.0], "y": [0.0, 1.0, 3.0]}
+        assert all(type(v) is float for v in obj["x"] + obj["y"])
+
 
 class TestSerialization:
     def test_fn_round_trip_values(self):

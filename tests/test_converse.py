@@ -35,6 +35,7 @@ from stagecraft import (
     settling_schedule,
     stitch_controls,
     synthesize,
+    table_fn,
     to_ucc_cert,
     total_bound,
     value_iterate,
@@ -85,6 +86,16 @@ def doubling_cert():
     """Identity state gauge and cost bound 2r: everything has a closed form."""
     cost = StageCost(state_cost=identity(), input_cost=identity())
     return UCCCert(stage_cost=cost, cost_bound=linear(2.0), policy=_dummy_policy())
+
+
+def underflow_cert():
+    """Cost bound r**400: it underflows to 0 at radius 0.1, and from radius 2 round 1
+    needs more steps than the cap."""
+    return UCCCert(
+        stage_cost=StageCost(state_cost=identity(), input_cost=identity()),
+        cost_bound=power(400.0),
+        policy=_dummy_policy(),
+    )
 
 
 def halving_fixture():
@@ -262,6 +273,21 @@ class TestSettlingSchedule:
         # round 1 from radius 1e8 needs about 4.8e9 steps
         with pytest.raises(BudgetError, match="above the cap"):
             settling_schedule(doubling_cert(), 1e8, depth=4)
+
+    def test_degenerate_first_target_raises(self):
+        # the cost bound r**400 underflows to 0 at radius 0.1, so every budget share does too
+        with pytest.raises(BudgetError, match=r"^round 1 target degenerated to 0\.0$"):
+            settling_schedule(underflow_cert(), 0.1, depth=3)
+
+    def test_rounds_must_agree(self):
+        with pytest.raises(ParameterError, match="3 round horizons need 3 targets"):
+            SettlingSchedule(radius=1.0, eps_targets=(0.5,), round_horizons=(3, 4, 5))
+        with pytest.raises(ParameterError, match="0 or 2 thresholds, got 2, 1"):
+            SettlingSchedule(radius=1.0, eps_targets=(0.5, 0.25), round_horizons=(3, 4),
+                             thresholds=(0.1,))
+        full = SettlingSchedule(radius=1.0, eps_targets=(0.5, 0.25), round_horizons=(3, 4),
+                                thresholds=(0.1, 0.05))
+        assert full.cum_horizons == (3, 7)
 
 
 class TestScheduleDepth:
@@ -679,6 +705,18 @@ class TestBatchedSchedule:
         with pytest.raises(BudgetError, match=r"radius 1e\+08 .* above the cap 1e\+09"):
             assemble_state_bound(doubling_cert(), [1.0, 1e8], 4)
 
+    def test_the_first_failing_radius_raises(self):
+        # radius 2 breaks the step cap in round 1 and radius 0.1 degenerates there
+        ucc = underflow_cert()
+        bounds = _bounds(ucc, 0.5)
+        with pytest.raises(BudgetError, match="radius 2 .* above the cap"):
+            _schedules(ucc, bounds, 0.5, [2.0, 0.1], 3)
+        with pytest.raises(BudgetError, match="round 1 target degenerated"):
+            _schedules(ucc, bounds, 0.5, [0.1, 2.0], 3)
+        # assembly settles its radii from the smallest
+        with pytest.raises(BudgetError, match="round 1 target degenerated"):
+            assemble_state_bound(ucc, [2.0, 0.1], 3)
+
     def test_bad_eps_tilde_factor_is_rejected_at_construction(self):
         sys, ucc = halving_fixture()
         with pytest.raises(ParameterError, match="eps_tilde_factor"):
@@ -822,6 +860,20 @@ class TestAssembleStateBound:
             traj = rollout(sys, x0, pol.controls(x0, 64))
             for n, state in enumerate(traj.states):
                 assert sys.sigma(state) <= bound.eval(x0, float(n)) + 1e-9
+
+    def test_ceilings_one_double_apart_stay_strict(self):
+        # c and the next double up both round to the same c * (1 + 1e-3) at t = 0, so the
+        # rows tie there unless the repair lifts the tie; SampledKL rejects a tie
+        low = 63.0844026600279
+        high = math.nextafter(low, math.inf)
+        assert low + 1e-3 * low == high + 1e-3 * high
+        ucc = UCCCert(
+            stage_cost=StageCost(state_cost=identity(), input_cost=identity()),
+            cost_bound=table_fn([19.0, 20.0], [low, high]),
+            policy=_dummy_policy(),
+        )
+        bound, _ = assemble_state_bound(ucc, [19.0, 20.0], 4)
+        assert bound.values[1, 0] == math.nextafter(bound.values[0, 0], math.inf)
 
     def test_needs_two_distinct_positive_radii(self):
         _, ucc = halving_fixture()

@@ -7,6 +7,7 @@ import pytest
 
 from stagecraft import (
     BUILTIN_FACTORIES,
+    FiniteSystem,
     ParameterError,
     build_builtin,
     verify,
@@ -205,3 +206,64 @@ class TestVectorizedBuiltins:
 
     def test_the_chain_steps_sample_by_sample(self):
         assert not build_builtin("finite_chain").system.vectorized
+
+
+def _drawn_by_the_cli(kind, count, seed, states):
+    """The random samples ``cli`` drew itself before each system drew its own, written out."""
+    rng = np.random.default_rng(seed)
+    if kind == "finite":
+        return [int(v) for v in rng.integers(0, states, size=count)]
+    if kind == "two_state_linear":
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        mags = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
+        return [m * np.array([np.cos(a), np.sin(a)]) for a, m in zip(angles, mags)]
+    signs = rng.choice([-1.0, 1.0], size=count)
+    mags = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
+    return [float(s * m) for s, m in zip(signs, mags)]
+
+
+def _spread_before(kind, count, states):
+    """The fixed samples each system gave before it took an ``rng``, written out."""
+    magnitudes = np.logspace(-2.0, 2.0, count)
+    if kind == "finite":
+        return [int(i % states) for i in range(count)]
+    if kind == "two_state_linear":
+        directions = [
+            np.array([1.0, 0.0]),
+            np.array([0.0, 1.0]),
+            np.array([1.0, 1.0]) / np.sqrt(2.0),
+            np.array([-1.0, 1.0]) / np.sqrt(2.0),
+        ]
+        return [directions[i % len(directions)] * float(m) for i, m in enumerate(magnitudes)]
+    return [float(m) if i % 2 == 0 else -float(m) for i, m in enumerate(magnitudes)]
+
+
+def _bits(samples):
+    """Each sample's type and exact bytes."""
+    return [(type(x), np.asarray(x).tobytes()) for x in samples]
+
+
+def _samplers():
+    """(name, kind, state count, sampling rule) of each builtin and of a 7-state FiniteSystem."""
+    yield "finite_chain", "finite", 10, build_builtin("finite_chain").samples
+    seven = FiniteSystem(successor=np.zeros((7, 1), dtype=int),
+                         state_measure=np.arange(7.0), input_measure=np.zeros(1))
+    yield "FiniteSystem", "finite", 7, seven.samples
+    for name in ("scalar_linear", "saturating_scalar", "two_state_linear"):
+        yield name, name, None, build_builtin(name).samples
+
+
+class TestSamplingRules:
+    """Each system draws its own samples, bit for bit as before they moved out of ``cli``."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_random_draws_equal_the_cli_formulas(self, seed, count):
+        for name, kind, states, samples in _samplers():
+            drawn = samples(count, np.random.default_rng(seed))
+            assert _bits(drawn) == _bits(_drawn_by_the_cli(kind, count, seed, states)), name
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 16])
+    def test_fixed_spread_is_unchanged(self, count):
+        for name, kind, states, samples in _samplers():
+            assert _bits(samples(count)) == _bits(_spread_before(kind, count, states)), name
