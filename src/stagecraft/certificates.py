@@ -213,10 +213,8 @@ class UCCCert(_Certificate):
             yield _worst_row(sample, "total_cost", sums, bound, n0=1)
         if self.forward_invariant:
             inside = np.array([bool(self.domain(s)) for s in traj.states])
-            bad = np.flatnonzero(~inside)
-            n = int(bad[0]) if bad.size else 0
-            lhs = 1.0 if bad.size else 0.0
-            yield MarginRow(sample, "invariance", n, lhs, 0.0, lhs)
+            # argmax picks the first state outside, or state 0 when all are inside
+            yield _worst_row(sample, "invariance", (~inside).astype(float), np.zeros(inside.size))
 
 
 Certificate = Union[UACCert, UVCCert, UBgECCert, UCCCert]

@@ -11,7 +11,9 @@ Exit codes: 0 pass, 1 a verification report failed, 2 bad config or
 unmet precondition, 3 numeric or internal failure.  Identical config
 and seed produce byte-identical CSV and JSON artifacts.  This module
 writes every artifact, through ``_write_json`` and ``_write_csv``; the
-library returns values and opens no file.
+library returns values and opens no file.  Config numbers are read by
+the JSON codec's readers ``cmpfn._real`` and ``cmpfn._grid``, the rule
+every expression node, decay bound and finite measure table follows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cmpfn import fn_from_json, identity, scale, scale_kl
+from .cmpfn import _grid, _real, fn_from_json, identity, scale, scale_kl
 from .certificates import MarginRow, UVCCert, as_state_certificate, uvc_to_ubgec, verify
 from .converse import converse_pipeline
 from .errors import (
@@ -83,7 +85,7 @@ def _read(config: dict, *path: str, **convert) -> dict:
         if key in spec:
             try:
                 out[key] = converter(spec[key])
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError, OverflowError, ParameterError) as exc:
                 name = ".".join(path + (key,))
                 raise ConfigError(
                     f"bad value {spec[key]!r} for config key {name!r}: {exc}"
@@ -96,20 +98,6 @@ def _integer(value) -> int:
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise ValueError("expected an integer")
-
-
-def _real(value) -> float:
-    """A JSON number as a float: ``true`` and strings are not numbers."""
-    if isinstance(value, (bool, str)):
-        raise ValueError("expected a number")
-    return float(value)
-
-
-def _grid(values) -> np.ndarray:
-    """A list of JSON numbers as a float array: ``_real``'s rule for every entry."""
-    if not set(map(type, values)) <= {int, float}:
-        raise ValueError("expected a list of numbers")
-    return np.asarray(values, dtype=float)
 
 
 # the numeric params of the builtins that take any, by builtin name

@@ -4,8 +4,11 @@ Scalar comparison functions are expression trees over a fixed primitive
 set (identity, power, linear, const, sum, product, scale, compose,
 pointwise min, inverse-of, monotone table), so class membership is
 decided by construction instead of by probing arbitrary callables.
-Each node evaluates, inverts, checks and serialises itself, and
-``fn_from_json`` looks nodes up in one table keyed by ``op``.
+Each node evaluates, inverts and checks itself.  One field codec
+(``_CODECS``) writes and reads nodes, function wrappers and decay
+bounds alike, as JSON objects tagged by ``op`` and ``kind``: a JSON
+number is an int or a float, never a boolean or a string, in every
+field and array entry.
 Two wrappers are exposed for one-argument functions:
 
 * ``KInfFn``: zero at zero, strictly increasing, unbounded.
@@ -128,8 +131,7 @@ class Expr:
                 _node(getattr(self, f.name)).check(kinf)
 
     def to_obj(self):
-        fs = (f for f in fields(self) if f.init)
-        return {"op": self.op, **{f.name: _CODECS[f.type][0](getattr(self, f.name)) for f in fs}}
+        return _record_json(self, "op")
 
 
 @dataclass(frozen=True)
@@ -332,31 +334,12 @@ def _invert_numeric(expr, y):
 
 
 def _node_from_obj(obj):
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ParameterError(f"expression object must be a dict with an 'op' key, got {obj!r}")
-    op = obj["op"]
-    try:
-        node = _NODES[op]
-    except (KeyError, TypeError):
-        raise ParameterError(f"unknown expression op {op!r}") from None
-    try:
-        return node(*(_CODECS[f.type][1](obj[f.name]) for f in fields(node) if f.init))
-    except KeyError as exc:
-        raise ParameterError(f"expression op {op!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"expression op {op!r} has a malformed field: {exc}") from exc
+    return _record_from_json(obj, "op", _NODES, "expression")
 
 
 _NODES = {
     node.op: node
     for node in (Identity, Power, Linear, Const, Scale, Sum, Product, Min, Compose, InverseOf, Table)
-}
-
-# field annotation -> (to JSON, from JSON)
-_CODECS = {
-    "float": (lambda v: v, float),
-    "np.ndarray": (np.ndarray.tolist, np.asarray),
-    "Expr": (lambda node: node.to_obj(), _node_from_obj),
 }
 
 
@@ -375,17 +358,18 @@ def _on_points(method, x, domain):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+@dataclass(eq=False, repr=False)
 class NonnegFn:
     """Nonnegative scalar function backed by an expression tree; ``kind``
-    names the class in JSON, and a ``"kinf"`` tree must also grow
+    tags the record in JSON, and a ``"kinf"`` tree must also grow
     strictly and without bound."""
 
     __slots__ = ("expr",)
     kind = "nonneg"
+    expr: Expr
 
-    def __init__(self, expr):
-        _node(expr).check(self.kind == "kinf")
-        self.expr = expr
+    def __post_init__(self):
+        _node(self.expr).check(self.kind == "kinf")
 
     def eval(self, r):
         return _on_points(self.expr.eval, r, "comparison functions are defined on [0, inf)")
@@ -393,7 +377,7 @@ class NonnegFn:
     __call__ = eval
 
     def to_json(self):
-        return {"kind": self.kind, "expr": self.expr.to_obj()}
+        return _record_json(self, "kind")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.expr.to_obj()!r})"
@@ -508,13 +492,70 @@ def _strict_running_max(values):
     return (np.maximum.accumulate(values.view(np.int64) - steps, axis=0) + steps).view(float)
 
 
+_WRAPPERS = {wrapper.kind: wrapper for wrapper in (KInfFn, NonnegFn)}
+
+
 def fn_from_json(obj):
     """Rebuild a one-argument comparison function from its JSON form."""
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    for cls in (KInfFn, NonnegFn):
-        if kind == cls.kind:
-            return cls(_node_from_obj(obj.get("expr")))
-    raise ParameterError(f"unknown function kind {kind!r}")
+    return _record_from_json(obj, "kind", _WRAPPERS, "function")
+
+
+# ---------------------------------------------------------------------------
+# JSON codec
+# ---------------------------------------------------------------------------
+
+
+def _is_number(kind):
+    """Whether values of type ``kind`` are numbers: ints and floats, subclasses
+    such as ``np.float64`` included, but not ``bool`` and not ``str``."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _real(value):
+    """A JSON number as a float: ``true`` and strings are not numbers."""
+    if not _is_number(type(value)):
+        raise ValueError("expected a number")
+    return float(value)
+
+
+def _grid(values):
+    """A JSON array of numbers, nested to any depth, as a float array:
+    ``_real``'s rule for every entry."""
+    if not all(map(_is_number, set(map(type, np.asarray(values, dtype=object).ravel().tolist())))):
+        raise ValueError("expected an array of numbers")
+    return np.asarray(values, dtype=float)
+
+
+def _record_json(record, tag):
+    """A dataclass record as a JSON object: its ``tag`` attribute, then its
+    init fields in order, each written by the codec of its annotation."""
+    values = {f.name: _CODECS[f.type][0](getattr(record, f.name)) for f in fields(record) if f.init}
+    return {tag: getattr(record, tag), **values}
+
+
+def _record_from_json(obj, tag, records, noun):
+    """The record ``records[obj[tag]]``, its init fields read from ``obj`` by
+    their codecs; any fault is a ``ParameterError`` naming the record."""
+    key = obj.get(tag) if isinstance(obj, dict) else None
+    try:
+        cls = records[key]
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown {noun} {tag} {key!r} in {obj!r}") from None
+    try:
+        return cls(*(_CODECS[f.type][1](obj[f.name]) for f in fields(cls) if f.init))
+    except KeyError as exc:
+        raise ParameterError(f"{noun} {tag} {key!r} is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{noun} {tag} {key!r} has a malformed field: {exc}") from exc
+
+
+# field annotation -> (to JSON, from JSON)
+_CODECS = {
+    "float": (lambda v: v, _real),
+    "np.ndarray": (np.ndarray.tolist, _grid),
+    "Expr": (Expr.to_obj, _node_from_obj),
+    "KInfFn": (KInfFn.to_json, fn_from_json),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +580,7 @@ def _kl_domain(r, t):
 class KLFn:
     """Base class for bounds beta(r, t): increasing in r, decaying in t.
 
+    Each form is a dataclass record whose ``kind`` tags its JSON.
     ``eval(r, t)`` takes scalars or arrays that broadcast against each
     other and returns one value per broadcast point; two scalars give a
     ``float``.  Every call checks the domain once: r must be finite and
@@ -554,13 +596,14 @@ class KLFn:
     __call__ = eval
 
     def to_json(self):
-        raise NotImplementedError
+        return _record_json(self, "kind")
 
 
 @dataclass(frozen=True)
 class SeparableKL(KLFn):
     """beta(r, t) = outer(decay**t * inner(r)) with decay in (0, 1)."""
 
+    kind = "kl.separable"
     outer: KInfFn
     decay: float
     inner: KInfFn
@@ -578,14 +621,6 @@ class SeparableKL(KLFn):
         return float(out[0]) if r.ndim == t.ndim == 0 else out
 
     __call__ = eval
-
-    def to_json(self):
-        return {
-            "kind": "kl.separable",
-            "outer": self.outer.to_json(),
-            "decay": self.decay,
-            "inner": self.inner.to_json(),
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,6 +641,7 @@ class SampledKL(KLFn):
     kernel; so a float call equals its entry in any array bitwise.
     """
 
+    kind = "kl.sampled"
     r_grid: np.ndarray
     t_grid: np.ndarray
     values: np.ndarray
@@ -677,35 +713,13 @@ class SampledKL(KLFn):
 
     __call__ = eval
 
-    def to_json(self):
-        return {
-            "kind": "kl.sampled",
-            "r_grid": [float(x) for x in self.r_grid],
-            "t_grid": [float(x) for x in self.t_grid],
-            "values": [[float(x) for x in row] for row in self.values],
-        }
+
+_BOUNDS = {bound.kind: bound for bound in (SeparableKL, SampledKL)}
 
 
 def kl_from_json(obj):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    try:
-        if kind == "kl.separable":
-            return SeparableKL(
-                outer=fn_from_json(obj["outer"]),
-                decay=float(obj["decay"]),
-                inner=fn_from_json(obj["inner"]),
-            )
-        if kind == "kl.sampled":
-            return SampledKL(
-                r_grid=np.asarray(obj["r_grid"], dtype=float),
-                t_grid=np.asarray(obj["t_grid"], dtype=float),
-                values=np.asarray(obj["values"], dtype=float),
-            )
-    except KeyError as exc:
-        raise ParameterError(f"decay bound {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"decay bound {kind!r} has a malformed field: {exc}") from exc
-    raise ParameterError(f"unknown decay-bound kind {kind!r}")
+    """Rebuild a decay bound from its JSON form."""
+    return _record_from_json(obj, "kind", _BOUNDS, "decay-bound")
 
 
 def scale_kl(beta, c):

@@ -28,7 +28,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .cmpfn import identity, strict_table
+from .cmpfn import _grid, _record_json, identity, strict_table
 from .certificates import PolicyOracle, UCCCert
 from .errors import EnvelopeError, ParameterError, StagecraftError
 from .system import ControlSystem, StageCost
@@ -57,6 +57,7 @@ class FiniteSystem:
     cost-free resting place can exist.
     """
 
+    kind = "finite_system"
     successor: np.ndarray
     state_measure: np.ndarray
     input_measure: np.ndarray
@@ -106,24 +107,17 @@ class FiniteSystem:
         )
 
     def to_json(self) -> dict:
-        return {
-            "kind": "finite_system",
-            "successor": self.successor.tolist(),
-            "state_measure": self.state_measure.tolist(),
-            "input_measure": self.input_measure.tolist(),
-        }
+        return _record_json(self, "kind")
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteSystem":
         try:
-            tables = {
-                key: np.asarray(obj[key], dtype=dtype)
-                for key, dtype in (("successor", None), ("state_measure", float),
-                                   ("input_measure", float))
-            }
+            tables = {"successor": np.asarray(obj["successor"]),
+                      "state_measure": _grid(obj["state_measure"]),
+                      "input_measure": _grid(obj["input_measure"])}
         except KeyError as exc:
             raise ParameterError(f"finite system JSON needs {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed finite system JSON: {exc}") from None
         # JSON booleans are Python ints, so an array of them mixed with indices reads as ints
         if any(type(v) is bool for v in np.asarray(obj["successor"], dtype=object).ravel().tolist()):

@@ -20,6 +20,11 @@ def write_config(tmp_path, payload):
     return str(path)
 
 
+def kinf(expr):
+    """The JSON of a strictly increasing unbounded function with tree ``expr``."""
+    return {"kind": "kinf", "expr": expr}
+
+
 def run(tmp_path, command, payload, seed=0, outname="out"):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / outname
@@ -235,6 +240,46 @@ class TestConfigErrors:
                 },
                 "successor entries must be integers",
             ),
+            # each of these ran to PASS when the expression codec read numbers with float()
+            # or np.asarray, and the finite system read its measures with np.asarray
+            (
+                "synthesize",
+                {"system": SCALAR, "synthesis": {"state_cost": kinf({"op": "linear", "c": "0.5"})}},
+                "'synthesis.state_cost'",
+            ),
+            (
+                "synthesize",
+                {"system": SCALAR, "interaction": {"gain": kinf({"op": "linear", "c": True})}},
+                "'interaction.gain'",
+            ),
+            (
+                "oracle",
+                {
+                    "system": {"builtin": "finite_chain"},
+                    "oracle": {"stage_cost": {"state_cost": kinf(
+                        {"op": "table", "x": ["0", "1", "2"], "y": [0.0, 1.0, 2.0]})}},
+                },
+                "'oracle.stage_cost.state_cost'",
+            ),
+            (
+                "oracle",
+                {
+                    "system": {
+                        "finite": {
+                            "successor": [[0, 0], [1, 0]],
+                            "state_measure": ["0", "1"],
+                            "input_measure": [0.0, 1.0],
+                        }
+                    }
+                },
+                "malformed finite system JSON",
+            ),
+            # an expression that is not an object is named in the message
+            (
+                "synthesize",
+                {"system": SCALAR, "synthesis": {"state_cost": {"kind": "kinf", "expr": "linear"}}},
+                "unknown expression op None in 'linear'",
+            ),
         ],
         ids=[
             "certificate_not_object",
@@ -265,6 +310,11 @@ class TestConfigErrors:
             "margin_nan",
             "margin_infinite",
             "successor_fractional",
+            "state_cost_string",
+            "gain_bool",
+            "oracle_table_strings",
+            "finite_measure_strings",
+            "state_cost_expr_not_object",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload, needle):

@@ -35,6 +35,7 @@ from stagecraft import (
     strict_table,
     table_fn,
 )
+from stagecraft.cli import _json_text
 from stagecraft.cmpfn import _NODES, Scale, Table, _max_per_x
 from support import (
     LOG_GRID,
@@ -218,6 +219,9 @@ class TestSerialization:
         back = kl_from_json(beta.to_json())
         assert back.decay == 0.25
         assert back.eval(2.0, 1.0) == pytest.approx(beta.eval(2.0, 1.0), rel=1e-12)
+        # a numpy float is a number; the writer passes it through, and it reads again
+        beta = SeparableKL(outer=identity(), decay=np.float64(0.5), inner=identity())
+        assert kl_from_json(beta.to_json()).decay == 0.5
 
     def test_sampled_round_trip(self):
         beta, _ = random_sampled(np.random.default_rng(3))
@@ -237,12 +241,44 @@ class TestSerialization:
             ({**SEPARABLE, "decay": None}, "malformed field"),
             ({**SAMPLED, "values": [[0.0, 0.0], [1.0]]}, "malformed field"),
             ({k: v for k, v in SAMPLED.items() if k != "t_grid"}, "missing field 't_grid'"),
+            # a wrapper that is not an object is named in the message
+            ({**SEPARABLE, "decay": 0.5, "outer": "identity"}, "unknown function kind None in 'identity'"),
+            ({**SEPARABLE, "decay": 0.5, "outer": {"kind": "kinf", "expr": "linear"}},
+             "unknown expression op None in 'linear'"),
         ],
-        ids=["no_outer", "decay_string", "decay_null", "ragged_values", "no_t_grid"],
+        ids=["no_outer", "decay_string", "decay_null", "ragged_values", "no_t_grid",
+             "outer_not_object", "expr_not_object"],
     )
     def test_malformed_bound_raises_parameter_error(self, obj, needle):
         with pytest.raises(ParameterError, match=needle):
             kl_from_json(obj)
+
+    # for each numeric field of the format, a record holding ``v`` there, and a ``v`` that reads
+    NUMERIC_FIELDS = {
+        "power.p": (lambda v: {"op": "power", "p": v}, 1),
+        "linear.c": (lambda v: {"op": "linear", "c": v}, 1),
+        "const.c": (lambda v: {"op": "const", "c": v}, 1),
+        "scale.c": (lambda v: {"op": "scale", "c": v, "inner": {"op": "identity"}}, 1),
+        "table.x": (lambda v: {"op": "table", "x": [0.0, v, 2.0], "y": [0.0, 0.5, 3.0]}, 1),
+        "table.y": (lambda v: {"op": "table", "x": [0.0, 0.5, 2.0], "y": [0.0, v, 3.0]}, 1),
+        "kl.separable.decay": (lambda v, kl=SEPARABLE: {**kl, "decay": v}, 0.5),
+        "kl.sampled.r_grid": (lambda v, kl=SAMPLED: {**kl, "r_grid": [0, v], "values": [[0, 0], [2, 1]]}, 1),
+        "kl.sampled.t_grid": (lambda v, kl=SAMPLED: {**kl, "t_grid": [0, v], "values": [[0, 0], [2, 1]]}, 1),
+        "kl.sampled.values": (lambda v, kl=SAMPLED: {**kl, "values": [[0, 0], [2, v]]}, 1),
+    }
+
+    @pytest.mark.parametrize("bad", [True, "1"], ids=["true", "string"])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_booleans_and_strings_are_not_json_numbers(self, field, bad):
+        record, good = self.NUMERIC_FIELDS[field]
+
+        def read(v):
+            obj = record(v)
+            return kl_from_json(obj) if "kind" in obj else fn_from_json({"kind": "nonneg", "expr": obj})
+
+        read(good)
+        with pytest.raises(ParameterError, match="malformed field"):
+            read(bad)
 
 
 class TestInvariantChecks:
@@ -700,6 +736,40 @@ class TestNodeSerialization:
         legacy = {**json.loads(ALL_OPS_JSON), "positive_definite": "no"}
         assert json.dumps(fn_from_json(legacy).to_json()) == ALL_OPS_JSON
         np.testing.assert_array_equal(bits(back.eval(LOG_GRID)), bits(tree.eval(LOG_GRID)))
+
+    @pytest.mark.parametrize(
+        "beta, text",
+        [
+            (
+                SeparableKL(outer=power(2.0), decay=0.25, inner=linear(3.0)),
+                '{"kind": "kl.separable", "outer": {"kind": "kinf", "expr": {"op": "power", '
+                '"p": 2.0}}, "decay": 0.25, "inner": {"kind": "kinf", "expr": {"op": "linear", '
+                '"c": 3.0}}}',
+            ),
+            # integer input, written as floats
+            (
+                SampledKL(r_grid=[0, 1, 2.5], t_grid=[0, 1, 3],
+                          values=[[0, 0, 0], [2, 1, 0.5], [5, 2.5, 1.25]]),
+                '{"kind": "kl.sampled", "r_grid": [0.0, 1.0, 2.5], "t_grid": [0.0, 1.0, 3.0], '
+                '"values": [[0.0, 0.0, 0.0], [2.0, 1.0, 0.5], [5.0, 2.5, 1.25]]}',
+            ),
+        ],
+        ids=["separable", "sampled"],
+    )
+    def test_bound_json_bytes_are_pinned(self, beta, text):
+        assert json.dumps(beta.to_json()) == text
+        assert json.dumps(kl_from_json(json.loads(text)).to_json()) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_bound_round_trips_through_the_artifact_writer(self, seed, separable):
+        rng = np.random.default_rng(seed)
+        beta = random_separable(rng) if separable else random_sampled(rng, 12, 10)[0]
+        text = _json_text(beta.to_json(), "", {})
+        back = kl_from_json(json.loads(text))
+        assert back.to_json() == json.loads(text)
+        rs, ts = np.geomspace(1e-3, 1e3, 9)[:, None], np.linspace(0.0, 40.0, 9)[None, :]
+        np.testing.assert_array_equal(bits(back.eval(rs, ts)), bits(beta.eval(rs, ts)))
 
     @pytest.mark.parametrize(
         "expr",

@@ -299,6 +299,12 @@ class TestFiniteSystem:
         assert np.array_equal(back.state_measure, fsys.state_measure)
         assert np.array_equal(back.input_measure, fsys.input_measure)
 
+    def test_json_bytes_are_pinned(self):
+        assert json.dumps(countdown(3).to_json()) == (
+            '{"kind": "finite_system", "successor": [[0, 0], [1, 0], [2, 1]], '
+            '"state_measure": [0.0, 1.0, 2.0], "input_measure": [0.0, 1.0]}'
+        )
+
     def test_json_without_a_table_is_a_parameter_error(self):
         payload = countdown(3).to_json()
         del payload["state_measure"]
@@ -308,8 +314,11 @@ class TestFiniteSystem:
     @pytest.mark.parametrize(
         "payload",
         [[1, 2], {"successor": [[0], [0, 1]], "state_measure": [0.0], "input_measure": [0.0]},
-         {"successor": [[0]], "state_measure": ["a"], "input_measure": [0.0]}],
-        ids=["not_an_object", "ragged_successor", "non_numeric_measure"],
+         {"successor": [[0]], "state_measure": ["a"], "input_measure": [0.0]},
+         {"successor": [[0]], "state_measure": ["0"], "input_measure": [0.0]},
+         {"successor": [[0]], "state_measure": [0.0], "input_measure": [True]}],
+        ids=["not_an_object", "ragged_successor", "non_numeric_measure", "string_measure",
+             "boolean_measure"],
     )
     def test_malformed_json_is_a_parameter_error(self, payload):
         with pytest.raises(ParameterError, match="malformed finite system JSON"):
