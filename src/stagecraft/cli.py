@@ -62,6 +62,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -205,6 +207,8 @@ def _draw_samples(builtin, finite, config: dict, seed: int) -> list:
         raise ConfigError(f"sample count must be nonnegative, got {count}")
     if mode not in ("default", "random"):
         raise ConfigError(f"unknown sample mode {mode!r}")
+    if mode == "random" and seed < 0:
+        raise ConfigError(f"--seed must be nonnegative for random samples, got {seed}")
     rng = np.random.default_rng(seed) if mode == "random" else None
     return (builtin or finite).samples(count, rng)
 
@@ -401,7 +405,10 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from None
         return _COMMANDS[args.command](config, args.out, args.seed)
     except (ParameterError, ChoiceRejectedError, InteractionRejectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

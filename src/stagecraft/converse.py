@@ -66,6 +66,9 @@ DEFAULT_EPS_TILDE_FACTOR = 0.5
 
 _STRICTIFIER = 1e-3
 _STEP_CAP = 10 ** 9
+# round m's budget share is top * 2.0**-m, and 2.0**-m is 0.0 from m = 1,075 on:
+# that round's target is 0 and it is always cut, so deeper rounds only add work
+_MAX_ROUNDS = 1074
 
 
 def _gauges(ucc: UCCCert) -> Tuple[KInfFn, NonnegFn]:
@@ -390,6 +393,7 @@ def _schedules(
             raise ParameterError(f"radius must be finite and positive, got {radius!r}")
     if depth < 1:
         raise ParameterError(f"depth must be at least 1, got {depth}")
+    depth = min(depth, _MAX_ROUNDS)
 
     state_gauge, excursion, relay = bounds
     radii = np.asarray(radii, dtype=float)

@@ -4,7 +4,8 @@ Each entry bundles a small control system, a policy, matching decay
 certificates whose bounds are tight enough to be interesting (several
 hold with margin exactly zero), and its own sampling rule, fixed or random.
 These are the fixtures the command line and the test suite exercise
-end to end.
+end to end.  ``_separable`` builds the three plants with a separable state
+bound: its rate is their natural decay and prices their energy budget.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cmpfn import DEFAULT_T_GRID, SampledKL, SeparableKL, identity, linear
+from .cmpfn import DEFAULT_T_GRID, KLFn, SampledKL, SeparableKL, identity, linear
 from .certificates import PolicyOracle, UBgECCert, UVCCert, uvc_to_ubgec
 from .errors import ParameterError
 from .oracle import FiniteSystem
@@ -36,10 +37,6 @@ class BuiltinSystem:
     samples: Callable[..., list]  # (count, rng=None): a fixed spread, or draws from rng
     finite: Optional[FiniteSystem] = None
 
-    @property
-    def policy(self) -> PolicyOracle:
-        return self.uvc.policy
-
 
 def _zero_policy() -> PolicyOracle:
     return PolicyOracle(prefix=lambda x, n: [], ref="zero")
@@ -52,6 +49,16 @@ def _signed_magnitudes(count: int, rng: Optional[np.random.Generator] = None) ->
     return (signs * 10.0 ** rng.uniform(-2.0, 2.0, size=count)).tolist()
 
 
+def _separable(name: str, system: ControlSystem, policy: PolicyOracle, state_bound: SeparableKL,
+               control_bound: KLFn, samples: Callable[..., list]) -> BuiltinSystem:
+    """A builtin whose natural decay is the rate of its separable state
+    bound, with the energy-budget certificate traded at that rate."""
+    uvc = UVCCert(state_bound=state_bound, control_bound=control_bound, policy=policy)
+    return BuiltinSystem(name=name, system=system, uvc=uvc, samples=samples,
+                         ubgec=uvc_to_ubgec(uvc, decay=state_bound.decay),
+                         natural_decay=state_bound.decay)
+
+
 def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) -> BuiltinSystem:
     """One-dimensional linear system, open loop or under a linear gain.
 
@@ -61,6 +68,10 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
     envelopes of the closed-loop trajectory.
     """
     a, b = float(a), float(b)
+    gain = None if gain is None else float(gain)
+    for key, value in (("a", a), ("b", b), ("gain", gain)):
+        if value is not None and not np.isfinite(value):
+            raise ParameterError(f"scalar_linear parameter {key!r} must be finite, got {value!r}")
     sys = ControlSystem(
         transition=lambda x, u: a * x + b * u,
         state_measure=abs,
@@ -72,9 +83,8 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
         if contraction >= 1.0:
             raise ParameterError(f"drift {a!r} does not contract; provide a gain")
         policy = _zero_policy()
-        control_bound = SeparableKL(outer=identity(), decay=contraction, inner=identity())
+        inner = identity()
     else:
-        gain = float(gain)
         contraction = abs(a + b * gain)
         if contraction >= 1.0:
             raise ParameterError(f"closed loop {a + b * gain!r} does not contract")
@@ -92,19 +102,11 @@ def scalar_linear(a: float = 0.5, b: float = 1.0, gain: Optional[float] = None) 
             return controls
 
         policy = PolicyOracle(prefix=prefix, ref="linear gain")
-        control_bound = SeparableKL(
-            outer=identity(), decay=contraction, inner=linear(max(abs(gain), 1e-12))
-        )
-    state_bound = SeparableKL(outer=identity(), decay=contraction, inner=identity())
-    uvc = UVCCert(state_bound=state_bound, control_bound=control_bound, policy=policy)
-    return BuiltinSystem(
-        name="scalar_linear",
-        system=sys,
-        uvc=uvc,
-        ubgec=uvc_to_ubgec(uvc, decay=contraction),
-        natural_decay=contraction,
-        samples=_signed_magnitudes,
-    )
+        inner = linear(max(abs(gain), 1e-12))
+    return _separable("scalar_linear", sys, policy,
+                      SeparableKL(outer=identity(), decay=contraction, inner=identity()),
+                      SeparableKL(outer=identity(), decay=contraction, inner=inner),
+                      _signed_magnitudes)
 
 
 def two_state_linear() -> BuiltinSystem:
@@ -116,7 +118,6 @@ def two_state_linear() -> BuiltinSystem:
     Its ratio to the declared rate ``0.7**n`` is 1 at n = 0 and at most
     0.915 (at n = 1) for n >= 1, so the envelope constant is 1.
     """
-    decay = 0.7
     A = np.array([[0.5, 0.25], [0.0, 0.5]])
     B = np.array([0.0, 1.0])
     sys = ControlSystem(
@@ -127,8 +128,7 @@ def two_state_linear() -> BuiltinSystem:
         input_measure=abs,
         vectorized=True,
     )
-    bound = SeparableKL(outer=identity(), decay=decay, inner=linear(1.0))
-    uvc = UVCCert(state_bound=bound, control_bound=bound, policy=_zero_policy())
+    bound = SeparableKL(outer=identity(), decay=0.7, inner=linear(1.0))
 
     directions = [
         np.array([1.0, 0.0]),
@@ -147,14 +147,7 @@ def two_state_linear() -> BuiltinSystem:
         mags = 10.0 ** rng.uniform(-2.0, 2.0, size=count)
         return [m * np.array([np.cos(a), np.sin(a)]) for a, m in zip(angles, mags)]
 
-    return BuiltinSystem(
-        name="two_state_linear",
-        system=sys,
-        uvc=uvc,
-        ubgec=uvc_to_ubgec(uvc, decay=decay),
-        natural_decay=decay,
-        samples=samples,
-    )
+    return _separable("two_state_linear", sys, _zero_policy(), bound, bound, samples)
 
 
 def finite_chain(length: int = 10) -> BuiltinSystem:
@@ -197,6 +190,7 @@ def finite_chain(length: int = 10) -> BuiltinSystem:
         system=sys,
         uvc=uvc,
         ubgec=ubgec,
+        # the sampled bound decays hyperbolically and has no rate of its own
         natural_decay=0.5,
         samples=finite.samples,
         finite=finite,
@@ -225,15 +219,7 @@ def saturating_scalar() -> BuiltinSystem:
     )
     policy = PolicyOracle(prefix=lambda x, n: [-drift(x)][:n], ref="deadbeat")
     bound = SeparableKL(outer=identity(), decay=0.5, inner=identity())
-    uvc = UVCCert(state_bound=bound, control_bound=bound, policy=policy)
-    return BuiltinSystem(
-        name="saturating_scalar",
-        system=sys,
-        uvc=uvc,
-        ubgec=uvc_to_ubgec(uvc, decay=0.5),
-        natural_decay=0.5,
-        samples=_signed_magnitudes,
-    )
+    return _separable("saturating_scalar", sys, policy, bound, bound, _signed_magnitudes)
 
 
 BUILTIN_FACTORIES = {

@@ -220,7 +220,7 @@ def test_criterion_6_transient_burst_budget(capsys):
     cert = UCCCert(
         stage_cost=StageCost(cross_cost=spec.cross),
         cost_bound=split.total_bound,
-        policy=builtin.policy,
+        policy=builtin.uvc.policy,
     )
     samples = [0.25, -1.0, 4.0, -16.0, 50.0]
     report = verify(cert, builtin.system, samples, horizon=64)

@@ -197,7 +197,7 @@ class TestVerifyRicherCerts:
             state_bound=b.uvc.state_bound,
             energy=identity(),
             energy_budget=scale(2.0, identity()),
-            policy=b.policy,
+            policy=b.uvc.policy,
         )
         report = verify(cert, b.system, b.samples(6), horizon=64)
         assert report.passed

@@ -280,6 +280,19 @@ class TestConfigErrors:
                 {"system": SCALAR, "synthesis": {"state_cost": {"kind": "kinf", "expr": "linear"}}},
                 "unknown expression op None in 'linear'",
             ),
+            # each of these exited 3 once the first state became non-finite
+            ("verify", {"system": {**SCALAR, "params": {"b": math.nan}}}, "'b' must be finite"),
+            (
+                "synthesize",
+                {"system": {**SCALAR, "params": {"b": math.inf}}},
+                "'b' must be finite",
+            ),
+            (
+                "converse",
+                {"system": {**SCALAR, "params": {"a": 1.2, "b": 1.0, "gain": math.nan}},
+                 "certificate": {"kind": "synthesize"}},
+                "'gain' must be finite",
+            ),
         ],
         ids=[
             "certificate_not_object",
@@ -315,6 +328,9 @@ class TestConfigErrors:
             "oracle_table_strings",
             "finite_measure_strings",
             "state_cost_expr_not_object",
+            "b_nan",
+            "b_infinite",
+            "gain_nan",
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload, needle):
@@ -372,6 +388,39 @@ class TestConfigErrors:
         rc, _ = run(tmp_path, "verify", {"system": system, "samples": samples})
         assert rc == 2
         assert capsys.readouterr().err == message + "\n"
+
+    def test_negative_seed_with_random_samples_exits_two(self, tmp_path, capsys):
+        payload = {"system": self.SCALAR, "samples": {"count": 2, "mode": "random"}}
+        rc, _ = run(tmp_path, "verify", payload, seed=-1)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be nonnegative for random samples, got -1\n"
+        )
+        # the default spread draws nothing, so it takes any seed
+        rc, _ = run(tmp_path, "verify", {"system": self.SCALAR, "samples": {"count": 2}}, seed=-1)
+        assert rc == 0
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+    def test_out_that_is_a_file_exits_two(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = str(blocker / below) if below else str(blocker)
+        cfg = write_config(tmp_path, {"system": self.SCALAR, "samples": {"count": 2}})
+        rc = main(["verify", "--config", cfg, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot create output directory {out!r}: ")
+        assert err.count("\n") == 1
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: config {str(path)!r} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_bad_value_message_names_the_key(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "converse", {**self.CHAIN_ORACLE, "converse": {"nu_depth": "deep"}})

@@ -699,6 +699,23 @@ class TestBatchedSchedule:
         assert len(schedules) == count
         assert len(inversions) == 2
 
+    @pytest.mark.parametrize("name", ["chain", "synthesized"])
+    def test_no_schedule_computes_more_than_1074_rounds(self, monkeypatch, name):
+        # from round 1,075 on the budget share top * 2.0**-m is 0.0 and the round is cut
+        ucc = _schedule_cert(name)
+        radii = [0.5, 1.0, 3.0]
+        bounds = _bounds(ucc, 0.5)
+        assert _schedules(ucc, bounds, 0.5, radii, 5000) == _schedules(ucc, bounds, 0.5, radii, 1074)
+        inversions = []
+        numeric = cmpfn._invert_numeric
+        monkeypatch.setattr(
+            cmpfn, "_invert_numeric", lambda expr, y: inversions.append(y.size) or numeric(expr, y)
+        )
+        _, schedules = assemble_state_bound(ucc, radii, 5000)
+        assert all(schedule.depth <= 1074 for schedule in schedules)
+        # the relay inverts each round's level and each radius's share of it
+        assert inversions and max(inversions) <= 1074 * (1 + len(radii))
+
     def test_round_one_budget_error_propagates_from_assemble(self):
         # under the cap of 1e9 steps radius 1 settles in every round and radius 1e8 not at all
         assert settling_schedule(doubling_cert(), 1.0, 4).round_horizons == (47, 95, 191, 383)

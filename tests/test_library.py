@@ -10,6 +10,7 @@ from stagecraft import (
     FiniteSystem,
     ParameterError,
     build_builtin,
+    uvc_to_ubgec,
     verify,
 )
 from support import assert_prefix_closed
@@ -59,9 +60,31 @@ class TestShippedCertificates:
         assert first.n == 0
         assert first.margin == 0.0
 
-    def test_policy_property_mirrors_the_state_certificate(self):
-        builtin = build_builtin("saturating_scalar")
-        assert builtin.policy is builtin.uvc.policy
+
+SEPARABLE = [
+    ("scalar_linear", None),
+    ("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7}),
+    ("two_state_linear", None),
+    ("saturating_scalar", None),
+]
+
+
+class TestSeparableBuiltins:
+    """A separable plant states its rate once, in its bounds."""
+
+    @pytest.mark.parametrize("name, params", SEPARABLE)
+    def test_natural_decay_and_energy_certificate_follow_the_state_bound(self, name, params):
+        builtin = build_builtin(name, params)
+        assert builtin.natural_decay == builtin.uvc.state_bound.decay
+        expected = uvc_to_ubgec(builtin.uvc, decay=builtin.natural_decay)
+        assert builtin.ubgec.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("key", ["a", "b", "gain"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scalar_linear_rejects_non_finite_parameters(self, key, value):
+        params = {"a": 1.2, "b": 1.0, "gain": -0.7, key: value}
+        with pytest.raises(ParameterError, match=f"'{key}' must be finite"):
+            build_builtin("scalar_linear", params)
 
 
 class TestPoliciesArePrefixClosed:
@@ -73,7 +96,7 @@ class TestPoliciesArePrefixClosed:
     def test_controls_are_the_first_of_longer_requests(self, name, params):
         builtin = build_builtin(name, params)
         for x in builtin.samples(6):
-            assert_prefix_closed(builtin.policy, x, [0, 1, 2, 255, 256, 511, 512, 513, 2600])
+            assert_prefix_closed(builtin.uvc.policy, x, [0, 1, 2, 255, 256, 511, 512, 513, 2600])
 
 
 class TestScalarLinear:
@@ -89,7 +112,7 @@ class TestScalarLinear:
         builtin = build_builtin("scalar_linear", {"a": 1.2, "b": 1.0, "gain": -0.7})
         sys = builtin.system
         x = 3.0
-        for n, u in enumerate(builtin.policy.controls(3.0, 40)):
+        for n, u in enumerate(builtin.uvc.policy.controls(3.0, 40)):
             assert u == -0.7 * x
             x = sys.transition(x, u)
         assert abs(x) <= 0.5 ** 40 * 3.0 * (1.0 + 1e-12)
@@ -169,7 +192,7 @@ class TestSaturatingScalar:
         builtin = build_builtin("saturating_scalar")
         sys = builtin.system
         for x0 in (0.3, -4.0, 100.0):
-            u = builtin.policy.controls(x0, 1)[0]
+            u = builtin.uvc.policy.controls(x0, 1)[0]
             assert sys.transition(x0, u) == 0.0
 
     def test_drift_is_globally_small(self):

@@ -346,7 +346,7 @@ class TestTransientSplit:
         cert = UCCCert(
             stage_cost=StageCost(cross_cost=spec.cross),
             cost_bound=bound,
-            policy=simple.policy,
+            policy=simple.uvc.policy,
         )
         report = verify(cert, simple.system, [0.25, -1.0, 4.0, -16.0, 50.0], horizon=64)
         assert report.passed
