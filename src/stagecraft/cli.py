@@ -64,6 +64,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config {path!r} nests too deeply to read") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -219,7 +221,11 @@ def _replay(config: dict) -> dict:
 
 
 def _artifact(out_dir: str, name: str):
-    return open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="")
+    path = os.path.join(out_dir, name)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact {path!r}: {exc}") from None
 
 
 def _json_text(value, pad: str, formatted: dict) -> str:
@@ -332,7 +338,7 @@ def cmd_converse(config: dict, out_dir: str, seed: int) -> int:
     builtin, sys_, finite = _build_system(config)
     ucc = _ucc_from_config(config, builtin, finite)
     samples = _draw_samples(builtin, finite, config, seed)
-    params = _read(config, "converse", depth=_integer, nu_depth=_integer, eps_tilde_factor=_real)
+    params = _read(config, "converse", depth=_integer, nu_depth=_integer)
     result = converse_pipeline(ucc, sys_, samples, **_replay(config), **params)
     _write_json(result.to_json(), out_dir, "converse.json")
     bound = result.cert.state_bound

@@ -62,8 +62,12 @@ __all__ = [
 
 DEFAULT_DEPTH = 16
 DEFAULT_NU_DEPTH = 48
-DEFAULT_EPS_TILDE_FACTOR = 0.5
 
+# each round scans for the excursion level of this share of its target.  Any
+# share in (0, 1) is sound, since a rollout restarted below that level stays
+# under the target: a smaller share lengthens the horizons, a larger one leaves
+# less room below the target, and one half balances the two for every run
+_EPS_TILDE_FACTOR = 0.5
 _STRICTIFIER = 1e-3
 _STEP_CAP = 10 ** 9
 # round m's budget share is top * 2.0**-m, and 2.0**-m is 0.0 from m = 1,075 on:
@@ -94,8 +98,7 @@ def excursion_bound(ucc: UCCCert) -> KInfFn:
     state, so the whole trajectory cost bounds each state: apply the
     inverse state gauge to the cost bound.
     """
-    state_gauge, _ = _gauges(ucc)
-    return compose(inverse_of(state_gauge), ucc.cost_bound)
+    return _bounds(ucc)[1]
 
 
 def relay_bound(ucc: UCCCert) -> KInfFn:
@@ -105,30 +108,23 @@ def relay_bound(ucc: UCCCert) -> KInfFn:
     hand-off state, whose measure the excursion bound caps, plus the
     cost bound from there.
     """
-    return _relay(ucc, excursion_bound(ucc))
-
-
-def _relay(ucc: UCCCert, excursion: KInfFn) -> KInfFn:
-    """``relay_bound`` from the excursion bound already built."""
-    bound = ucc.cost_bound
-    return combine(bound, compose(bound, excursion), "sum")
+    return _bounds(ucc)[2]
 
 
 def total_bound(ucc: UCCCert) -> KInfFn:
-    """Cost bound for the full settling schedule of hand-offs."""
-    return combine(relay_bound(ucc), ucc.cost_bound, "sum")
+    """Cost bound for the full settling schedule of hand-offs: the relay
+    bound plus the cost bound."""
+    return _bounds(ucc)[3]
 
 
-def _bounds(ucc: UCCCert, eps_tilde_factor: float) -> Tuple[KInfFn, KInfFn, KInfFn]:
-    """State gauge, excursion bound and relay bound of ``ucc``, each built once.
-
-    Checks ``eps_tilde_factor`` first and the certificate second, the
-    order every public step reports them in.
-    """
-    if not 0.0 < eps_tilde_factor < 1.0:
-        raise ParameterError(f"eps_tilde_factor must lie in (0, 1), got {eps_tilde_factor!r}")
-    excursion = excursion_bound(ucc)
-    return ucc.stage_cost.state_cost, excursion, _relay(ucc, excursion)
+def _bounds(ucc: UCCCert) -> Tuple[KInfFn, KInfFn, KInfFn, KInfFn]:
+    """State gauge and the excursion, relay and total bounds of ``ucc``,
+    after ``_gauges`` checks it: the one place the converse composes them."""
+    state_gauge, _ = _gauges(ucc)
+    bound = ucc.cost_bound
+    excursion = compose(inverse_of(state_gauge), bound)
+    relay = combine(bound, compose(bound, excursion), "sum")
+    return state_gauge, excursion, relay, combine(relay, bound, "sum")
 
 
 def _within(sys: ControlSystem, x, radius: Optional[float]):
@@ -159,33 +155,28 @@ def _steps(radius, eps, threshold, floor_cost, top) -> int:
     return max(1, math.ceil(value))
 
 
-def _settle(ucc: UCCCert, bounds, eps_tilde_factor: float, radius: float, eps: float):
+def _settle(ucc: UCCCert, bounds, radius: float, eps: float):
     """Threshold of the target ``eps`` and the settle horizon from ``radius``."""
     if not (np.isfinite(radius) and radius >= 0):
         raise ParameterError(f"radius must be finite and nonnegative, got {radius!r}")
     if not (np.isfinite(eps) and eps > 0):
         raise ParameterError(f"target must be finite and positive, got {eps!r}")
-    state_gauge, excursion, _ = bounds
-    threshold = excursion.invert(eps_tilde_factor * eps)
+    state_gauge, excursion, _, _ = bounds
+    threshold = excursion.invert(_EPS_TILDE_FACTOR * eps)
     top = ucc.cost_bound.eval(radius)
     return threshold, _steps(radius, eps, threshold, state_gauge.eval(threshold), top)
 
 
-def settle_horizon(
-    ucc: UCCCert,
-    radius: float,
-    eps: float,
-    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
-) -> int:
+def settle_horizon(ucc: UCCCert, radius: float, eps: float) -> int:
     """Steps within which a certified rollout must dip below a threshold.
 
-    The threshold is the excursion level of ``eps_tilde_factor *
-    eps``.  Each step spent above it costs at least the state gauge
-    of the threshold, so the cost bound at ``radius`` cannot pay for
+    The threshold is the excursion level of half of ``eps``.  Each
+    step spent above it costs at least the state gauge of the
+    threshold, so the cost bound at ``radius`` cannot pay for
     more than the returned number of steps: the smallest positive
     integer at least ``cost_bound(radius) / state_gauge(threshold) - 1``.
     """
-    return _settle(ucc, _bounds(ucc, eps_tilde_factor), eps_tilde_factor, radius, eps)[1]
+    return _settle(ucc, _bounds(ucc), radius, eps)[1]
 
 
 @dataclass(frozen=True)
@@ -233,12 +224,7 @@ def _scan(
 
 
 def stitch_controls(
-    ucc: UCCCert,
-    sys: ControlSystem,
-    x,
-    eps: float,
-    radius: Optional[float] = None,
-    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
+    ucc: UCCCert, sys: ControlSystem, x, eps: float, radius: Optional[float] = None
 ) -> StitchResult:
     """Follow the certified policy until it dips below the target threshold,
     then restart it from the state reached there.
@@ -247,9 +233,9 @@ def stitch_controls(
     succeed within the settle horizon; failure means the certificate's
     cost accounting is inconsistent.
     """
-    bounds = _bounds(ucc, eps_tilde_factor)
+    bounds = _bounds(ucc)
     start, big_r = _within(sys, x, radius)
-    threshold, horizon = _settle(ucc, bounds, eps_tilde_factor, big_r, eps)
+    threshold, horizon = _settle(ucc, bounds, big_r, eps)
     stitched, switch, _ = _scan(ucc, sys, x, threshold, horizon, horizon)
     return StitchResult(tuple(stitched), switch, horizon, threshold, bounds[2].eval(start))
 
@@ -356,12 +342,7 @@ def _levels(depth: int) -> Tuple[float, ...]:
     return tuple(1.0 / m for m in range(1, depth + 1))
 
 
-def settling_schedule(
-    ucc: UCCCert,
-    radius: float,
-    depth: int = DEFAULT_DEPTH,
-    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
-) -> SettlingSchedule:
+def settling_schedule(ucc: UCCCert, radius: float, depth: int = DEFAULT_DEPTH) -> SettlingSchedule:
     """Target sequence for settling from the given radius.
 
     Round ``m`` has level ``1/m``.  Its target is clipped three ways:
@@ -374,12 +355,10 @@ def settling_schedule(
     schedule truncates at the last computable round.  At least the
     first round must fit under the cap.
     """
-    return _schedules(ucc, _bounds(ucc, eps_tilde_factor), eps_tilde_factor, [radius], depth)[0]
+    return _schedules(ucc, _bounds(ucc), [radius], depth)[0]
 
 
-def _schedules(
-    ucc: UCCCert, bounds, eps_tilde_factor: float, radii: Sequence[float], depth: int
-) -> list:
+def _schedules(ucc: UCCCert, bounds, radii: Sequence[float], depth: int) -> list:
     """``settling_schedule`` of every radius, with the threshold of each round.
 
     One relay inversion gives the level costs and budget shares, one
@@ -395,14 +374,14 @@ def _schedules(
         raise ParameterError(f"depth must be at least 1, got {depth}")
     depth = min(depth, _MAX_ROUNDS)
 
-    state_gauge, excursion, relay = bounds
+    state_gauge, excursion, relay, _ = bounds
     radii = np.asarray(radii, dtype=float)
     tops = ucc.cost_bound.eval(radii)
     shares = np.outer(tops, 2.0 ** -np.arange(1, depth + 1))
     costs = relay.invert(np.concatenate((state_gauge.eval(_levels(depth)), shares.ravel())))
     by_level, by_budget = costs[:depth], costs[depth:].reshape(shares.shape)
     targets = np.minimum(np.minimum(by_level, by_budget), radii[:, None])
-    thresholds = excursion.invert(eps_tilde_factor * targets)
+    thresholds = excursion.invert(_EPS_TILDE_FACTOR * targets)
     floors = state_gauge.eval(thresholds)
     out = []
     for radius, top, row, row_thresholds, row_floors in zip(
@@ -423,9 +402,7 @@ def _schedules(
     return out
 
 
-def _policy(
-    ucc: UCCCert, bounds, eps_tilde_factor: float, sys: ControlSystem, depth: int, built: dict
-) -> PolicyOracle:
+def _policy(ucc: UCCCert, bounds, sys: ControlSystem, depth: int, built: dict) -> PolicyOracle:
     """Concatenate stitched prefixes through the settling schedule.
 
     Per starting state, round ``m`` runs the stitched control for the
@@ -438,9 +415,10 @@ def _policy(
     whole horizon fits in the request.
 
     ``built`` maps radii to schedules already settled, at least
-    ``depth`` rounds deep: a schedule of depth ``d`` is the first ``d``
-    rounds of a deeper one, step-cap truncation included.  Other radii
-    are settled on demand with ``bounds``.
+    ``depth`` rounds deep once both are clamped to ``_MAX_ROUNDS``: a
+    schedule of depth ``d`` is the first ``d`` rounds of a deeper one,
+    step-cap truncation included.  Other radii are settled on demand
+    with ``bounds``.
     """
 
     def prefix(x, n):
@@ -449,7 +427,7 @@ def _policy(
             return ucc.policy.controls(x, n)
         schedule = built.get(float(start))
         if schedule is None:
-            schedule = _schedules(ucc, bounds, eps_tilde_factor, [start], depth)[0]
+            schedule = _schedules(ucc, bounds, [start], depth)[0]
         controls = []
         state = x
         for m in range(min(depth, schedule.depth)):
@@ -470,10 +448,7 @@ def _policy(
 
 
 def assemble_state_bound(
-    ucc: UCCCert,
-    r_values: Sequence[float],
-    depth: int = DEFAULT_NU_DEPTH,
-    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
+    ucc: UCCCert, r_values: Sequence[float], depth: int = DEFAULT_NU_DEPTH
 ) -> Tuple[SampledKL, Tuple[SettlingSchedule, ...]]:
     """Decay bound on the state measure for the stitched policy, and the
     settling schedule of each radius.
@@ -487,12 +462,12 @@ def assemble_state_bound(
     lifts each tie by one double.  All radii are settled in one pass from
     the smallest, so when several fail, the smallest failing radius raises.
     """
-    bounds = _bounds(ucc, eps_tilde_factor)
+    bounds = _bounds(ucc)
     radii = np.asarray(sorted(set(float(r) for r in r_values)), dtype=float)
     if radii.size < 2 or np.any(radii <= 0):
         raise ParameterError("need at least two distinct positive radii")
 
-    schedules = tuple(_schedules(ucc, bounds, eps_tilde_factor, radii, depth))
+    schedules = tuple(_schedules(ucc, bounds, radii, depth))
     rows = []
     for ceiling, schedule in zip(bounds[1].eval(radii).tolist(), schedules):
         row = []
@@ -542,7 +517,6 @@ def converse_pipeline(
     horizon: int = 64,
     depth: int = DEFAULT_DEPTH,
     nu_depth: int = DEFAULT_NU_DEPTH,
-    eps_tilde_factor: float = DEFAULT_EPS_TILDE_FACTOR,
     slack: float = DEFAULT_SLACK,
 ) -> ConverseResult:
     """Full constructive converse, verified on the given samples.
@@ -573,17 +547,19 @@ def converse_pipeline(
     measures = sorted({m for m in map(sys.sigma, samples) if m > 0.0}) or [1.0]
     radii = measures if len(measures) > 1 else [measures[0], 2.0 * measures[0]]
 
-    bound, schedules = assemble_state_bound(ucc, radii, nu_depth, eps_tilde_factor)
-    bounds = _bounds(ucc, eps_tilde_factor)
-    _, excursion, relay = bounds
-    # without the hand-off the policy would settle each sample radius again per sample
-    built = {schedule.radius: schedule for schedule in schedules} if depth <= nu_depth else {}
+    bound, schedules = assemble_state_bound(ucc, radii, nu_depth)
+    bounds = _bounds(ucc)
+    _, excursion, relay, total = bounds
+    # without the hand-off the policy would settle each sample radius again per sample;
+    # both depths stop at _MAX_ROUNDS, so min(depth, _MAX_ROUNDS) is the depth compared
+    built = ({schedule.radius: schedule for schedule in schedules}
+             if min(depth, _MAX_ROUNDS) <= nu_depth else {})
     cert = UBgECCert(
         state_bound=bound,
         energy=ucc.stage_cost.input_cost,
-        energy_budget=combine(relay, ucc.cost_bound, "sum"),
+        energy_budget=total,
         domain=ucc.domain,
-        policy=_policy(ucc, bounds, eps_tilde_factor, sys, depth, built),
+        policy=_policy(ucc, bounds, sys, depth, built),
     )
     report = verify(cert, sys, samples, horizon, slack)
     return ConverseResult(cert, excursion, relay, schedules, report)

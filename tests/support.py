@@ -244,9 +244,9 @@ def excursion_count_loop(beta, radius, r, cap=COUNT_SEARCH_CAP):
     return hi
 
 
-def stitched_policy(ucc, sys, depth=DEFAULT_DEPTH, eps_tilde_factor=0.5):
+def stitched_policy(ucc, sys, depth=DEFAULT_DEPTH):
     """The converse's stitched policy of ``ucc`` on ``sys``, built without an assembled bound."""
-    return _policy(ucc, _bounds(ucc, eps_tilde_factor), eps_tilde_factor, sys, depth, {})
+    return _policy(ucc, _bounds(ucc), sys, depth, {})
 
 
 def kl_grid_violations(beta, r_grid=None, t_grid=None):

@@ -422,6 +422,23 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_artifact_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "report.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, {"system": self.SCALAR, "samples": {"count": 2}})
+        rc = main(["verify", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write artifact {str(out / 'report.csv')!r}: ")
+        assert err.count("\n") == 1
+
+    def test_config_nested_too_deeply_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"a":' * 100_000 + "1" + "}" * 100_000, encoding="utf-8")
+        rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config {str(path)!r} nests too deeply to read\n"
+
     def test_bad_value_message_names_the_key(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "converse", {**self.CHAIN_ORACLE, "converse": {"nu_depth": "deep"}})
         assert rc == 2
@@ -631,16 +648,15 @@ class TestConverseCommand:
         "converse": {"depth": 8, "nu_depth": 12},
     }
 
-    def test_eps_tilde_factor_reaches_the_schedules(self, tmp_path):
+    def test_eps_tilde_factor_key_is_ignored(self, tmp_path):
+        # each round scans for the excursion level of half its target, whatever the config says
         def schedules(name, **converse):
             payload = {**self.CHAIN, "converse": {**self.CHAIN["converse"], **converse}}
             rc, out = run(tmp_path, "converse", payload, outname=name)
             assert rc == 0
             return (out / "schedules.csv").read_bytes()
 
-        # 0.5 is the library default
-        assert schedules("half", eps_tilde_factor=0.5) == schedules("default")
-        assert schedules("quarter", eps_tilde_factor=0.25) != schedules("default")
+        assert schedules("quarter", eps_tilde_factor=0.25) == schedules("default")
 
     FINITE = {"finite": {"successor": [[0, 0], [1, 0], [2, 1], [3, 2]],
                          "state_measure": [0.0, 1.0, 2.0, 3.0], "input_measure": [0.0, 1.0]}}

@@ -44,7 +44,7 @@ from stagecraft import (
 from stagecraft import cli, cmpfn
 from stagecraft import converse as converse_module
 from stagecraft.cli import main
-from stagecraft.converse import _STEP_CAP, _bounds, _schedules, _settle
+from stagecraft.converse import _EPS_TILDE_FACTOR, _STEP_CAP, _bounds, _schedules, _settle
 from support import assert_prefix_closed, stitched_policy, total_cost
 
 
@@ -53,7 +53,7 @@ def _scan(ucc, sys, x, eps, length, radius=None):
     converse's private scan, cut to ``length`` controls; the settle horizon
     is that of ``radius``, by default the measure of ``x``."""
     radius = sys.sigma(x) if radius is None else radius
-    threshold, horizon = _settle(ucc, _bounds(ucc, 0.5), 0.5, radius, eps)
+    threshold, horizon = _settle(ucc, _bounds(ucc), radius, eps)
     return converse_module._scan(ucc, sys, x, threshold, horizon, length)
 
 
@@ -233,10 +233,6 @@ class TestSettleHorizon:
             settle_horizon(cert, -1.0, 0.5)
         with pytest.raises(ParameterError, match="target"):
             settle_horizon(cert, 1.0, 0.0)
-        with pytest.raises(ParameterError, match="eps_tilde_factor"):
-            settle_horizon(cert, 1.0, 0.5, eps_tilde_factor=1.0)
-        with pytest.raises(ParameterError, match="eps_tilde_factor"):
-            settle_horizon(cert, 1.0, 0.5, eps_tilde_factor=0.0)
 
 
 class TestSettlingSchedule:
@@ -594,7 +590,7 @@ def _stitched_prefix(ucc, sys, x, depth, length):
     return controls[:length]
 
 
-def _scalar_schedule(ucc, radius, depth, eps_tilde_factor):
+def _scalar_schedule(ucc, radius, depth):
     """The per-round loop that batched schedules replaced, one float call at a time.
 
     Returns ``(level, target, horizon, threshold)`` per round, cut at the
@@ -612,7 +608,7 @@ def _scalar_schedule(ucc, radius, depth, eps_tilde_factor):
         try:
             if target <= 0.0:
                 raise BudgetError(f"round {m} target degenerated")
-            threshold = excursion.invert(eps_tilde_factor * target)
+            threshold = excursion.invert(_EPS_TILDE_FACTOR * target)
             floor_cost = state_gauge.eval(threshold)
             if floor_cost <= 0.0:
                 if top > 0.0:
@@ -660,21 +656,20 @@ class TestBatchedSchedule:
             max_size=4,
         ),
         st.integers(1, 30),
-        st.sampled_from([0.25, 0.5, 0.9]),
     )
-    # step-cap truncation: after round 25 from every radius, and after round 19
-    @example("doubling", [0.5, 1.0, 2.0], 30, 0.5)
-    @example("stepping", [0.5, 1.0, 3.0], 21, 0.25)
-    def test_rounds_equal_the_scalar_loop(self, name, radii, depth, factor):
+    # step-cap truncation: after round 25 from every radius, and after round 20
+    @example("doubling", [0.5, 1.0, 2.0], 30)
+    @example("stepping", [0.5, 1.0, 3.0], 21)
+    def test_rounds_equal_the_scalar_loop(self, name, radii, depth):
         ucc = _schedule_cert(name)
-        bounds = _bounds(ucc, factor)
+        bounds = _bounds(ucc)
         try:
-            expected = [_scalar_schedule(ucc, r, depth, factor) for r in radii]
+            expected = [_scalar_schedule(ucc, r, depth) for r in radii]
         except BudgetError:
             with pytest.raises(BudgetError):
-                _schedules(ucc, bounds, factor, radii, depth)
+                _schedules(ucc, bounds, radii, depth)
             return
-        batched = _schedules(ucc, bounds, factor, radii, depth)
+        batched = _schedules(ucc, bounds, radii, depth)
         assert len(batched) == len(radii)
         for radius, rounds, schedule in zip(radii, expected, batched):
             level, target, steps, threshold = (list(col) for col in zip(*rounds))
@@ -684,7 +679,7 @@ class TestBatchedSchedule:
             assert schedule.round_horizons == tuple(steps)
             assert schedule.cum_horizons == tuple(int(n) for n in np.cumsum(steps))
             assert _hex(schedule.thresholds) == _hex(threshold)
-            assert settling_schedule(ucc, radius, depth, factor) == schedule
+            assert settling_schedule(ucc, radius, depth) == schedule
 
     @pytest.mark.parametrize("count", [2, 4, 8])
     def test_assemble_makes_two_numeric_inversions(self, monkeypatch, count):
@@ -704,8 +699,8 @@ class TestBatchedSchedule:
         # from round 1,075 on the budget share top * 2.0**-m is 0.0 and the round is cut
         ucc = _schedule_cert(name)
         radii = [0.5, 1.0, 3.0]
-        bounds = _bounds(ucc, 0.5)
-        assert _schedules(ucc, bounds, 0.5, radii, 5000) == _schedules(ucc, bounds, 0.5, radii, 1074)
+        bounds = _bounds(ucc)
+        assert _schedules(ucc, bounds, radii, 5000) == _schedules(ucc, bounds, radii, 1074)
         inversions = []
         numeric = cmpfn._invert_numeric
         monkeypatch.setattr(
@@ -725,19 +720,14 @@ class TestBatchedSchedule:
     def test_the_first_failing_radius_raises(self):
         # radius 2 breaks the step cap in round 1 and radius 0.1 degenerates there
         ucc = underflow_cert()
-        bounds = _bounds(ucc, 0.5)
+        bounds = _bounds(ucc)
         with pytest.raises(BudgetError, match="radius 2 .* above the cap"):
-            _schedules(ucc, bounds, 0.5, [2.0, 0.1], 3)
+            _schedules(ucc, bounds, [2.0, 0.1], 3)
         with pytest.raises(BudgetError, match="round 1 target degenerated"):
-            _schedules(ucc, bounds, 0.5, [0.1, 2.0], 3)
+            _schedules(ucc, bounds, [0.1, 2.0], 3)
         # assembly settles its radii from the smallest
         with pytest.raises(BudgetError, match="round 1 target degenerated"):
             assemble_state_bound(ucc, [2.0, 0.1], 3)
-
-    def test_bad_eps_tilde_factor_is_rejected_at_construction(self):
-        sys, ucc = halving_fixture()
-        with pytest.raises(ParameterError, match="eps_tilde_factor"):
-            stitched_policy(ucc, sys, eps_tilde_factor=-0.5)
 
 
 class TestPipelinePolicyReuse:
@@ -1025,52 +1015,42 @@ def _halving_pair(**changes):
 class TestValidationOrder:
     """With several faults at once, each public function names the same one first.
 
-    The steps check ``eps_tilde_factor``, then the certificate, then their
-    own arguments in order.  The pipeline checks forward invariance, the
-    certificate, its depths and the base verify before ``eps_tilde_factor``.
+    The steps check the certificate, then their own arguments in order.
+    The pipeline checks forward invariance, the certificate, its depths
+    and then the base verify.
     """
 
     @pytest.mark.parametrize(
         "call, needle",
         [
-            (lambda: settle_horizon(_cross_cert(), -1.0, 0.0, eps_tilde_factor=1.0), "eps_tilde_factor"),
             (lambda: settle_horizon(_cross_cert(), -1.0, 0.0), "cross term"),
             (lambda: settle_horizon(doubling_cert(), -1.0, 0.0), "radius must be finite"),
             (lambda: settle_horizon(doubling_cert(), math.inf, -1.0), "radius must be finite"),
             (lambda: settle_horizon(doubling_cert(), 1.0, -1.0), "target must be finite"),
-            (
-                lambda: stitch_controls(
-                    _cross_cert(), halving_fixture()[0], 1.0, -1.0, 0.5, eps_tilde_factor=2.0
-                ),
-                "eps_tilde_factor",
-            ),
             (lambda: stitch_controls(_cross_cert(), halving_fixture()[0], 1.0, -1.0, 0.5), "cross term"),
             (lambda: stitch_controls(*_halving_pair(), 1.0, -1.0, 0.5), "below the sample"),
             (lambda: stitch_controls(*_halving_pair(), 1.0, 0.2, math.inf), "radius must be finite"),
-            (lambda: settling_schedule(_cross_cert(), 0.0, 0, eps_tilde_factor=0.0), "eps_tilde_factor"),
             (lambda: settling_schedule(_cross_cert(), 0.0, 0), "cross term"),
             (lambda: settling_schedule(doubling_cert(), 0.0, 0), "radius must be finite"),
             (lambda: settling_schedule(doubling_cert(), 1e8, 0), "depth must be at least 1"),
-            (lambda: assemble_state_bound(_cross_cert(), [1.0], eps_tilde_factor=2.0), "eps_tilde_factor"),
             (lambda: assemble_state_bound(_cross_cert(), [1.0]), "cross term"),
             (lambda: assemble_state_bound(doubling_cert(), [1.0], depth=0), "two distinct positive radii"),
             (lambda: assemble_state_bound(doubling_cert(), [1.0, 1e8], depth=0), "depth must be at least 1"),
             (
                 lambda: converse_pipeline(
-                    *_halving_pair(forward_invariant=False), [1.0],
-                    depth=0, nu_depth=0, eps_tilde_factor=2.0,
+                    *_halving_pair(forward_invariant=False), [1.0], depth=0, nu_depth=0
                 ),
                 "forward-invariant",
             ),
             (
                 lambda: converse_pipeline(
-                    _cross_cert(), halving_fixture()[0], [1.0], depth=0, nu_depth=0, eps_tilde_factor=2.0
+                    _cross_cert(), halving_fixture()[0], [1.0], depth=0, nu_depth=0
                 ),
                 "cross term",
             ),
             (
                 lambda: converse_pipeline(
-                    *_halving_pair(cost_bound=linear(1.0)), [1.0], horizon=16, eps_tilde_factor=2.0
+                    *_halving_pair(cost_bound=linear(1.0)), [1.0], horizon=16
                 ),
                 "fails verification",
             ),
@@ -1094,11 +1074,13 @@ class TestValidationOrder:
             converse_pipeline(ucc, sys, [1.0], horizon=16, **{key: 0})
 
 
-def _artifacts(tmp_path, name):
-    """Every file ``converse`` writes on the chain, by file name."""
+def _artifacts(tmp_path, name, **converse):
+    """Every file ``converse`` writes on the chain, by file name, with the
+    ``converse`` keys given."""
     config = tmp_path / "chain.json"
-    config.write_text(json.dumps({**CHAIN_CONVERSE, "samples": {"count": 4}, "horizon": 24}),
-                      encoding="utf-8")
+    payload = {**CHAIN_CONVERSE, "samples": {"count": 4}, "horizon": 24}
+    payload["converse"] = {**payload["converse"], **converse}
+    config.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["converse", "--config", str(config), "--out", str(tmp_path / name)]) == 0
     return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
 
@@ -1116,3 +1098,24 @@ def test_pipeline_assembles_through_the_public_function(tmp_path, monkeypatch):
     )
     assert _artifacts(tmp_path, "b") == expected
     assert len(calls) == 1
+
+
+def test_hand_off_compares_the_clamped_depths(tmp_path, monkeypatch):
+    # schedules stop at 1,074 rounds, so a policy 1,075 rounds deep takes the assembled ones
+    expected = _artifacts(tmp_path, "a", depth=1074, nu_depth=1074)
+    calls = []
+    schedules = converse_module._schedules
+    monkeypatch.setattr(converse_module, "_schedules",
+                        lambda *args: calls.append(args[2]) or schedules(*args))
+    assert _artifacts(tmp_path, "b", depth=1075, nu_depth=1074) == expected
+    # the one call is assemble_state_bound's, with every sample radius
+    assert len(calls) == 1 and len(calls[0]) > 1
+
+
+@pytest.mark.parametrize("case", [_chain_case, _synthesized_case], ids=["chain", "synthesized"])
+def test_total_bound_is_the_energy_budget(case):
+    ucc, sys, samples, _, _ = case()
+    result = converse_pipeline(ucc, sys, samples, horizon=24, depth=4, nu_depth=6)
+    total = total_bound(ucc).to_json()
+    assert result.cert.energy_budget.to_json() == total
+    assert result.to_json()["total"] == total
