@@ -77,7 +77,8 @@ def _read(config: dict, *path: str, **convert) -> dict:
     Every section on the path must be a JSON object; an absent one reads
     as empty.  Absent keys are left out of the result, so the callee's
     own defaults apply to them.  A value its converter rejects raises
-    ConfigError naming the key.
+    ConfigError naming the key, and so does a value nested too deeply to
+    convert.
     """
     spec = config
     for depth, key in enumerate(path):
@@ -87,13 +88,15 @@ def _read(config: dict, *path: str, **convert) -> dict:
     out = {}
     for key, converter in convert.items():
         if key in spec:
+            name = ".".join(path + (key,))
             try:
                 out[key] = converter(spec[key])
             except (TypeError, ValueError, OverflowError, ParameterError) as exc:
-                name = ".".join(path + (key,))
                 raise ConfigError(
                     f"bad value {spec[key]!r} for config key {name!r}: {exc}"
                 ) from None
+            except RecursionError:
+                raise ConfigError(f"config key {name!r} nests too deeply to read") from None
     return out
 
 
@@ -262,16 +265,25 @@ def _write_json(payload: dict, out_dir: str, name: str) -> None:
         fp.write(_json_text(payload, "", {}) + "\n")
 
 
+@functools.cache
+def _row_format(types: tuple) -> str:
+    """The ``%`` format of a CSV line whose cells have these types."""
+    cells = ("%.17g" if issubclass(kind, (float, np.floating)) else "%s" for kind in types)
+    return ",".join(cells) + "\r\n"
+
+
 def _write_csv(out_dir: str, name: str, header, rows) -> None:
     """Writes ``header`` and then each of ``rows`` as one CSV line ending in CRLF.
 
     Floats, numpy floats included, take 17 significant digits, enough to
-    round-trip a double; any other value is written with ``str``.
+    round-trip a double; any other value is written with ``str``.  Each
+    line is one ``%`` with the format of its tuple of cell types, and the
+    file is written in one call.
     """
+    rows = [tuple(row) for row in (header, *rows)]
+    text = "".join(_row_format(tuple(map(type, row))) % row for row in rows)
     with _artifact(out_dir, name) as fp:
-        for row in (header, *rows):
-            cells = ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
-            fp.write(",".join(cells) + "\r\n")
+        fp.write(text)
 
 
 _MARGIN_COLUMNS = tuple(field.name for field in dataclasses.fields(MarginRow))

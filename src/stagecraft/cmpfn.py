@@ -28,9 +28,14 @@ so a float call equals its entry in any array bitwise (numpy rounds
 ``**`` on numpy scalars and on arrays through different kernels).
 Decay bounds broadcast ``r`` against ``t``, so every grid check and
 decomposition here evaluates its bound over the whole ``(r, t)`` grid
-in one call.  Numeric inversion is a bracketed bisection vectorised
-over query points; structurally invertible trees (powers, linear maps,
-tables, compositions of those) take an exact shortcut.
+in one call.  Structurally invertible trees (powers, linear maps,
+tables, compositions of those) invert in closed form; these closed forms
+round either way and are not yet directed.  Every other tree inverts
+numerically, vectorised over query points, to an upper inverse: an x
+whose own ``eval`` reaches y.  A piecewise-linear tree, built from
+identity, linear, scale, table, sum, compose and inverse-of nodes only,
+is solved on a table of itself at its knots; a tree with a power,
+product, min or constant node is bisected.
 """
 
 from __future__ import annotations
@@ -307,30 +312,78 @@ def _interp_extend(q, xs, ys):
     return out
 
 
+def _pl_knots(expr):
+    """Knots (with 0, unsorted, maybe repeated) of a piecewise-linear tree,
+    which is linear between them and past the last; None for other trees.
+    A composition maps the outer's knots back through the inner's knot
+    table, so nothing here inverts numerically."""
+    if isinstance(expr, (Identity, Linear)):
+        return np.zeros(1)
+    if isinstance(expr, Table):
+        return expr.x
+    if isinstance(expr, Scale):
+        return _pl_knots(expr.inner)
+    if isinstance(expr, InverseOf):
+        knots = _pl_knots(expr.inner)
+        return None if knots is None else expr.inner.eval(knots)
+    if isinstance(expr, Sum):
+        left, right = _pl_knots(expr.left), _pl_knots(expr.right)
+        return None if left is None or right is None else np.concatenate((left, right))
+    if isinstance(expr, Compose):
+        outer, inner = _pl_knots(expr.outer), _pl_knots(expr.inner)
+        if outer is None or inner is None:
+            return None
+        if np.any(outer > 0.0):
+            xs, ys = _knot_table(expr.inner, inner)
+            outer = _interp_extend(outer, ys, xs)
+        return np.concatenate((outer, inner))
+    return None
+
+
+def _knot_table(expr, knots):
+    """The tree at its distinct knots, ascending, and at one point past the last.
+    Not ``np.unique``: on numpy 2.4 its first call adds some 0.6 MB of
+    resident memory to the process."""
+    xs = np.sort(knots)
+    xs = np.append(xs[np.diff(xs, append=np.inf) > 0.0], 2.0 * xs[-1] + 1.0)
+    return xs, expr.eval(xs)
+
+
 def _invert_numeric(expr, y):
-    """Bracket [0, hi] by doubling, then bisect, vectorised over y."""
-    hi = np.ones_like(y)
+    """An upper inverse, vectorised over y: x with ``expr.eval(x) >= y``, within
+    ``_INVERT_REL_TOL`` of f^-1(y).  A piecewise-linear tree is solved on its
+    knot table, and a guess that rounding left short steps up by 4 ulps, 8,
+    16, ..., at most to its segment's end; any other tree starts at 1 and
+    doubles.  ``hi`` only moves to points where ``eval`` reaches y, and the
+    bracket [lo, hi] is bisected to the tolerance, returning ``hi``."""
+    knots = _pl_knots(expr)
+    if knots is None:
+        lo, hi, step, end = np.zeros_like(y), np.ones_like(y), np.ones_like(y), np.inf
+    else:
+        xs, fs = _knot_table(expr, knots)
+        j = np.searchsorted(fs[1:-1], y) + 1
+        lo = hi = xs[j - 1] + (y - fs[j - 1]) * ((xs[j] - xs[j - 1]) / (fs[j] - fs[j - 1]))
+        step, end = 4.0 * np.spacing(hi), np.where(y <= fs[-1], xs[j], np.inf)
     for _ in range(_INVERT_BRACKET_CAP):
-        short = expr.eval(hi) < y
-        if not np.any(short):
+        reached = expr.eval(hi) >= y
+        if reached.all():
             break
-        hi = np.where(short, 2.0 * hi, hi)
+        lo = np.where(reached, lo, hi)
+        hi = np.where(reached, hi, np.minimum(hi + step, end))
+        step = 2.0 * step
     else:
         raise InversionError(
             "bracket expansion hit the doubling cap; the function never reaches the target"
         )
-    lo = np.zeros_like(y)
-    live = y > 0.0
     for _ in range(_INVERT_MAX_BISECT):
-        if not np.any(live):
+        live = (y > 0.0) & (hi - lo > _INVERT_REL_TOL * hi)
+        if not live.any():
             break
         mid = 0.5 * (lo + hi)
-        below = expr.eval(mid) < y
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
-        live = live & (hi - lo > _INVERT_REL_TOL * hi)
-    out = 0.5 * (lo + hi)
-    return np.where(y == 0.0, 0.0, out)
+        reached = expr.eval(mid) >= y
+        lo = np.where(live & ~reached, mid, lo)
+        hi = np.where(live & reached, mid, hi)
+    return np.where(y == 0.0, 0.0, hi)
 
 
 def _node_from_obj(obj):

@@ -439,6 +439,20 @@ class TestConfigErrors:
         assert rc == 2
         assert capsys.readouterr().err == f"error: config {str(path)!r} nests too deeply to read\n"
 
+    @pytest.mark.parametrize("depth, code", [(300, 0), (600, 2)])
+    def test_expression_nested_too_deeply_exits_two(self, tmp_path, capsys, depth, code):
+        # json.load reads 600 nested compose nodes; rebuilding them recurses past the limit
+        node = {"op": "identity"}
+        for _ in range(depth):
+            node = {"op": "compose", "outer": {"op": "identity"}, "inner": node}
+        payload = {"system": self.SCALAR, "samples": {"count": 2},
+                   "synthesis": {"state_cost": {"kind": "kinf", "expr": node}}}
+        rc, _ = run(tmp_path, "synthesize", payload)
+        err = capsys.readouterr().err
+        assert rc == code
+        if code == 2:
+            assert err == "error: config key 'synthesis.state_cost' nests too deeply to read\n"
+
     def test_bad_value_message_names_the_key(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "converse", {**self.CHAIN_ORACLE, "converse": {"nu_depth": "deep"}})
         assert rc == 2
@@ -872,6 +886,21 @@ class TestCsvWriter:
         tmp_path = tmp_path_factory.mktemp("csv")
         text = self.written(tmp_path, ("a", "b"), [(x, np.float64(x))]).decode()
         assert text == f"a,b\r\n{x:.17g},{x:.17g}\r\n"
+
+    CELLS = st.one_of(
+        st.integers(), st.floats(), st.floats().map(np.float64), st.text("abc,-.0123456789"),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(CELLS, st.integers()), min_size=1, max_size=8))
+    def test_a_column_may_change_type_between_rows(self, tmp_path_factory, rows):
+        # rows of one table may differ in their tuple of cell types: each row is
+        # written by the rule of its own cells, one cell at a time
+        tmp_path = tmp_path_factory.mktemp("csv")
+        rows = [(1, 0), (2.5, 0), (np.float64(0.1), 0), ("x", 0), *rows]
+        cell = lambda v: "%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
+        expected = "".join(",".join(map(cell, row)) + "\r\n" for row in [("a", "b"), *rows])
+        assert self.written(tmp_path, ("a", "b"), rows) == expected.encode()
 
 
 class TestDeterminism:

@@ -36,7 +36,7 @@ from stagecraft import (
     table_fn,
 )
 from stagecraft.cli import _json_text
-from stagecraft.cmpfn import _NODES, Scale, Table, _max_per_x
+from stagecraft.cmpfn import _NODES, Scale, Sum, Table, _max_per_x, _pl_knots
 from support import (
     LOG_GRID,
     kl_grid_violations,
@@ -122,6 +122,67 @@ class TestInversion:
         y = f.eval(LOG_GRID)
         back = f.invert(y)
         np.testing.assert_allclose(back, LOG_GRID, rtol=1e-9)
+
+
+def random_pl_sum(rng):
+    """A sum of two to four random monotone tables, each maybe composed with
+    another table, inverted or scaled: a piecewise-linear tree whose root
+    inverts numerically."""
+
+    def table():
+        return strict_table(np.cumsum(rng.uniform(0.05, 2.0, 6)), np.cumsum(rng.uniform(0.05, 2.0, 6)))
+
+    wraps = (lambda g: g, lambda g: compose(table(), g), inverse_of, lambda g: scale(3.0, g))
+    terms = [wraps[rng.choice(4)](table()) for _ in range(rng.integers(2, 5))]
+    f = terms[0]
+    for term in terms[1:]:
+        f = combine(f, term, "sum")
+    return f
+
+
+def knot_queries(f, rng):
+    """y at the tree's knots, between them and past the last, plus random y."""
+    at = f.eval(np.unique(_pl_knots(f.expr)))
+    between = 0.5 * (at[:-1] + at[1:])
+    past = at[-1] * np.array([1.0 + 1e-9, 1.5, 10.0, 1e6])
+    return np.concatenate((at, between, past, np.exp(rng.uniform(-9.0, 9.0, 32))))
+
+
+class TestUpperInverse:
+    """A numeric inversion is an upper inverse: f(f^-1(y)) >= y, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sum", "product", "min"]))
+    def test_random_trees_with_a_numeric_root(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        # stretch 4 per factor keeps a product's values inside the doubles on the grid
+        f = combine(random_kinf(rng, 4, stretch=4.0), random_kinf(rng, 4, stretch=4.0), mode)
+        ys = np.concatenate((f.eval(LOG_GRID), np.exp(rng.uniform(-9.0, 9.0, 64))))
+        assert np.all(f.eval(f.invert(ys)) >= ys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_piecewise_linear_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_pl_sum(rng)
+        ys = knot_queries(f, rng)
+        xs = f.invert(ys)
+        assert np.all(f.eval(xs) >= ys)
+        np.testing.assert_allclose(f.eval(xs), ys, rtol=1e-12)
+
+    def test_a_piecewise_linear_tree_is_solved_on_its_knots(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        counts = []
+        for f in (random_pl_sum(rng), combine(random_pl_sum(rng), power(1.5), "sum")):
+            ys = f.eval(LOG_GRID)
+            root, sum_eval, calls = f.expr, Sum.eval, []
+            monkeypatch.setattr(Sum, "eval", lambda self, r: calls.append(self is root) or sum_eval(self, r))
+            f.invert(ys)
+            monkeypatch.undo()
+            counts.append(sum(calls))
+        # the knot table, the check of the solve and at most two ulp steps,
+        # against a bracket and a bisection of some 45 evaluations
+        assert counts[0] <= 4 < 30 < counts[1]
 
 
 class TestCombinators:
@@ -672,6 +733,16 @@ class TestFloatCallsAreArrayEntries:
         ys = np.concatenate(([0.0], f.eval(rs[1:]) * rng.uniform(0.5, 2.0, rs.size - 1)))
         floats = np.array([f.eval(float(r)) for r in rs])
         np.testing.assert_array_equal(bits(floats), bits(f.eval(rs)))
+        inverted = np.array([f.invert(float(y)) for y in ys])
+        np.testing.assert_array_equal(bits(inverted), bits(f.invert(ys)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_piecewise_linear_sum_invert(self, seed):
+        # the knot table is the same for every call; the ulp steps are per point
+        rng = np.random.default_rng(seed)
+        f = random_pl_sum(rng)
+        ys = np.concatenate(([0.0], knot_queries(f, rng)))
         inverted = np.array([f.invert(float(y)) for y in ys])
         np.testing.assert_array_equal(bits(inverted), bits(f.invert(ys)))
 
